@@ -2,11 +2,9 @@
 # Tier-1-equivalent smoke gate, suitable for a CI job.
 #
 # Runs, in order:
-#   0. the static-analysis gate: a cold-vs-warm lint-cache contract check
-#      (the warm run must be byte-identical and under half the cold wall
-#      time), `python -m repro.lint --check --jobs 2`, and the mypy typing
-#      tiers of mypy.ini when mypy is installed — fail-fast, before any
-#      test process is spawned (docs/static-analysis.md);
+#   0. the static-analysis gate: `python -m repro.lint --check`, and the
+#      mypy typing tiers of mypy.ini when mypy is installed — fail-fast,
+#      before any test process is spawned (docs/static-analysis.md);
 #   1. the tier-1 test suite (`pytest -x -q`; bench-marked tests excluded
 #      via pytest.ini);
 #   2. a 2-shard plan -> run -> merge round trip through the CLI, asserting
@@ -44,43 +42,7 @@ export PYTHONPATH="$REPO_ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 PYTHON="${PYTHON:-python}"
 
 echo "== 0/7 static-analysis gate =="
-# Cold-vs-warm cache contract: the gate runs twice against a fresh cache
-# directory in one interpreter (so interpreter startup does not pollute
-# the timing); the warm run must take under half the cold wall time and
-# both runs must agree byte for byte.
-LINT_CACHE_DIR="$(mktemp -d)"
-REPRO_LINT_CACHE_DIR="$LINT_CACHE_DIR" "$PYTHON" - <<'PYEOF'
-import sys
-import time
-
-from repro.lint import DiagnosticCache, lint_tree
-
-cold_cache = DiagnosticCache()
-start = time.perf_counter()
-cold = lint_tree(".", jobs=2, cache=cold_cache)
-cold_seconds = time.perf_counter() - start
-
-warm_cache = DiagnosticCache()
-start = time.perf_counter()
-warm = lint_tree(".", jobs=2, cache=warm_cache)
-warm_seconds = time.perf_counter() - start
-
-print(
-    f"lint cache: cold {cold_seconds:.3f}s ({cold_cache.stores} stored), "
-    f"warm {warm_seconds:.3f}s ({warm_cache.hits} hits)"
-)
-if warm != cold:
-    raise SystemExit("FAIL: warm-cache lint output differs from cold")
-if warm_cache.misses:
-    raise SystemExit(f"FAIL: warm lint run missed {warm_cache.misses} file(s)")
-if warm_seconds >= cold_seconds / 2:
-    raise SystemExit(
-        f"FAIL: warm lint run ({warm_seconds:.3f}s) not under half the "
-        f"cold run ({cold_seconds:.3f}s)"
-    )
-PYEOF
-REPRO_LINT_CACHE_DIR="$LINT_CACHE_DIR" "$PYTHON" -m repro.lint --check --jobs 2
-rm -rf "$LINT_CACHE_DIR"
+"$PYTHON" -m repro.lint --check
 if "$PYTHON" -c "import mypy" > /dev/null 2>&1; then
     "$PYTHON" -m mypy --config-file mypy.ini
 else

@@ -302,7 +302,8 @@ def corrupt_file(path: str) -> None:
     :class:`~repro.exceptions.ShardFormatError` — never silently merge.
     """
     size = os.path.getsize(path)
-    with open(path, "rb+") as handle:
+    # Tearing the file in place is the point: this is the ``out:N`` fault.
+    with open(path, "rb+") as handle:  # repro: allow[ROB001]
         handle.truncate(size // 2)
 
 

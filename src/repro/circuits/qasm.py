@@ -27,6 +27,7 @@ Grammar per non-comment line:
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Callable, Dict, List
 
@@ -98,7 +99,16 @@ def _parse_gate_line(tokens: List[str], line_number: int) -> Gate:
     operands = []
     for token in tokens[1:]:
         if token.startswith("duration="):
-            duration = float(token.split("=", 1)[1])
+            text = token.split("=", 1)[1]
+            try:
+                duration = float(text)
+            except ValueError:
+                duration = math.nan
+            if not math.isfinite(duration):
+                raise SerializationError(
+                    f"line {line_number}: duration must be a finite number, "
+                    f"got {text!r}"
+                )
         else:
             operands.append(token)
 

@@ -92,9 +92,9 @@ class PhysicalEnvironment:
         for node, delay in single_qubit_delays.items():
             self._single[node] = self._check_delay(delay, f"node {node!r}")
 
-        if default_pair_delay < 0:
-            raise EnvironmentError_("default_pair_delay must be non-negative")
-        self.default_pair_delay = float(default_pair_delay)
+        self.default_pair_delay = self._check_delay(
+            default_pair_delay, "default_pair_delay"
+        )
 
         self._pairs: Dict[Pair, float] = {}
         for (a, b), delay in pair_delays.items():
@@ -145,7 +145,9 @@ class PhysicalEnvironment:
     def _check_delay(delay: float, what: str) -> float:
         value = float(delay)
         if value < 0 or math.isnan(value):
-            raise EnvironmentError_(f"delay for {what} must be non-negative, got {delay!r}")
+            raise EnvironmentError_(
+                f"delay for {what} must be a non-negative number, got {delay!r}"
+            )
         return value
 
     # -- basic queries -------------------------------------------------------

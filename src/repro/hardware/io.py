@@ -80,29 +80,39 @@ def from_dict(data: Dict[str, Any]) -> PhysicalEnvironment:
             return int(key)
         return _label_from_json(key)
 
-    single = {parse_node_key(key): float(delay) for key, delay in raw_nodes.items()}
+    # Conversion errors (a list where a mapping belongs, a non-numeric
+    # delay, a scalar pair entry) all mean a malformed file; the
+    # constructor's own EnvironmentError_ checks stay outside the try.
+    try:
+        single = {
+            parse_node_key(key): float(delay) for key, delay in raw_nodes.items()
+        }
 
-    pairs = {}
-    for entry in raw_pairs:
-        if len(entry) != 3:
-            raise SerializationError(f"malformed pair entry {entry!r}")
-        a, b, delay = entry
-        pairs[(_label_from_json(a), _label_from_json(b))] = float(delay)
+        pairs = {}
+        for entry in raw_pairs:
+            if len(entry) != 3:
+                raise SerializationError(f"malformed pair entry {entry!r}")
+            a, b, delay = entry
+            pairs[(_label_from_json(a), _label_from_json(b))] = float(delay)
 
-    default = data.get("default_pair_delay", "inf")
-    if isinstance(default, str):
-        if default.lower() not in {"inf", "infinity"}:
-            raise SerializationError(f"unsupported default_pair_delay {default!r}")
-        default_value = math.inf
-    else:
-        default_value = float(default)
+        default = data.get("default_pair_delay", "inf")
+        if isinstance(default, str):
+            if default.lower() not in {"inf", "infinity"}:
+                raise SerializationError(f"unsupported default_pair_delay {default!r}")
+            default_value = math.inf
+        else:
+            default_value = float(default)
+        name = str(data.get("name", "environment"))
+        time_unit_seconds = float(data.get("time_unit_seconds", 1e-4))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed environment data: {exc}") from exc
 
     return PhysicalEnvironment(
         single,
         pairs,
         default_pair_delay=default_value,
-        name=str(data.get("name", "environment")),
-        time_unit_seconds=float(data.get("time_unit_seconds", 1e-4)),
+        name=name,
+        time_unit_seconds=time_unit_seconds,
     )
 
 

@@ -8,27 +8,23 @@ time: a small AST-based rule engine (stdlib :mod:`ast`, no runtime
 dependencies) that recognises the exact hazard patterns earlier PRs spent
 whole changes eradicating, before they re-enter the tree.
 
-Rule families (see ``docs/static-analysis.md`` for the full catalog):
+Every rule applies to every ``repro.*`` module; a rule exempts at most
+the one module sanctioned to contain its pattern.  Rule families (see
+``docs/static-analysis.md`` for the full catalog):
 
 * **DET** — determinism hazards: hash-order-dependent iteration
   (DET001), ``repr``/``str``/``id`` sort keys that bypass the canonical
-  :func:`repro.core._bitset.node_index_table` order (DET002), ``hash()``
-  on the fingerprint path (DET003), global-state or unseeded
-  :mod:`random` use (DET004), wall-clock and UUID values feeding
-  serialised payloads (DET005).
-* **ROB** — robustness hazards: non-atomic artifact writes (ROB001),
-  broad exception handlers that swallow silently (ROB002), and
+  :func:`repro.core._bitset.node_index_table` order (DET002), builtin
+  ``hash()`` (DET003), global-state or unseeded :mod:`random` use
+  (DET004), wall-clock and UUID values (DET005).
+* **ROB** — robustness hazards: non-atomic file writes (ROB001), broad
+  exception handlers that swallow silently (ROB002), and
   ``pickle.load`` outside the checksum-verified shard readers (ROB003).
 * **PAR** — parallelism-safety hazards: lambdas/nested defs submitted
   to worker pools (PAR001), worker functions mutating module-level
-  state outside ``STATS`` (PAR002), and mutable default arguments on
-  registry providers or ``Placer`` subclasses (PAR003).
-* **Whole-program rules** over the assembled import/call graph
-  (:mod:`repro.lint.graph` / :mod:`repro.lint.reachability`):
-  non-canonical ``json.dump*`` on the computed serialization path
-  (SER001), and drift between the declared module sets in
-  :mod:`repro.lint.scopes` and the sets computed by sink reachability
-  (SCOPE001, fixed with ``--update-scopes``).
+  state outside ``STATS`` (PAR002), and mutable default arguments
+  (PAR003).
+* **SER** — ``json.dump``/``dumps`` without ``sort_keys=True`` (SER001).
 
 Diagnostics carry file, line, column and rule code; a deliberate
 violation is acknowledged inline with ``# repro: allow[CODE]`` anywhere
@@ -37,12 +33,10 @@ in the flagged statement's span, and legacy debt is frozen in
 *above* the baseline and on any stale baseline entry, so the count only
 moves down.
 
-Entry points: ``python -m repro.lint [--check] [--baseline]
-[--update-scopes] [--jobs N] [--format json|text]``
-(:mod:`repro.lint.cli`) and the programmatic :func:`lint_tree` /
-:func:`lint_source` used by the test gate (``pytest -m lint``).
-Per-file results are cached by content hash (:mod:`repro.lint.cache`);
-cache and ``--jobs`` never change the output bytes.
+Entry points: ``python -m repro.lint [--check | --baseline]
+[--format json|text]`` (:mod:`repro.lint.cli`) and the programmatic
+:func:`lint_tree` / :func:`lint_source` used by the test gate
+(``pytest -m lint``).
 """
 
 from repro.lint.baseline import (
@@ -53,13 +47,8 @@ from repro.lint.baseline import (
     render_baseline,
     write_baseline,
 )
-from repro.lint.cache import DiagnosticCache
 from repro.lint.engine import (
     Diagnostic,
-    FileAnalysis,
-    analyze_file,
-    analyze_paths,
-    analyze_source,
     default_targets,
     lint_file,
     lint_paths,
@@ -69,30 +58,15 @@ from repro.lint.engine import (
     suppressed_lines,
     suppression_covers,
 )
-from repro.lint.graph import ModuleSummary, ProjectGraph, summarize_tree
-from repro.lint.reachability import (
-    ComputedScopes,
-    compute_scopes,
-    project_findings,
-)
 from repro.lint.rules import RULES, Rule, rules_by_code
 
 __all__ = [
     "BASELINE_FILENAME",
-    "ComputedScopes",
     "Diagnostic",
-    "DiagnosticCache",
-    "FileAnalysis",
-    "ModuleSummary",
-    "ProjectGraph",
     "RULES",
     "Rule",
-    "analyze_file",
-    "analyze_paths",
-    "analyze_source",
     "baseline_key",
     "compare_to_baseline",
-    "compute_scopes",
     "default_targets",
     "lint_file",
     "lint_paths",
@@ -100,10 +74,8 @@ __all__ = [
     "lint_tree",
     "load_baseline",
     "module_name_for",
-    "project_findings",
     "render_baseline",
     "rules_by_code",
-    "summarize_tree",
     "suppressed_lines",
     "suppression_covers",
     "write_baseline",

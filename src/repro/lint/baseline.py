@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.analysis.serialization import atomic_write_text, dump_json
 from repro.exceptions import ReproError
-from repro.lint.engine import Diagnostic, count_by_key
+from repro.lint.engine import Diagnostic
 
 #: The baseline's canonical location, relative to the repository root.
 BASELINE_FILENAME = "lint_baseline.json"
@@ -52,7 +52,11 @@ def baseline_key(diagnostic: Diagnostic) -> str:
 
 def baseline_counts(diagnostics: Iterable[Diagnostic]) -> Dict[str, int]:
     """Current findings in baseline form (key -> count)."""
-    return count_by_key(diagnostics, key=("path", "code"))
+    counts: Dict[str, int] = {}
+    for diagnostic in diagnostics:
+        key = baseline_key(diagnostic)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def render_baseline(diagnostics: Iterable[Diagnostic]) -> str:

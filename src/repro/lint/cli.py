@@ -11,15 +11,6 @@ Modes:
   (the ratchet-tightening action after a fix, never a way to admit new
   debt silently: re-baselining with *more* findings is visible in the
   committed diff).
-* ``--update-scopes`` — recompute the fingerprint/persistence/pickle
-  module sets from the call graph and rewrite the declared sets in
-  ``src/repro/lint/scopes.py`` in place (the SCOPE001 remediation).
-
-Performance knobs: ``--jobs N`` fans per-file analysis over a process
-pool; the per-file diagnostic cache (``~/.cache/repro/lint``, see
-:mod:`repro.lint.cache`) is on by default and disabled with
-``--no-cache`` / relocated with ``--cache-dir``.  Neither affects the
-output bytes.
 
 ``--format json`` emits a canonical JSON report — serialised by
 :func:`repro.analysis.serialization.dump_json` (sorted keys), findings
@@ -36,23 +27,13 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis.serialization import dump_json
-from repro.lint import reachability
 from repro.lint.baseline import (
     BASELINE_FILENAME,
     compare_to_baseline,
     load_baseline,
     write_baseline,
 )
-from repro.lint.cache import DiagnosticCache
-from repro.lint.engine import (
-    Diagnostic,
-    analyze_paths,
-    default_targets,
-    lint_paths,
-)
-from repro.lint.graph import ProjectGraph
-from repro.lint.rules import RULES
-from repro.lint.scopes import PROFILE_STRICT
+from repro.lint.engine import Diagnostic, default_targets, lint_paths
 
 
 def _default_root() -> str:
@@ -81,31 +62,6 @@ def _report_json(
     })
 
 
-def _update_scopes(root: str, jobs: int, cache: Optional[DiagnosticCache]) -> int:
-    analyses = analyze_paths(
-        default_targets(root), root=root, jobs=jobs, cache=cache
-    )
-    graph = ProjectGraph(
-        analysis.summary
-        for analysis in analyses
-        if analysis.summary is not None
-        and analysis.profile == PROFILE_STRICT
-    )
-    computed = reachability.compute_scopes(graph)
-    scopes_path = os.path.join(root, "src", "repro", "lint", "scopes.py")
-    if not os.path.exists(scopes_path):
-        print(f"scopes module not found: {scopes_path}", file=sys.stderr)
-        return 2
-    changed = reachability.update_scopes_file(scopes_path, computed)
-    print(
-        f"computed scopes: {len(computed.fingerprint)} fingerprint, "
-        f"{len(computed.persistence)} persistence, "
-        f"{len(computed.pickle)} pickle module(s); "
-        + (f"updated {scopes_path}" if changed else "already in sync")
-    )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
@@ -118,44 +74,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="files or directories to lint "
         "(default: src/repro, scripts, benchmarks)",
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--check",
         action="store_true",
         help="gate mode: exit 0 iff clean modulo the committed baseline",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--baseline",
         action="store_true",
         help="rewrite the baseline file from the current findings",
-    )
-    parser.add_argument(
-        "--update-scopes",
-        action="store_true",
-        help="recompute the declared module sets in lint/scopes.py from "
-        "the call graph (the SCOPE001 remediation)",
     )
     parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan per-file analysis over N worker processes (default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-file diagnostic cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="diagnostic cache directory "
-        "(default: $REPRO_LINT_CACHE_DIR or ~/.cache/repro/lint)",
     )
     parser.add_argument(
         "--root",
@@ -168,26 +102,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=f"baseline path (default: <root>/{BASELINE_FILENAME})",
     )
     args = parser.parse_args(argv)
-    exclusive = [args.check, args.baseline, args.update_scopes]
-    if sum(1 for flag in exclusive if flag) > 1:
-        parser.error(
-            "--check, --baseline and --update-scopes are mutually exclusive"
-        )
 
     root = os.path.abspath(args.root) if args.root else _default_root()
     targets = [
         os.path.join(root, path) for path in args.paths
     ] or default_targets(root)
     baseline_path = args.baseline_file or os.path.join(root, BASELINE_FILENAME)
-    cache = None if args.no_cache else DiagnosticCache(args.cache_dir)
-    jobs = max(1, args.jobs)
-
-    if args.update_scopes:
-        return _update_scopes(root, jobs, cache)
-
-    diagnostics = lint_paths(
-        targets, root=root, rules=RULES, jobs=jobs, cache=cache
-    )
+    diagnostics = lint_paths(targets, root=root)
 
     if args.baseline:
         write_baseline(diagnostics, baseline_path)
@@ -212,12 +133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(report)
     failed = bool(diagnostics or stale)
     if args.format == "text":
-        if cache is not None:
-            print(
-                f"repro.lint: cache {cache.hits} hit(s), "
-                f"{cache.misses} miss(es)",
-                file=sys.stderr,
-            )
         if failed:
             print(
                 f"repro.lint: {len(diagnostics)} finding(s), "

@@ -1,11 +1,10 @@
 """The rule engine: parse, match, suppress, and report.
 
 One file is linted by parsing it once with :mod:`ast`, running every
-per-file rule whose scope covers the file's dotted module name (under
-the file's *profile* — strict for ``src``, relaxed for ``scripts/`` and
-``benchmarks/``), extracting the :class:`~repro.lint.graph.ModuleSummary`
-the whole-program rules need, and dropping findings acknowledged by an
-inline suppression::
+rule that applies to the file's dotted module name under the file's
+*profile* (strict for ``src``, relaxed for ``scripts/`` and
+``benchmarks/``), and dropping findings acknowledged by an inline
+suppression::
 
     root = min(component, key=repr)  # repro: allow[DET002]
 
@@ -16,18 +15,9 @@ of the innermost enclosing statement (and, for simple statements, the
 last) — so multi-line calls can carry the allow on whichever line reads
 best.
 
-When the analyzed file set covers the whole ``repro`` package (the
-``src/repro/__init__.py`` module is present), the per-module summaries
-are assembled into a :class:`~repro.lint.graph.ProjectGraph` and the
-project rules (SCOPE001, PAR003, SER001 — :mod:`repro.lint.reachability`)
-run on top.  Partial-tree invocations (single files, the lint package's
-self-check) skip them: computed scopes over a fragment would be
-meaningless.
-
 Everything here is deterministic by construction — files are walked in
 sorted order and diagnostics sorted by (path, line, column, code) — so
-the linter's own output is byte-identical across ``--jobs`` values and
-cache states, and passes the determinism contract it enforces.
+the linter's own output passes the determinism contract it enforces.
 """
 
 from __future__ import annotations
@@ -35,7 +25,6 @@ from __future__ import annotations
 import ast
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -49,13 +38,10 @@ from typing import (
     Tuple,
 )
 
-from repro.lint import reachability
-from repro.lint.cache import DiagnosticCache
-from repro.lint.graph import ModuleSummary, ProjectGraph, summarize_tree
-from repro.lint.rules import RULES, Rule
-from repro.lint.scopes import (
-    PROFILE_RELAXED,
+from repro.lint.rules import (
     PROFILE_STRICT,
+    RULES,
+    Rule,
     profile_for_module,
 )
 
@@ -66,11 +52,11 @@ _SUPPRESSION_RE = re.compile(
 )
 
 #: Directory trees (relative to the repository root) the default lint
-#: run covers, with the profile each one lints under.
-DEFAULT_TARGETS: Tuple[Tuple[str, str], ...] = (
-    (os.path.join("src", "repro"), PROFILE_STRICT),
-    ("scripts", PROFILE_RELAXED),
-    ("benchmarks", PROFILE_RELAXED),
+#: run covers; each file's profile follows from its module name.
+DEFAULT_TARGETS: Tuple[str, ...] = (
+    os.path.join("src", "repro"),
+    "scripts",
+    "benchmarks",
 )
 
 
@@ -97,51 +83,6 @@ class Diagnostic:
             "code": self.code,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Diagnostic":
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            code=str(payload["code"]),
-            message=str(payload["message"]),
-        )
-
-
-@dataclass
-class FileAnalysis:
-    """Everything one parse produced: per-file diagnostics + summary."""
-
-    path: str
-    module: str
-    profile: str
-    diagnostics: List[Diagnostic]
-    summary: Optional[ModuleSummary]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "profile": self.profile,
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-            "summary": self.summary.to_dict() if self.summary else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FileAnalysis":
-        summary = payload.get("summary")
-        return cls(
-            path=str(payload["path"]),
-            module=str(payload["module"]),
-            profile=str(payload["profile"]),
-            diagnostics=[
-                Diagnostic.from_dict(entry) for entry in payload["diagnostics"]
-            ],
-            summary=(
-                ModuleSummary.from_dict(summary) if summary is not None else None
-            ),
-        )
 
 
 def module_name_for(path: str, root: Optional[str] = None) -> str:
@@ -236,39 +177,32 @@ def suppression_covers(
     )
 
 
-def analyze_source(
+def lint_source(
     source: str,
     module: str,
     path: str = "<string>",
     profile: str = PROFILE_STRICT,
     rules: Sequence[Rule] = RULES,
-    is_package: bool = False,
-) -> FileAnalysis:
-    """Analyze one source string: per-file diagnostics plus summary.
+) -> List[Diagnostic]:
+    """Lint one source string as dotted module ``module``, returning
+    diagnostics sorted by (line, column, code).
 
-    A file that does not parse yields a single ``PARSE`` diagnostic and
-    no summary rather than crashing the run — a syntax error is caught
-    by the test suite anyway; the linter must still report the rest of
-    the tree.
+    A file that does not parse yields a single ``PARSE`` diagnostic
+    rather than crashing the run — a syntax error is caught by the test
+    suite anyway; the linter must still report the rest of the tree.
     """
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        return FileAnalysis(
-            path=path,
-            module=module,
-            profile=profile,
-            diagnostics=[
-                Diagnostic(
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    code="PARSE",
-                    message=f"file does not parse: {exc.msg}",
-                )
-            ],
-            summary=None,
-        )
+        return [
+            Diagnostic(
+                path=path,
+                line=exc.lineno or 1,
+                col=exc.offset or 0,
+                code="PARSE",
+                message=f"file does not parse: {exc.msg}",
+            )
+        ]
     suppressions = suppressed_lines(source)
     spans = statement_spans(tree)
     diagnostics: List[Diagnostic] = []
@@ -286,33 +220,7 @@ def analyze_source(
                     message=message,
                 )
             )
-    summary = summarize_tree(
-        tree,
-        module,
-        path,
-        profile,
-        is_package=is_package,
-        suppressions=suppressions,
-        statements=spans,
-    )
-    return FileAnalysis(
-        path=path,
-        module=module,
-        profile=profile,
-        diagnostics=sorted(diagnostics),
-        summary=summary,
-    )
-
-
-def lint_source(
-    source: str,
-    module: str,
-    path: str = "<string>",
-    rules: Sequence[Rule] = RULES,
-) -> List[Diagnostic]:
-    """Lint one source string as dotted module ``module`` (strict
-    profile), returning diagnostics sorted by (line, column, code)."""
-    return analyze_source(source, module, path=path, rules=rules).diagnostics
+    return sorted(diagnostics)
 
 
 def profile_for_path(path: str, root: Optional[str] = None) -> str:
@@ -325,34 +233,22 @@ def _display_path(path: str, root: Optional[str]) -> str:
     return display.replace(os.sep, "/")
 
 
-def analyze_file(
-    path: str,
-    root: Optional[str] = None,
-    rules: Sequence[Rule] = RULES,
-    source: Optional[str] = None,
-) -> FileAnalysis:
-    """Analyze one file; diagnostics carry ``path`` relative to ``root``."""
-    if source is None:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    module = module_name_for(path, root=root)
-    return analyze_source(
-        source,
-        module,
-        path=_display_path(path, root),
-        profile=profile_for_module(module),
-        rules=rules,
-        is_package=os.path.basename(path) == "__init__.py",
-    )
-
-
 def lint_file(
     path: str,
     root: Optional[str] = None,
     rules: Sequence[Rule] = RULES,
 ) -> List[Diagnostic]:
     """Lint one file; diagnostics carry ``path`` relative to ``root``."""
-    return analyze_file(path, root=root, rules=rules).diagnostics
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    module = module_name_for(path, root=root)
+    return lint_source(
+        source,
+        module,
+        path=_display_path(path, root),
+        profile=profile_for_module(module),
+        rules=rules,
+    )
 
 
 def _python_files(target: str) -> List[str]:
@@ -370,168 +266,32 @@ def _python_files(target: str) -> List[str]:
     return collected
 
 
-def _pool_analyze(task: Tuple[str, Optional[str], str]) -> Dict[str, Any]:
-    """Worker entry point: analyze one file under the default catalog."""
-    path, root, source = task
-    return analyze_file(path, root=root, source=source).to_dict()
-
-
-def project_diagnostics(
-    analyses: Sequence[FileAnalysis],
-) -> List[Diagnostic]:
-    """SCOPE001/PAR003/SER001 findings over assembled strict summaries.
-
-    Only meaningful when the analyses cover the whole package — callers
-    gate on that (:func:`lint_paths`).
-    """
-    summaries = [
-        analysis.summary
-        for analysis in analyses
-        if analysis.summary is not None
-        and analysis.profile == PROFILE_STRICT
-    ]
-    graph = ProjectGraph(summaries)
-    by_module = {
-        summary.module: summary for summary in summaries
-    }
-    diagnostics: List[Diagnostic] = []
-    for module, line, col, end_line, code, message in (
-        reachability.project_findings(graph)
-    ):
-        summary = by_module.get(module)
-        if summary is None:
-            continue
-        if suppression_covers(
-            code, line, end_line, summary.suppressions,
-            [tuple(span) for span in summary.statements],
-        ):
-            continue
-        diagnostics.append(
-            Diagnostic(
-                path=summary.path, line=line, col=col, code=code,
-                message=message,
-            )
-        )
-    return sorted(diagnostics)
-
-
-def _covers_whole_package(analyses: Sequence[FileAnalysis]) -> bool:
-    """Whether the analyzed set includes the ``repro`` package root."""
-    return any(analysis.module == "repro" for analysis in analyses)
-
-
-def analyze_paths(
-    targets: Iterable[str],
-    root: Optional[str] = None,
-    rules: Sequence[Rule] = RULES,
-    jobs: int = 1,
-    cache: Optional[DiagnosticCache] = None,
-) -> List[FileAnalysis]:
-    """Analyze files and directory trees; one path-ordered analysis list.
-
-    ``jobs`` > 1 fans the per-file analysis out over a process pool;
-    ``cache`` short-circuits files whose content hash is already known.
-    Both are pure accelerations: the result is byte-identical for any
-    combination of jobs and cache state.
-    """
-    files: List[str] = []
-    for target in targets:
-        files.extend(_python_files(target))
-    ordered = sorted(dict.fromkeys(files))
-
-    analyses: Dict[str, FileAnalysis] = {}
-    pending: List[Tuple[str, str, str]] = []  # (path, source, cache key)
-    for path in ordered:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        source = raw.decode("utf-8")
-        key = ""
-        if cache is not None:
-            module = module_name_for(path, root=root)
-            key = cache.key(module, profile_for_module(module), raw)
-            payload = cache.load(key)
-            if payload is not None:
-                analyses[path] = FileAnalysis.from_dict(payload)
-                continue
-        pending.append((path, source, key))
-
-    custom_rules = rules is not RULES
-    fresh: List[Tuple[str, FileAnalysis]] = []
-    if jobs > 1 and len(pending) > 1 and not custom_rules:
-        tasks = [(path, root, source) for path, source, _key in pending]
-        workers = min(jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (path, _source, key), payload in zip(
-                pending, pool.map(_pool_analyze, tasks)
-            ):
-                fresh.append((key, FileAnalysis.from_dict(payload)))
-    else:
-        for path, source, key in pending:
-            fresh.append(
-                (key, analyze_file(path, root=root, rules=rules, source=source))
-            )
-    for index, (path, _source, _key) in enumerate(pending):
-        key, analysis = fresh[index]
-        analyses[path] = analysis
-        if cache is not None and key and not custom_rules:
-            cache.store(key, analysis.to_dict())
-
-    return [analyses[path] for path in ordered]
-
-
 def lint_paths(
     targets: Iterable[str],
     root: Optional[str] = None,
     rules: Sequence[Rule] = RULES,
-    jobs: int = 1,
-    cache: Optional[DiagnosticCache] = None,
 ) -> List[Diagnostic]:
-    """Lint files and directory trees; one sorted diagnostic list.
-
-    Project rules (SCOPE001, PAR003, SER001) run iff the file set covers
-    the whole ``repro`` package (its ``__init__`` module is present).
-    """
-    analyses = analyze_paths(
-        targets, root=root, rules=rules, jobs=jobs, cache=cache
-    )
+    """Lint files and directory trees; one sorted diagnostic list."""
+    files: List[str] = []
+    for target in targets:
+        files.extend(_python_files(target))
     diagnostics: List[Diagnostic] = []
-    for analysis in analyses:
-        diagnostics.extend(analysis.diagnostics)
-    if _covers_whole_package(analyses):
-        diagnostics.extend(project_diagnostics(analyses))
+    for path in sorted(dict.fromkeys(files)):
+        diagnostics.extend(lint_file(path, root=root, rules=rules))
     return sorted(diagnostics)
 
 
 def default_targets(root: str) -> List[str]:
     """The directory trees a full lint run covers (existing ones only)."""
     targets = []
-    for relative, _profile in DEFAULT_TARGETS:
+    for relative in DEFAULT_TARGETS:
         candidate = os.path.join(root, relative)
         if os.path.isdir(candidate):
             targets.append(candidate)
     return targets
 
 
-def lint_tree(
-    root: str,
-    rules: Sequence[Rule] = RULES,
-    jobs: int = 1,
-    cache: Optional[DiagnosticCache] = None,
-) -> List[Diagnostic]:
+def lint_tree(root: str, rules: Sequence[Rule] = RULES) -> List[Diagnostic]:
     """Lint the default trees of a repository root (``src/repro``,
-    ``scripts``, ``benchmarks``) including the project rules."""
-    return lint_paths(
-        default_targets(root), root=root, rules=rules, jobs=jobs, cache=cache
-    )
-
-
-def count_by_key(
-    diagnostics: Iterable[Diagnostic],
-    key: "Tuple[str, ...]" = ("path", "code"),
-) -> Dict[str, int]:
-    """Diagnostic counts keyed ``"<field>::<field>"`` (baseline form)."""
-    counts: Dict[str, int] = {}
-    for diagnostic in diagnostics:
-        label = "::".join(str(getattr(diagnostic, field)) for field in key)
-        counts[label] = counts.get(label, 0) + 1
-    return counts
+    ``scripts``, ``benchmarks``)."""
+    return lint_paths(default_targets(root), root=root, rules=rules)

@@ -1,22 +1,19 @@
-"""The determinism (DET), robustness (ROB) and parallelism (PAR) rules.
+"""The determinism (DET), robustness (ROB), parallelism (PAR) and
+serialization (SER) rules.
 
-Each rule is a small :mod:`ast` pattern matcher with a stable code, a
-scope predicate over dotted module names (:mod:`repro.lint.scopes`) and a
+Each rule is a small :mod:`ast` pattern matcher with a stable code and a
 one-line message naming the sanctioned replacement.  Rules are purely
 syntactic — no type inference — so they only fire on patterns that are
 unambiguously the hazard: a rule that cries wolf gets suppressed into
 uselessness, while a quiet rule still catches the regressions that
 matter (every hazard class below has bitten this codebase before).
 
-Two rule *profiles* exist: ``strict`` (the ``repro.*`` source tree, all
-rules, scope predicates honoured) and ``relaxed`` (``scripts/`` and
-``benchmarks/``: only the rules marked ``relaxed=True`` run, and they
-run regardless of the module's scope, since scripts lint under bare
-stems that no scope predicate covers).
-
-This module holds the *per-file* rules.  The whole-program rules
-(SCOPE001, PAR003, SER001) live in :mod:`repro.lint.reachability` and
-run over the assembled :class:`~repro.lint.graph.ProjectGraph`.
+Two rule *profiles* exist: ``strict`` (the ``repro.*`` source tree) runs
+every rule on every module, except where a rule names the one module
+sanctioned to contain its pattern; ``relaxed`` (``scripts/`` and
+``benchmarks/``, which lint under bare stems) runs only the rules marked
+``relaxed=True``.  Deliberate exceptions anywhere else carry an inline
+``# repro: allow[CODE]``.
 
 The full catalog, with rationale and the sanctioned pattern for each
 rule, lives in ``docs/static-analysis.md``.
@@ -28,31 +25,47 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint import scopes
-
 #: A raw finding before path/suppression handling:
 #: (line, col, end_line, message).  ``end_line`` is the last physical
 #: line of the flagged node, so inline suppressions anywhere in a
 #: multi-line statement are honoured.
 Finding = Tuple[int, int, int, str]
 
+#: Rule profiles (see the module docstring).
+PROFILE_STRICT = "strict"
+PROFILE_RELAXED = "relaxed"
+
+
+def on_output_path(module: str) -> bool:
+    """Whether ``module`` belongs to the ``repro`` package.
+
+    Every such module is on the deterministic output path: placements,
+    sweep tables, traces and shard payloads are all derived from values
+    these modules compute.
+    """
+    return module == "repro" or module.startswith("repro.")
+
+
+def profile_for_module(module: str) -> str:
+    """The rule profile a dotted module lints under."""
+    return PROFILE_STRICT if on_output_path(module) else PROFILE_RELAXED
+
 
 @dataclass(frozen=True)
 class Rule:
-    """One lint rule: code, scope predicate, AST checker, profile flag."""
+    """One lint rule: code, AST checker, profile flag, and the one module
+    (if any) sanctioned to contain the rule's pattern."""
 
     code: str
     summary: str
-    scope: Callable[[str], bool]
     check: Callable[[ast.AST, str], Iterator[Finding]]
     relaxed: bool = False
+    exempt: Optional[str] = None
 
-    def applies_to(
-        self, module: str, profile: str = scopes.PROFILE_STRICT
-    ) -> bool:
-        if profile == scopes.PROFILE_RELAXED:
+    def applies_to(self, module: str, profile: str = PROFILE_STRICT) -> bool:
+        if profile == PROFILE_RELAXED:
             return self.relaxed
-        return self.scope(module)
+        return on_output_path(module) and module != self.exempt
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +100,9 @@ _WALL_CLOCK_CALLS = {
     ("uuid", "uuid4"): "uuid.uuid4()",
 }
 
-#: File-open modes that create or truncate: the writes ROB001 polices.
-_WRITE_MODES = ("w", "wb", "w+", "wb+", "x", "xb", "a", "ab", "a+")
+#: Mode characters that make ``open()`` write: create, truncate, append,
+#: or update in place (``"rb+"``).  Any one of them is a write for ROB001.
+_WRITE_MODE_CHARS = frozenset("wax+")
 
 #: Keyword arguments whose value is executed in a worker process
 #: (``ExperimentSpec`` factories, executor initializers, ``Process``
@@ -229,7 +243,7 @@ def _det002(tree: ast.AST, module: str) -> Iterator[Finding]:
 
 
 def _det003(tree: ast.AST, module: str) -> Iterator[Finding]:
-    """``hash()`` builtin outside ``__hash__`` in fingerprint modules."""
+    """``hash()`` builtin outside a ``__hash__`` definition."""
 
     def visit(root: ast.AST, found: List[Finding]) -> None:
         def walk(node: ast.AST) -> None:
@@ -295,7 +309,7 @@ def _det004(tree: ast.AST, module: str) -> Iterator[Finding]:
 
 
 def _det005(tree: ast.AST, module: str) -> Iterator[Finding]:
-    """Wall-clock or UUID calls in fingerprint/persistence modules."""
+    """Wall-clock or UUID calls (absolute, run-unique values)."""
 
     def visit(root: ast.AST, found: List[Finding]) -> None:
         for node in ast.walk(root):
@@ -317,12 +331,13 @@ def _det005(tree: ast.AST, module: str) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# ROB001 — non-atomic writes in persistence modules
+# ROB001 — non-atomic writes
 # ---------------------------------------------------------------------------
 
 
 def _rob001(tree: ast.AST, module: str) -> Iterator[Finding]:
-    """``open(..., "w")``-family writes bypassing atomic_write_*."""
+    """``open()`` for writing (any ``w``/``a``/``x``/``+`` mode) that
+    bypasses atomic_write_*."""
 
     def visit(root: ast.AST, found: List[Finding]) -> None:
         for node in ast.walk(root):
@@ -336,7 +351,8 @@ def _rob001(tree: ast.AST, module: str) -> Iterator[Finding]:
             if mode_node is None:
                 continue
             if any(
-                mode in _WRITE_MODES for mode in _literal_strings(mode_node)
+                _WRITE_MODE_CHARS.intersection(mode)
+                for mode in _literal_strings(mode_node)
             ):
                 found.append((
                     node.lineno,
@@ -597,6 +613,81 @@ def _par002(tree: ast.AST, module: str) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# PAR003 — mutable default arguments
+# ---------------------------------------------------------------------------
+
+
+def _is_mutable_default(node: ast.expr) -> bool:
+    """A list/dict/set display or comprehension, or a bare container call."""
+    if isinstance(
+        node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    ):
+        return True
+    return _call_name(node) in ("list", "dict", "set", "bytearray")
+
+
+def _par003(tree: ast.AST, module: str) -> Iterator[Finding]:
+    """A def whose default argument is a mutable container."""
+
+    def visit(root: ast.AST, found: List[Finding]) -> None:
+        for node in ast.walk(root):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults: List[Tuple[ast.arg, Optional[ast.expr]]] = list(
+                zip(positional[len(positional) - len(args.defaults):], args.defaults)
+            )
+            defaults.extend(zip(args.kwonlyargs, args.kw_defaults))
+            for arg, default in defaults:
+                if default is not None and _is_mutable_default(default):
+                    found.append((
+                        default.lineno,
+                        default.col_offset,
+                        _end_line(default),
+                        f"mutable default for {arg.arg!r} on {node.name!r} "
+                        "is evaluated once and shared by every call (and, "
+                        "on a registry provider or placer, by every cell "
+                        "and worker); default to None and build the "
+                        "container in the body",
+                    ))
+
+    return _findings(tree, visit)
+
+
+# ---------------------------------------------------------------------------
+# SER001 — non-canonical JSON
+# ---------------------------------------------------------------------------
+
+
+def _ser001(tree: ast.AST, module: str) -> Iterator[Finding]:
+    """``json.dump``/``json.dumps`` without ``sort_keys=True``."""
+
+    def visit(root: ast.AST, found: List[Finding]) -> None:
+        for node in ast.walk(root):
+            if not isinstance(node, ast.Call):
+                continue
+            if _attribute_pair(node.func) not in (
+                ("json", "dump"), ("json", "dumps"),
+            ):
+                continue
+            sort_keys = _keyword(node, "sort_keys")
+            if isinstance(sort_keys, ast.Constant) and sort_keys.value is True:
+                continue
+            found.append((
+                node.lineno,
+                node.col_offset,
+                _end_line(node),
+                "json.dump* without sort_keys=True emits non-canonical key "
+                "order, so byte-identical inputs stop producing "
+                "byte-identical files; use analysis.serialization.dump_json "
+                "(or pass sort_keys=True)",
+            ))
+
+    return _findings(tree, visit)
+
+
+# ---------------------------------------------------------------------------
 # The catalog
 # ---------------------------------------------------------------------------
 
@@ -604,7 +695,6 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         code="DET001",
         summary="iteration over a set/frozenset follows hash order",
-        scope=scopes.on_output_path,
         check=_det001,
         relaxed=True,
     ),
@@ -612,70 +702,65 @@ RULES: Tuple[Rule, ...] = (
         code="DET002",
         summary="sorted/min/max keyed on repr/str/id bypasses "
         "node_index_table",
-        scope=lambda module: (
-            scopes.on_output_path(module)
-            and not scopes.is_canonical_order_module(module)
-        ),
         check=_det002,
         relaxed=True,
+        # node_index_table holds the one sort every other site routes through.
+        exempt="repro.core._bitset",
     ),
     Rule(
         code="DET003",
-        summary="hash() builtin on the fingerprint path",
-        scope=scopes.on_fingerprint_path,
+        summary="hash() builtin outside a __hash__ definition",
         check=_det003,
     ),
     Rule(
         code="DET004",
         summary="global-state or unseeded random",
-        scope=scopes.on_output_path,
         check=_det004,
         relaxed=True,
     ),
     Rule(
         code="DET005",
-        summary="wall clock/UUID feeding serialised payloads",
-        scope=lambda module: (
-            scopes.on_fingerprint_path(module)
-            or scopes.is_persistence_module(module)
-        ),
+        summary="wall clock/UUID value",
         check=_det005,
     ),
     Rule(
         code="ROB001",
-        summary="non-atomic artifact write in a persistence module",
-        scope=lambda module: (
-            scopes.is_persistence_module(module)
-            and module != "repro.analysis.serialization"
-        ),
+        summary="non-atomic file write",
         check=_rob001,
+        # atomic_write_text/bytes must open their own temp files.
+        exempt="repro.analysis.serialization",
     ),
     Rule(
         code="ROB002",
         summary="broad except that swallows without re-raise or counter",
-        scope=scopes.on_output_path,
         check=_rob002,
         relaxed=True,
     ),
     Rule(
         code="ROB003",
         summary="pickle.load outside the checksum-verified shard readers",
-        scope=lambda module: (
-            scopes.on_output_path(module) and not scopes.may_unpickle(module)
-        ),
         check=_rob003,
+        exempt="repro.analysis.sharding",
     ),
     Rule(
         code="PAR001",
         summary="non-module-level callable submitted to a worker pool",
-        scope=scopes.on_output_path,
         check=_par001,
     ),
     Rule(
         code="PAR002",
         summary="worker-executed function mutates module-level state",
-        scope=scopes.on_output_path,
         check=_par002,
+    ),
+    Rule(
+        code="PAR003",
+        summary="mutable default argument",
+        check=_par003,
+    ),
+    Rule(
+        code="SER001",
+        summary="json.dump* without sort_keys=True",
+        check=_ser001,
     ),
 )
 

@@ -47,6 +47,19 @@ class TestConstruction:
         with pytest.raises(EnvironmentError_):
             PhysicalEnvironment({"a": 1.0}, {}, default_pair_delay=-1.0)
 
+    @pytest.mark.parametrize(
+        "nodes, pairs, default",
+        [
+            ({"a": math.nan}, {}, math.inf),
+            ({"a": 1.0, "b": 1.0}, {("a", "b"): math.nan}, math.inf),
+            ({"a": 1.0}, {}, math.nan),
+        ],
+        ids=["node", "pair", "default"],
+    )
+    def test_nan_delay_rejected(self, nodes, pairs, default):
+        with pytest.raises(EnvironmentError_, match="non-negative number"):
+            PhysicalEnvironment(nodes, pairs, default_pair_delay=default)
+
 
 class TestQueries:
     def test_nodes_and_membership(self, triangle):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.exceptions import SerializationError
+from repro.exceptions import EnvironmentError_, SerializationError
 from repro.hardware import io as hio
 from repro.hardware.architectures import linear_chain
 from repro.hardware.molecules import acetyl_chloride, all_molecules
@@ -59,3 +59,23 @@ class TestErrors:
     def test_unsupported_default(self):
         with pytest.raises(SerializationError):
             hio.from_dict({"nodes": {"a": 1.0}, "pairs": [], "default_pair_delay": "huge"})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"nodes": ["a", "b"]},
+            {"nodes": {"a": "abc"}},
+            {"nodes": {"a": 1.0, "b": 1.0}, "pairs": [5]},
+            {"nodes": {"a": 1.0, "b": 1.0}, "pairs": [["a", "b", "abc"]]},
+            {"nodes": {"a": 1.0}, "time_unit_seconds": "abc"},
+            {"nodes": {"a": 1.0}, "default_pair_delay": [1]},
+            ["nodes"],
+        ],
+    )
+    def test_malformed_fields_fail_closed(self, data):
+        with pytest.raises(SerializationError, match="malformed environment"):
+            hio.from_dict(data)
+
+    def test_nan_default_is_an_environment_error(self):
+        with pytest.raises(EnvironmentError_, match="default_pair_delay"):
+            hio.loads('{"nodes": {"a": 1.0}, "default_pair_delay": NaN}')

@@ -17,7 +17,6 @@ import pytest
 from repro.lint import (
     Diagnostic,
     RULES,
-    analyze_source,
     baseline_key,
     compare_to_baseline,
     lint_paths,
@@ -31,7 +30,7 @@ from repro.lint import (
 )
 from repro.lint.baseline import BaselineError
 from repro.lint.engine import profile_for_path
-from repro.lint.scopes import PROFILE_RELAXED
+from repro.lint.rules import PROFILE_RELAXED
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,8 +85,8 @@ class TestDET003HashOnFingerprintPath:
     def test_flags_builtin_hash_in_fingerprint_module(self):
         assert codes("token = hash(spec)\n", "repro.analysis.sharding") == ["DET003"]
 
-    def test_ignores_hash_outside_fingerprint_modules(self):
-        assert codes("token = hash(spec)\n", "repro.routing.x") == []
+    def test_flags_hash_in_any_repro_module(self):
+        assert codes("token = hash(spec)\n", "repro.routing.x") == ["DET003"]
 
     def test_ignores_dunder_hash_definitions(self):
         source = """
@@ -125,9 +124,9 @@ class TestDET005WallClock:
         source = "import uuid\ntoken = uuid.uuid4()\n"
         assert codes(source, "repro.hardware.io") == ["DET005"]
 
-    def test_wall_clock_off_the_serialised_path_is_fine(self):
+    def test_flags_wall_clock_in_any_repro_module(self):
         source = "import time\nstamp = time.time()\n"
-        assert codes(source, "repro.routing.x") == []
+        assert codes(source, "repro.routing.x") == ["DET005"]
 
     def test_durations_via_monotonic_are_sanctioned(self):
         source = "import time\nstart = time.monotonic()\n"
@@ -143,9 +142,25 @@ class TestROB001DirectWrites:
         source = "with open(path) as fh:\n    text = fh.read()\n"
         assert codes(source, "repro.hardware.io") == []
 
-    def test_ignores_non_persistence_modules(self):
+    def test_flags_open_for_write_in_any_repro_module(self):
         source = "with open(path, 'w') as fh:\n    fh.write(text)\n"
-        assert codes(source, "repro.routing.x") == []
+        assert codes(source, "repro.routing.x") == ["ROB001"]
+
+    @pytest.mark.parametrize("mode", ["rb+", "r+", "w+b", "ab+"])
+    def test_flags_in_place_update_modes(self, mode):
+        source = f"with open(path, {mode!r}) as fh:\n    fh.truncate(0)\n"
+        assert codes(source, "repro.hardware.io") == ["ROB001"]
+
+    @pytest.mark.parametrize(
+        "mode", ["'rb' if flag else 'wb'", "'ab' if flag else 'rb'"]
+    )
+    def test_flags_either_branch_of_a_conditional_mode(self, mode):
+        source = f"handle = open(path, {mode})\n"
+        assert codes(source, "repro.hardware.io") == ["ROB001"]
+
+    def test_mode_keyword_is_checked(self):
+        source = "handle = open(path, mode='r+')\n"
+        assert codes(source, "repro.hardware.io") == ["ROB001"]
 
     def test_serialization_itself_is_sanctioned(self):
         # atomic_write_bytes must be able to open its own temp files.
@@ -305,6 +320,94 @@ class TestPAR002WorkerMutatesModuleState:
         assert codes(source, "repro.analysis.x") == []
 
 
+class TestPAR003MutableDefaults:
+    def test_flags_a_registry_provider(self):
+        source = """
+        @PLACERS.register("greedy")
+        def build(options={}):
+            return options
+        """
+        diagnostics = lint_source(textwrap.dedent(source), "repro.core.x")
+        assert [d.code for d in diagnostics] == ["PAR003"]
+        assert "'options'" in diagnostics[0].message
+
+    def test_flags_a_placer_method(self):
+        source = """
+        class Greedy(Placer):
+            def place(self, hints=[]):
+                return hints
+        """
+        diagnostics = lint_source(textwrap.dedent(source), "repro.core.x")
+        assert [d.code for d in diagnostics] == ["PAR003"]
+        assert "'hints'" in diagnostics[0].message
+
+    def test_flags_a_plain_helper_class(self):
+        source = """
+        class Helper:
+            def collect(self, out=[]):
+                return out
+        """
+        assert codes(source, "repro.routing.x") == ["PAR003"]
+
+    def test_flags_keyword_only_and_constructor_defaults(self):
+        source = "def walk(graph, *, seen=set(), extra=dict()):\n    return seen\n"
+        assert codes(source, "repro.routing.x") == ["PAR003", "PAR003"]
+
+    def test_none_default_is_fine(self):
+        source = """
+        @PLACERS.register("greedy")
+        def build(options=None, limit=3, name="x", pair=(1, 2)):
+            return options or {}
+        """
+        assert codes(source, "repro.core.x") == []
+
+    def test_inline_suppression(self):
+        source = "def build(options={}):  # repro: allow[PAR003]\n    return options\n"
+        assert codes(source, "repro.core.x") == []
+
+
+class TestSER001CanonicalJson:
+    def test_flags_non_canonical_dump(self):
+        source = """
+        import json
+
+        def save(path, payload):
+            atomic_write_text(path, json.dumps(payload))
+        """
+        diagnostics = lint_source(textwrap.dedent(source), "repro.hardware.io")
+        assert [d.code for d in diagnostics] == ["SER001"]
+        assert "sort_keys" in diagnostics[0].message
+
+    def test_flags_a_dump_in_any_repro_module(self):
+        source = """
+        import json
+
+        def show(payload):
+            return json.dumps(payload)
+        """
+        assert codes(source, "repro.routing.x") == ["SER001"]
+
+    def test_flags_sort_keys_false_and_file_dumps(self):
+        source = (
+            "import json\n"
+            "text = json.dumps(payload, sort_keys=False)\n"
+            "json.dump(payload, handle)\n"
+        )
+        assert codes(source, "repro.routing.x") == ["SER001", "SER001"]
+
+    def test_sort_keys_true_is_canonical(self):
+        source = (
+            "import json\n"
+            "text = json.dumps(payload, sort_keys=True)\n"
+            "json.dump(payload, handle, indent=1, sort_keys=True)\n"
+        )
+        assert codes(source, "repro.routing.x") == []
+
+    def test_inline_suppression(self):
+        source = "import json\ntext = json.dumps(p)  # repro: allow[SER001]\n"
+        assert codes(source, "repro.routing.x") == []
+
+
 class TestSuppressionSpans:
     """Inline allows on multi-line statements (span-aware matching)."""
 
@@ -365,20 +468,20 @@ class TestProfiles:
         assert profile_for_path("src/repro/api.py") == "strict"
 
     def test_relaxed_runs_determinism_rules_unconditionally(self):
-        analysis = analyze_source(
+        diagnostics = lint_source(
             "for x in {1, 2}:\n    print(x)\n",
-            "run_bench",  # bare stem: no scope predicate covers it
+            "run_bench",  # bare stem: outside the repro package
             profile=PROFILE_RELAXED,
         )
-        assert [d.code for d in analysis.diagnostics] == ["DET001"]
+        assert [d.code for d in diagnostics] == ["DET001"]
 
     def test_relaxed_skips_scope_sensitive_rules(self):
-        analysis = analyze_source(
+        diagnostics = lint_source(
             "import pickle\nobj = pickle.load(fh)\n",
             "run_bench",
             profile=PROFILE_RELAXED,
         )
-        assert analysis.diagnostics == []
+        assert diagnostics == []
 
     def test_strict_profile_ignores_bare_stems(self):
         assert codes("for x in {1, 2}:\n    print(x)\n", "run_bench") == []

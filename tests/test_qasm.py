@@ -72,6 +72,11 @@ class TestLoads:
         with pytest.raises(SerializationError):
             qasm.loads("qubits a\nRx(90) z\n")
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", ""])
+    def test_non_finite_duration_names_the_line(self, value):
+        with pytest.raises(SerializationError, match="line 2: duration"):
+            qasm.loads(f"qubits a b\nFOO a b duration={value}\n")
+
 
 class TestRoundTrip:
     def test_encoder_round_trip(self):
