@@ -24,8 +24,10 @@
 #      the seeded annealer's determinism contract (docs/placers.md);
 #   6. a native-backend smoke: build the compiled replay kernel on demand
 #      (skipped, with a log line, on hosts without a C compiler) and run
-#      the scheduler-facing tier-1 subset under
-#      REPRO_SCHEDULER_BACKEND=native — the third backend's bit-identity
+#      the scheduler-facing tier-1 subset — including fine tuning, whose
+#      climbs then run as one kernel call each, and the native-climb
+#      parity tests in tests/test_replay_backends.py — under
+#      REPRO_SCHEDULER_BACKEND=native: the third backend's bit-identity
 #      contract (docs/performance.md);
 #   7. the benchmark regression gate on the fast micro scenarios
 #      (`run_bench.py --check --scenarios ...`), which also re-checks the
@@ -181,7 +183,8 @@ PYEOF
 then
     REPRO_SCHEDULER_BACKEND=native "$PYTHON" -m pytest -x -q \
         tests/test_replay_backends.py tests/test_scheduler.py \
-        tests/test_incremental_scheduler.py tests/test_placers.py
+        tests/test_incremental_scheduler.py tests/test_fine_tuning.py \
+        tests/test_placers.py
     echo "scheduler-facing tier-1 subset green under the native backend"
 else
     echo "skipping the native-backend subset (no C toolchain on this host)"

@@ -66,10 +66,12 @@ class PlacementOptions:
         Evaluation backend of the scheduler's
         :class:`~repro.timing.scheduler.RuntimeEvaluator`: ``"python"``
         (the reference loop), ``"numpy"`` (vectorised duration tables;
-        requires numpy) or ``"auto"`` (the default — defer to the
-        ``REPRO_SCHEDULER_BACKEND`` environment variable, then pick numpy
-        when available and profitable).  Backends are bit-identical, so
-        this knob never changes any placement output.
+        requires numpy), ``"native"`` (the C kernel compiled on demand;
+        requires a C compiler at first use) or ``"auto"`` (the default —
+        defer to the ``REPRO_SCHEDULER_BACKEND`` environment variable, then
+        prefer native whenever its kernel builds, else numpy when available
+        and profitable, else python).  Backends are bit-identical, so this
+        knob never changes any placement output.
     placer:
         Placement engine, as a :data:`repro.registry.PLACERS` spec:
         ``"exact"`` (the default — the paper's exhaustive monomorphism

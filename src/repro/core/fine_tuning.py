@@ -17,7 +17,8 @@ Two execution paths implement the same search:
   :class:`~repro.timing.scheduler.RuntimeEvaluator` — each candidate move
   re-schedules only the operations after the first one that touches a moved
   qubit, reusing recorded busy-time checkpoints and per-operation durations
-  for the untouched prefix.
+  for the untouched prefix (on the native backend the whole climb is one
+  kernel call).
 
 Both paths enumerate candidates in the same order and accept the first
 improving move, and the incremental evaluator is bit-for-bit equal to a full
@@ -126,7 +127,23 @@ def hill_climb_incremental(
     those of :func:`hill_climb`, and the evaluator's incremental results are
     bitwise equal to full evaluations, so both searches land on the same
     placement at the same cost.
+
+    On the native backend the whole loop below runs in one kernel call
+    (:meth:`~repro.timing.scheduler.RuntimeEvaluator.hill_climb`), move for
+    move.  The loop stays the reference, and it still runs on the python
+    and numpy backends, with ``extra_cost``, and under ``full_recompute``
+    (whose per-move parity assertions live in ``runtime_with``).
     """
+    if (
+        extra_cost is None
+        and evaluator.backend == "native"
+        and not evaluator.full_recompute
+    ):
+        best, best_cost = evaluator.hill_climb(
+            placement, movable_qubits, allowed_nodes, max_rounds
+        )
+        evaluator.flush_stats()
+        return best, best_cost
     best = dict(placement)
     best_cost = evaluator.set_base(best)
     if extra_cost is not None:

@@ -30,6 +30,7 @@ not importable at all.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -120,6 +121,8 @@ class _ReplayCtx(ctypes.Structure):
         ("base_durations", ctypes.POINTER(ctypes.c_double)),
         ("checkpoints", ctypes.POINTER(ctypes.c_double)),
         ("times", ctypes.POINTER(ctypes.c_double)),
+        ("first_touch", ctypes.POINTER(ctypes.c_int64)),
+        ("occupant", ctypes.POINTER(ctypes.c_int32)),
     ]
 
 
@@ -144,6 +147,27 @@ class _Kernel:
             ctypes.c_double,    # cutoff
             ctypes.c_int32,     # has_cutoff
         ]
+        int32_p = ctypes.POINTER(ctypes.c_int32)
+        self.hill_climb = lib.repro_hill_climb
+        self.hill_climb.restype = ctypes.c_double
+        self.hill_climb.argtypes = [
+            ctx_p,              # ctx
+            int32_p,            # keys (placement-key order)
+            ctypes.c_int64,     # num_keys
+            int32_p,            # movable
+            ctypes.c_int64,     # num_movable
+            int32_p,            # allowed
+            ctypes.c_int64,     # num_allowed
+            ctypes.c_int64,     # max_rounds
+            ctypes.POINTER(ctypes.c_double),  # base_runtime (in/out)
+            ctypes.POINTER(ctypes.c_int64),   # counts_out[4]
+        ]
+
+
+def _first_line(text: str) -> str:
+    """The first non-blank line of a diagnostic, for one-line reasons."""
+    lines = text.strip().splitlines()
+    return lines[0] if lines else "unknown error"
 
 
 def _build_and_load() -> Tuple[Optional[_Kernel], Optional[str]]:
@@ -157,6 +181,7 @@ def _build_and_load() -> Tuple[Optional[_Kernel], Optional[str]]:
         return None, "no C compiler found (tried $CC, cc, gcc, clang)"
     artifact = _artifact_path(source, compiler)
     if not artifact.exists():
+        tmp_name: Optional[str] = None
         try:
             artifact.parent.mkdir(parents=True, exist_ok=True)
             # Compile to a unique temp name, then atomically publish: two
@@ -170,15 +195,19 @@ def _build_and_load() -> Tuple[Optional[_Kernel], Optional[str]]:
                 command, capture_output=True, text=True, timeout=120
             )
             if completed.returncode != 0:
-                os.unlink(tmp_name)
-                detail = (completed.stderr or completed.stdout).strip()
-                first_line = detail.splitlines()[0] if detail else "unknown error"
+                detail = _first_line(completed.stderr or completed.stdout)
                 return None, (
-                    f"compilation failed ({' '.join(command[:2])}...): {first_line}"
+                    f"compilation failed ({' '.join(command[:2])}...): {detail}"
                 )
             os.replace(tmp_name, artifact)
+            tmp_name = None
         except (OSError, subprocess.SubprocessError) as error:
-            return None, f"kernel build failed: {error}"
+            return None, f"kernel build failed: {_first_line(str(error))}"
+        finally:
+            # Every path that did not publish the artifact removes it.
+            if tmp_name is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp_name)
     try:
         return _Kernel(artifact), None
     except OSError as error:
@@ -236,7 +265,9 @@ class NativeReplay:
     zero-copy with the C kernel.  The owning
     :class:`~repro.timing.scheduler.RuntimeEvaluator` keeps all public
     bookkeeping (STATS counters, checkpoint arithmetic, cutoff semantics)
-    so the three backends stay operation-for-operation comparable.
+    so the three backends stay operation-for-operation comparable; only
+    :meth:`hill_climb` does that arithmetic in C, and it reports its counts
+    back for the evaluator to book.
     """
 
     __slots__ = (
@@ -270,6 +301,10 @@ class NativeReplay:
         "_durations_p",
         "_checkpoints",
         "_checkpoints_p",
+        "_first_touch",
+        "_first_touch_p",
+        "_occupant",
+        "_occupant_p",
         "_ctx",
         "_ctx_ref",
         "has_base",
@@ -283,6 +318,7 @@ class NativeReplay:
         pair_flat: array,
         num_env_nodes: int,
         checkpoint_interval: int,
+        first_touch: Sequence[int],
     ) -> None:
         self._kernel = load_kernel()
         self.num_ops = len(ops)
@@ -308,6 +344,7 @@ class NativeReplay:
         self._checkpoints = array(
             "d", bytes(8 * self.num_checkpoints * num_qubits)
         )
+        self._first_touch = array("q", first_touch)
         # ctypes views are built once: per-call from_buffer would dominate
         # the kernel-call cost on the incremental hot path.
         self._ops_a_p = _int32_view(self._ops_a)
@@ -322,6 +359,13 @@ class NativeReplay:
         self._base_nodes_p = _int32_view(self._base_nodes)
         self._durations_p = _double_view(self._durations)
         self._checkpoints_p = _double_view(self._checkpoints)
+        self._first_touch_p = (ctypes.c_int64 * num_qubits).from_buffer(
+            self._first_touch
+        )
+        # The climb's occupant table is allocated by the first hill_climb(),
+        # so evaluators that never climb (the annealer's) never build it.
+        self._occupant: Optional[array] = None
+        self._occupant_p: Optional["ctypes.Array[ctypes.c_int32]"] = None
         # The context struct binds every constant operand once; the view
         # attributes above keep the underlying buffers alive for as long
         # as the struct's raw pointers are reachable.
@@ -348,6 +392,9 @@ class NativeReplay:
             base_durations=ctypes.cast(self._durations_p, double_p),
             checkpoints=ctypes.cast(self._checkpoints_p, double_p),
             times=ctypes.cast(self._times_p, double_p),
+            first_touch=ctypes.cast(
+                self._first_touch_p, ctypes.POINTER(ctypes.c_int64)
+            ),
         )
         self._ctx_ref = ctypes.byref(self._ctx)
         self.has_base = False
@@ -399,3 +446,52 @@ class NativeReplay:
             for index in changed:
                 flags[index] = 0
         return result, self._ctx.stop_index
+
+    # -- whole hill climb ----------------------------------------------------
+
+    def hill_climb(
+        self,
+        keys: List[int],
+        movable: List[int],
+        allowed: List[int],
+        max_rounds: int,
+        base_runtime: float,
+    ) -> Tuple[float, float, List[int], Tuple[int, int, int, int]]:
+        """Run the first-improvement climb from the recorded base in C.
+
+        ``keys`` are the qubit indices in placement-key order, ``movable``
+        and ``allowed`` the search order, ``base_runtime`` the recorded
+        base's runtime (the first incumbent).  Returns ``(cost,
+        base_runtime, base_nodes, counts)``: the final incumbent, the final
+        base's runtime and node indices, and the accepted-move,
+        incremental-evaluation, ops-skipped and ops-replayed counts.
+        """
+        if self._occupant is None:
+            self._occupant = array("i", bytes(4 * self.num_env_nodes))
+            self._occupant_p = _int32_view(self._occupant)
+            self._ctx.occupant = ctypes.cast(
+                self._occupant_p, ctypes.POINTER(ctypes.c_int32)
+            )
+        keys_array = array("i", keys)
+        movable_array = array("i", movable)
+        allowed_array = array("i", allowed)
+        base = ctypes.c_double(base_runtime)
+        counts = (ctypes.c_int64 * 4)()
+        cost = self._kernel.hill_climb(
+            self._ctx_ref,
+            _int32_view(keys_array),
+            len(keys_array),
+            _int32_view(movable_array),
+            len(movable_array),
+            _int32_view(allowed_array),
+            len(allowed_array),
+            max_rounds,
+            ctypes.byref(base),
+            counts,
+        )
+        return (
+            cost,
+            base.value,
+            self._base_nodes.tolist(),
+            (counts[0], counts[1], counts[2], counts[3]),
+        )

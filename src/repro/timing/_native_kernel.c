@@ -178,7 +178,9 @@ double repro_replay_tail(
  * marshalling 13-18 ctypes arguments per call costs more than a short
  * incremental replay itself; with the context, a tail replay passes four
  * scalars.  They delegate to the reference entry points, so the float
- * semantics are identical by construction. */
+ * semantics are identical by construction.  first_touch[q] is the index
+ * of the first op on qubit q (num_ops when none); occupant is scratch of
+ * num_env_nodes entries used only by repro_hill_climb. */
 typedef struct {
     int64_t num_ops;
     int64_t num_qubits;
@@ -192,12 +194,14 @@ typedef struct {
     const double *single_delays;
     const double *pair;
     const int32_t *eval_nodes;
-    const int32_t *base_nodes;
-    const int8_t *changed_flag;
-    const int32_t *changed_target;
+    int32_t *base_nodes;
+    int8_t *changed_flag;
+    int32_t *changed_target;
     double *base_durations;
     double *checkpoints;
     double *times;
+    const int64_t *first_touch;
+    int32_t *occupant;
 } repro_replay_ctx;
 
 /* Full evaluation through the context.  record != 0 evaluates the base
@@ -232,4 +236,108 @@ double repro_ctx_tail(repro_replay_ctx *ctx, int64_t start, double cutoff,
         ctx->changed_target, ctx->single_delays, ctx->pair,
         ctx->num_env_nodes, ctx->num_qubits, row, cutoff, has_cutoff,
         ctx->times, &ctx->stop_index);
+}
+
+/* The whole first-improvement search of
+ * repro.core.fine_tuning.hill_climb_incremental in one call, starting from
+ * the base placement recorded by repro_ctx_full(ctx, 1).  Moves are
+ * enumerated exactly as the Python loop does: movable qubits in order,
+ * allowed nodes in order, the current node skipped, and a taken node
+ * swapped with its occupant -- the last qubit in placement-key order
+ * (`keys`) on that node, rebuilt per movable qubit like the Python
+ * node-to-qubit dict.  A move costs the base runtime when no moved qubit
+ * is ever scheduled, else repro_ctx_tail's replay with the incumbent as
+ * cutoff.  A strictly cheaper move is written into base_nodes and
+ * re-based through repro_ctx_full(ctx, 1), and its cost becomes the
+ * incumbent.  The climb stops after a round without a change or after
+ * max_rounds rounds.  *base_runtime holds the base runtime (and first
+ * incumbent) on entry and the final base runtime on return; counts_out
+ * receives accepted moves, incremental evaluations, ops skipped and ops
+ * replayed, counted as RuntimeEvaluator.runtime_with counts them.
+ * Returns the final incumbent cost. */
+double repro_hill_climb(
+    repro_replay_ctx *ctx,
+    const int32_t *keys,
+    int64_t num_keys,
+    const int32_t *movable,
+    int64_t num_movable,
+    const int32_t *allowed,
+    int64_t num_allowed,
+    int64_t max_rounds,
+    double *base_runtime,
+    int64_t *counts_out)
+{
+    int32_t *base = ctx->base_nodes;
+    int32_t *occupant = ctx->occupant;
+    double cost = *base_runtime;
+    int64_t accepted = 0, evals = 0, skipped = 0, replayed = 0;
+    int64_t round, m, n;
+    for (round = 0; round < max_rounds; round++) {
+        int improved = 0;
+        for (m = 0; m < num_movable; m++) {
+            int32_t qubit = movable[m];
+            int32_t current = base[qubit];
+            for (n = 0; n < ctx->num_env_nodes; n++) {
+                occupant[n] = -1;
+            }
+            for (n = 0; n < num_keys; n++) {
+                occupant[base[keys[n]]] = keys[n];
+            }
+            for (n = 0; n < num_allowed; n++) {
+                int32_t node = allowed[n];
+                int32_t other;
+                int64_t first;
+                double candidate;
+                if (node == current) {
+                    continue;
+                }
+                other = occupant[node];
+                first = ctx->first_touch[qubit];
+                if (other >= 0 && ctx->first_touch[other] < first) {
+                    first = ctx->first_touch[other];
+                }
+                if (first >= ctx->num_ops) {
+                    candidate = *base_runtime;
+                } else {
+                    int64_t start = first / ctx->interval * ctx->interval;
+                    evals++;
+                    skipped += start;
+                    replayed += ctx->num_ops - start;
+                    ctx->changed_flag[qubit] = 1;
+                    ctx->changed_target[qubit] = node;
+                    if (other >= 0) {
+                        ctx->changed_flag[other] = 1;
+                        ctx->changed_target[other] = current;
+                    }
+                    candidate = repro_ctx_tail(ctx, start, cost, 1);
+                    ctx->changed_flag[qubit] = 0;
+                    if (other >= 0) {
+                        ctx->changed_flag[other] = 0;
+                    }
+                    if (ctx->stop_index >= 0) {
+                        replayed -= ctx->num_ops - 1 - ctx->stop_index;
+                    }
+                }
+                if (candidate < cost) {
+                    base[qubit] = node;
+                    if (other >= 0) {
+                        base[other] = current;
+                    }
+                    *base_runtime = repro_ctx_full(ctx, 1);
+                    cost = candidate;
+                    accepted++;
+                    improved = 1;
+                    break;
+                }
+            }
+        }
+        if (!improved) {
+            break;
+        }
+    }
+    counts_out[0] = accepted;
+    counts_out[1] = evals;
+    counts_out[2] = skipped;
+    counts_out[3] = replayed;
+    return cost;
 }

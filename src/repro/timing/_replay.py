@@ -55,13 +55,6 @@ BACKEND_CHOICES = ("auto", "python", "numpy", "native")
 #: constant was calibrated with ``benchmarks/perf`` replay scenarios.
 AUTO_NUMPY_MIN_OPS = 256
 
-#: Minimum compiled op count at which ``"auto"`` prefers the native kernel
-#: (when it builds).  The per-call ctypes dispatch costs a few microseconds,
-#: so on very short op lists the plain Python loop still wins; above this
-#: the compiled recurrence dominates both other backends (calibrated with
-#: the ``replay_native`` scenario in ``benchmarks/perf``).
-AUTO_NATIVE_MIN_OPS = 32
-
 #: Bound on :class:`ReplayTable`'s per-changed-set gather cache.  An
 #: annealer proposing random swaps on a large host can visit a huge number
 #: of distinct qubit pairs; the cache is pure memoisation (entries are
@@ -75,13 +68,11 @@ def resolve_backend(requested: str = "auto", num_ops: Optional[int] = None) -> s
 
     ``"auto"`` first defers to the :data:`BACKEND_ENV_VAR` environment
     variable (which may itself say ``auto``); a still-unresolved ``auto``
-    picks the fastest profitable backend: ``native`` when the kernel is
-    (or can be) built *and* the op list is long enough
-    (:data:`AUTO_NATIVE_MIN_OPS`), else ``numpy`` when it is importable and
-    the op list is long enough (:data:`AUTO_NUMPY_MIN_OPS`), else
-    ``python``.  The profitability thresholds are skipped when ``num_ops``
-    is ``None``.  All three resolutions are bit-identical by contract, so
-    ``auto`` never changes any output — only wall time.
+    picks ``native`` whenever the kernel is (or can be) built, at any op
+    count; else ``numpy`` when it is importable and the op list is long
+    enough (:data:`AUTO_NUMPY_MIN_OPS`; skipped when ``num_ops`` is
+    ``None``), else ``python``.  All three resolutions are bit-identical
+    by contract, so ``auto`` never changes any output — only wall time.
 
     An explicit ``"numpy"``/``"native"`` request (argument or environment
     variable) raises when that backend is unavailable — silently falling
@@ -103,7 +94,7 @@ def resolve_backend(requested: str = "auto", num_ops: Optional[int] = None) -> s
                 )
             requested = from_env
     if requested == "auto":
-        if (num_ops is None or num_ops >= AUTO_NATIVE_MIN_OPS) and _native.available():
+        if _native.available():
             return "native"
         if NUMPY_AVAILABLE and (num_ops is None or num_ops >= AUTO_NUMPY_MIN_OPS):
             return "numpy"
@@ -124,7 +115,7 @@ def resolve_backend(requested: str = "auto", num_ops: Optional[int] = None) -> s
 
 # String-addressable backend registry (see repro.registry): building an
 # entry resolves the request to a concrete backend name, so e.g.
-# SCHEDULER_BACKENDS.build("auto") returns "numpy" or "python".
+# SCHEDULER_BACKENDS.build("auto") returns "native", "numpy" or "python".
 from functools import partial as _partial
 
 from repro.registry import SCHEDULER_BACKENDS

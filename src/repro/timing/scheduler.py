@@ -230,14 +230,15 @@ class RuntimeEvaluator:
         The whole recurrence — duration lookups, checkpoint restore,
         monotone cutoff — runs inside a small C kernel compiled on demand
         (see :mod:`repro.timing._native`), under the same bit-identical
-        contract.  Requires a C compiler at first use; an explicit request
-        fails with a one-line error when the build is unavailable.
+        contract.  The kernel can also run a whole hill climb in one call
+        (:meth:`hill_climb`).  Requires a C compiler at first use; an
+        explicit request fails with a one-line error when the build is
+        unavailable.
     ``"auto"`` (default)
         Defers to the ``REPRO_SCHEDULER_BACKEND`` environment variable,
-        then picks the fastest profitable backend: native when its kernel
-        builds and the op list is long enough, else numpy when it is
-        importable and the op list is long enough to amortise the fixed
-        array overhead, else python.
+        then picks native whenever its kernel builds, whatever the op
+        count; else numpy when it is importable and the op list is long
+        enough to amortise the fixed array overhead, else python.
 
     In ``full_recompute`` mode the numpy and native backends additionally
     cross-check every full evaluation against the pure Python loop, so the
@@ -316,6 +317,7 @@ class RuntimeEvaluator:
                 environment.pair_delay_table(),
                 self._num_env_nodes,
                 checkpoint_interval,
+                self._first_touch,
             )
 
         # Base-placement state (populated by set_base).
@@ -678,6 +680,53 @@ class RuntimeEvaluator:
         if self.full_recompute:
             self._assert_full_recompute_parity(result, changed, overrides)
         return result
+
+    # -- whole hill climb ---------------------------------------------------
+
+    def hill_climb(
+        self,
+        placement: Placement,
+        movable_qubits: Sequence[Qubit],
+        allowed_nodes: Sequence[Node],
+        max_rounds: int,
+    ) -> Tuple[Placement, float]:
+        """Run :func:`~repro.core.fine_tuning.hill_climb_incremental` in one kernel call.
+
+        Native backend only.  Re-bases on ``placement``, then the kernel
+        makes the Python loop's moves in the Python loop's order, scores
+        each with the incumbent as cutoff and re-bases on every accepted
+        move, so the result, the evaluator's final base and the scheduler
+        counters all equal that loop's.  No move is cross-checked against a
+        full evaluation, so ``full_recompute`` callers keep the loop.  Every
+        qubit and node is translated to an index first, so an unknown one
+        raises ``KeyError`` before the kernel runs.  Returns the improved
+        copy of ``placement`` (same key order) and its cost.
+        """
+        native = self._native
+        if native is None:
+            raise RuntimeError(
+                f"hill_climb() needs the native backend, not {self.backend!r}"
+            )
+        qubit_index = self._qubit_index
+        node_index = self._node_index
+        keys = [qubit_index[qubit] for qubit in placement]
+        movable = [qubit_index[qubit] for qubit in movable_qubits]
+        allowed = [node_index[node] for node in allowed_nodes]
+        cost, self.base_runtime, base_nodes, counts = native.hill_climb(
+            keys, movable, allowed, max_rounds, self.set_base(placement)
+        )
+        self._base_nodes = base_nodes
+        accepted, evals, skipped, replayed = counts
+        # One re-basing full evaluation per accepted move, as set_base.
+        STATS.increment("scheduler.full_evals", accepted)
+        self._pending_incremental += evals
+        self._pending_skipped += skipped
+        self._pending_replayed += replayed
+        nodes = self._nodes
+        climbed = {
+            qubit: nodes[base_nodes[index]] for qubit, index in zip(placement, keys)
+        }
+        return climbed, cost
 
     def _assert_full_recompute_parity(
         self,

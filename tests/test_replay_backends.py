@@ -12,9 +12,13 @@ same property on the ``replay_*`` macro scenarios.
 The parity tests run over every backend available in this interpreter:
 ``python`` always, ``numpy`` when importable, ``native`` when its kernel
 builds (a C compiler at first use; see ``repro/timing/_native.py``).
+``TestNativeHillClimb`` holds the native whole-climb entry point to the
+Python fine-tuning loop it replaces.
 """
 
+import os
 import random
+import subprocess
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,10 +28,15 @@ from repro.circuits import gates as g
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import qft_circuit
 from repro.core.config import PlacementOptions
+from repro.core.fine_tuning import (
+    fine_tune_workspace_placement,
+    hill_climb_incremental,
+)
 from repro.core.placement import place_circuit
 from repro.core.stats import STATS
 from repro.exceptions import ExperimentError, PlacementError, ReproError
 from repro.hardware.molecules import histidine, trans_crotonic_acid
+from repro.registry import load_environment
 from repro.timing import _native, _replay
 from repro.timing.scheduler import RuntimeEvaluator, circuit_runtime
 
@@ -112,14 +121,10 @@ class TestResolveBackend:
         assert _replay.resolve_backend("auto", num_ops=None) == "numpy"
 
     @needs_native
-    def test_auto_prefers_native_above_its_threshold(self, monkeypatch):
+    def test_auto_prefers_native_at_every_op_count(self, monkeypatch):
         monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
-        threshold = _replay.AUTO_NATIVE_MIN_OPS
-        assert _replay.resolve_backend("auto", num_ops=threshold) == "native"
-        assert _replay.resolve_backend("auto", num_ops=None) == "native"
-        # Below the native threshold (and the numpy one) the fixed
-        # dispatch overhead is not worth paying: pure python wins.
-        assert _replay.resolve_backend("auto", num_ops=threshold - 1) == "python"
+        for num_ops in (0, 1, None):
+            assert _replay.resolve_backend("auto", num_ops=num_ops) == "native"
 
     @needs_numpy
     def test_env_var_overrides_auto(self, monkeypatch):
@@ -465,3 +470,198 @@ class TestPlacerLevelBackendParity:
             assert outcomes[backend] == outcomes["python"]
         with pytest.raises(ExperimentError, match="scheduler_backend"):
             ExperimentRunner(scheduler_backend="gpu")
+
+
+#: Hosts of the climb parity suite: two molecules and two lattices.
+CLIMB_HOSTS = ("trans-crotonic-acid", "histidine", "grid:3x3", "ring:6")
+
+#: The scheduler counters a climb must move identically on both paths.
+CLIMB_COUNTERS = (
+    "scheduler.full_evals",
+    "scheduler.incremental_evals",
+    "scheduler.ops_skipped",
+    "scheduler.ops_replayed",
+)
+
+
+def _climb_case(host, seed, full, shared=False):
+    """A random circuit, placement, movable set and allowed-node order.
+
+    ``full`` fills every host node, so every move is a swap; otherwise some
+    nodes stay free.  ``shared`` puts the last two placement keys on one
+    node, so the occupant of a node depends on the key order.  Key,
+    movable and allowed orders are all shuffled.
+    """
+    environment = load_environment(host)
+    rng = random.Random(seed)
+    nodes = list(environment.nodes)
+    num_qubits = len(nodes) if full else rng.randint(2, len(nodes) - 1)
+    circuit = _random_circuit(num_qubits, rng.randint(0, 60), seed)
+    keys = rng.sample(list(circuit.qubits), num_qubits)
+    placement = dict(zip(keys, rng.sample(nodes, num_qubits)))
+    if shared:
+        placement[keys[-1]] = placement[keys[-2]]
+    movable = rng.sample(list(circuit.qubits), rng.randint(1, num_qubits))
+    allowed = rng.sample(nodes, rng.randint(1, len(nodes)))
+    return environment, circuit, placement, movable, allowed
+
+
+def _climb(evaluator, placement, movable, allowed, max_rounds):
+    """One ``hill_climb_incremental`` run and everything it leaves behind."""
+    before = STATS.snapshot()
+    best, cost = hill_climb_incremental(
+        placement, evaluator, movable, allowed, max_rounds=max_rounds
+    )
+    after = STATS.snapshot()
+    deltas = {
+        name: after.get(name, 0) - before.get(name, 0) for name in CLIMB_COUNTERS
+    }
+    first, second = list(best)[:2]
+    follow_up = evaluator.runtime_with({first: best[second], second: best[first]})
+    return (
+        list(best.items()),
+        cost,
+        deltas,
+        list(evaluator._base_nodes),
+        evaluator.base_runtime,
+        follow_up,
+    )
+
+
+@needs_native
+class TestNativeHillClimb:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 10_000),
+        host=st.sampled_from(CLIMB_HOSTS),
+        max_rounds=st.sampled_from((0, 1, 3, 10)),
+        full=st.booleans(),
+        shared=st.booleans(),
+        cap=st.booleans(),
+    )
+    def test_native_climb_matches_python_loop(
+        self, seed, host, max_rounds, full, shared, cap
+    ):
+        environment, circuit, placement, movable, allowed = _climb_case(
+            host, seed, full, shared
+        )
+        outcomes = {}
+        for backend in ("python", "native"):
+            evaluator = RuntimeEvaluator(
+                circuit, environment, apply_interaction_cap=cap, backend=backend
+            )
+            outcomes[backend] = _climb(
+                evaluator, placement, movable, allowed, max_rounds
+            )
+        assert outcomes["native"] == outcomes["python"]
+
+    def test_extra_cost_and_full_recompute_keep_the_python_loop(
+        self, monkeypatch
+    ):
+        environment, circuit, placement, movable, allowed = _climb_case(
+            "histidine", 5, False
+        )
+
+        def forbidden(*args):
+            raise AssertionError("the native climb was called")
+
+        monkeypatch.setattr(_native.NativeReplay, "hill_climb", forbidden)
+        # Sanity: a plain native climb does go through the patched entry.
+        with pytest.raises(AssertionError, match="native climb"):
+            hill_climb_incremental(
+                placement,
+                RuntimeEvaluator(circuit, environment, backend="native"),
+                movable,
+                allowed,
+            )
+
+        def extra(candidate):
+            return 0.0 if candidate[movable[0]] == placement[movable[0]] else 7.0
+
+        results = {}
+        for backend in ("python", "native"):
+            results[backend] = (
+                hill_climb_incremental(
+                    placement,
+                    RuntimeEvaluator(circuit, environment, backend=backend),
+                    movable,
+                    allowed,
+                    extra_cost=extra,
+                ),
+                fine_tune_workspace_placement(
+                    circuit,
+                    placement,
+                    environment,
+                    allowed_nodes=allowed,
+                    full_recompute=True,
+                    backend=backend,
+                ),
+            )
+        assert results["native"] == results["python"]
+
+    def test_unknown_qubit_or_node_raises_before_the_kernel(self):
+        environment, circuit, placement, movable, allowed = _climb_case(
+            "trans-crotonic-acid", 3, False
+        )
+        evaluator = RuntimeEvaluator(circuit, environment, backend="native")
+        with pytest.raises(KeyError):
+            evaluator.hill_climb(placement, movable, allowed + ["nowhere"], 3)
+        with pytest.raises(KeyError):
+            evaluator.hill_climb(placement, movable + ["ghost"], allowed, 3)
+        assert evaluator._base_nodes is None  # never re-based
+        python = RuntimeEvaluator(circuit, environment, backend="python")
+        with pytest.raises(RuntimeError, match="native backend"):
+            python.hill_climb(placement, movable, allowed, 3)
+
+
+class TestNativeBuild:
+    @pytest.fixture
+    def fresh_probe(self, tmp_path, monkeypatch):
+        """A private, empty artifact cache and a forgotten probe."""
+        monkeypatch.setenv(_native.CACHE_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(_native, "_compiler", lambda: "cc")
+        _native.reset_probe_for_tests()
+        yield tmp_path
+        _native.reset_probe_for_tests()
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            subprocess.TimeoutExpired("cc", 120),
+            OSError("exec format error"),
+            subprocess.CompletedProcess("cc", 1, "", "error: boom\nmore"),
+        ],
+        ids=["timeout", "os-error", "compiler-error"],
+    )
+    def test_failed_build_leaves_no_temp_file(
+        self, fresh_probe, monkeypatch, outcome
+    ):
+        def run(command, **kwargs):
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(subprocess, "run", run)
+        assert not _native.available()
+        assert not list(fresh_probe.glob("replay_build_*"))
+        reason = _native.unavailable_reason()
+        assert reason and "\n" not in reason
+
+    def test_failed_publish_leaves_no_temp_file(self, fresh_probe, monkeypatch):
+        def compiled(command, **kwargs):
+            return subprocess.CompletedProcess(command, 0, "", "")
+
+        def refuse(source, destination):
+            raise OSError("read-only file system")
+
+        monkeypatch.setattr(subprocess, "run", compiled)
+        monkeypatch.setattr(os, "replace", refuse)
+        assert not _native.available()
+        assert not list(fresh_probe.glob("replay_build_*"))
+        assert _native.unavailable_reason() == (
+            "kernel build failed: read-only file system"
+        )
