@@ -383,11 +383,12 @@ def _placer_run_fingerprint(result) -> Tuple:
     )
 
 
-def scenario_large_host_anneal() -> Dict:
+def scenario_large_host_anneal(side: int = 32) -> Dict:
     """The 1000+-node macro benchmark: annealing where exact search cannot go.
 
-    Places a 24-qubit random nearest-neighbour circuit onto a 1024-node
-    ``grid:32x32`` with ``anneal:11x600``.  The exact engine is hopeless
+    Places a 24-qubit random nearest-neighbour circuit onto a
+    ``side x side`` grid with ``anneal:11x600``: 1,024 nodes by default,
+    4,096 in the ``large_host_grid64`` twin.  The exact engine is hopeless
     at this host size — enumerating even one workspace's candidate set
     means fine tuning ~100 monomorphisms over 1024 allowed nodes each
     (millions of delta evaluations), on top of a worst-case-exponential
@@ -397,7 +398,7 @@ def scenario_large_host_anneal() -> Dict:
     :func:`placer_consistency_failures`) asserts the same-seed runs are
     identical.
     """
-    environment = grid(32, 32)
+    environment = grid(side, side)
     circuit = random_chain_instance(24, 72, 11)
     options = PlacementOptions(threshold=10.0, placer="anneal:11x600")
     first = place_circuit(circuit, environment, options)
@@ -467,6 +468,7 @@ SCENARIOS: Dict[str, Callable[[], Dict]] = {
     "scalability_chain32": scenario_scalability_chain32,
     "monomorphism_micro": scenario_monomorphism_micro,
     "large_host_anneal": scenario_large_host_anneal,
+    "large_host_grid64": partial(scenario_large_host_anneal, 64),
     "exact_vs_anneal": scenario_exact_vs_anneal,
     "parallel_sweep_jobs1": scenario_parallel_sweep_jobs1,
     "parallel_sweep_jobs2": scenario_parallel_sweep_jobs2,
@@ -635,7 +637,7 @@ def placer_consistency_failures(current: Dict[str, Dict]) -> List[str]:
     gated here.
     """
     failures: List[str] = []
-    for name in ("large_host_anneal", "exact_vs_anneal"):
+    for name in ("large_host_anneal", "large_host_grid64", "exact_vs_anneal"):
         data = current.get(name)
         if data is None:
             continue

@@ -29,11 +29,14 @@
 #      parity tests in tests/test_replay_backends.py — under
 #      REPRO_SCHEDULER_BACKEND=native: the third backend's bit-identity
 #      contract (docs/performance.md);
-#   7. the benchmark regression gate on the fast micro scenarios
+#   7. the benchmark regression gate on the fast scenarios
 #      (`run_bench.py --check --scenarios ...`), which also re-checks the
 #      deterministic counters and output fingerprints against the
 #      committed BENCH_placement.json (including the exact-vs-anneal
-#      ablation and replay backend-consistency scenarios).
+#      ablation, the replay backend-consistency scenario and the
+#      1,024-node `large_host_anneal`, which gates the sparse large-host
+#      set-up and same-seed anneal determinism; its 4,096-node
+#      `large_host_grid64` twin is left to the full run).
 #
 # Usage: scripts/ci_check.sh
 set -euo pipefail
@@ -190,9 +193,9 @@ else
     echo "skipping the native-backend subset (no C toolchain on this host)"
 fi
 
-echo "== 7/7 micro benchmark regression gate =="
+echo "== 7/7 fast benchmark regression gate =="
 "$PYTHON" scripts/run_bench.py --check --repeats 1 \
     --scenarios monomorphism_micro place_qec5_boc place_phaseest_crotonic \
-    exact_vs_anneal replay_native
+    exact_vs_anneal replay_native large_host_anneal
 
 echo "ci_check: all gates passed"

@@ -84,6 +84,7 @@ from repro.core.config import PlacementOptions
 from repro.exceptions import (
     ConfigError,
     ExperimentError,
+    PlacementError,
     ReproError,
     UnknownSpecError,
 )
@@ -172,7 +173,10 @@ def _merged_options(base: PlacementOptions, args: argparse.Namespace) -> Placeme
         changes["scheduler_backend"] = args.scheduler_backend
     if getattr(args, "placer", None) is not None:
         changes["placer"] = args.placer
-    return base.replace(**changes) if changes else base
+    try:
+        return base.replace(**changes) if changes else base
+    except PlacementError as exc:  # a bad flag value: usage error, exit 2
+        raise ConfigError(f"invalid placement options: {exc}") from exc
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

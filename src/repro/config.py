@@ -147,7 +147,7 @@ class RunConfig:
                 ) from None
             if not values:
                 raise ConfigError("thresholds cannot be an empty list (use null)")
-            if any(value <= 0 for value in values):
+            if any(not value > 0 for value in values):  # rejects NaN too
                 raise ConfigError(f"thresholds must be positive, got {values}")
             object.__setattr__(self, "thresholds", values)
         if not isinstance(self.options, PlacementOptions):

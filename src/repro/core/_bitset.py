@@ -77,7 +77,7 @@ class HostEncoding:
         "index",
         "adjacency",
         "degree",
-        "neighbor_degrees",
+        "profiles",
         "full_mask",
         "_size_signature",
     )
@@ -101,23 +101,27 @@ class HostEncoding:
             degree[position] = adjacency[position].bit_count()
         self.adjacency: List[int] = adjacency
         self.degree: List[int] = degree
-        # Descending degree multiset of each node's neighbourhood, used by
-        # the candidate-domain pruning in the enumerator.
-        self.neighbor_degrees: List[Tuple[int, ...]] = [
-            tuple(
-                sorted(
-                    (degree[j] for j in iter_bits(adjacency[i])),
-                    reverse=True,
-                )
+        # Nodes grouped by the descending degree multiset of their
+        # neighbourhood (its length is the node's degree), so the
+        # enumerator's candidate-domain pruning tests each distinct profile
+        # once: a grid has 6 profiles whatever its size.
+        self.profiles: Dict[Tuple[int, ...], int] = {}
+        for i in range(count):
+            profile = tuple(
+                sorted((degree[j] for j in iter_bits(adjacency[i])), reverse=True)
             )
-            for i in range(count)
-        ]
+            self.profiles[profile] = self.profiles.get(profile, 0) | 1 << i
         self.full_mask: int = (1 << count) - 1
         self._size_signature = (host.number_of_nodes(), host.number_of_edges())
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
+
+    @property
+    def num_edges(self) -> int:
+        """The host's ``number_of_edges()`` when encoded."""
+        return self._size_signature[1]
 
     def matches(self, host: nx.Graph) -> bool:
         """Cheap staleness check against in-place host mutation."""

@@ -123,8 +123,11 @@ class PlacementOptions:
             raise PlacementError("lookahead_width must be at least 1")
         if self.fine_tuning_max_rounds < 0:
             raise PlacementError("fine_tuning_max_rounds must be non-negative")
-        if self.threshold is not None and self.threshold <= 0:
-            raise PlacementError("threshold must be positive")
+        if self.threshold is not None and not self.threshold > 0:
+            # ``not > 0`` rather than ``<= 0``: NaN fails every comparison.
+            raise PlacementError(
+                f"threshold must be positive, got {self.threshold!r}"
+            )
         if (
             self.max_workspace_two_qubit_gates is not None
             and self.max_workspace_two_qubit_gates < 1

@@ -86,11 +86,10 @@ def _candidate_domains(
     best neighbour (every pattern neighbour must map to a *distinct* host
     neighbour of no smaller degree).  Both conditions are necessary for
     membership in a complete monomorphism, so filtering by them cannot drop
-    or reorder any yielded mapping.
+    or reorder any yielded mapping.  Both depend on a host node only
+    through its neighbour-degree profile, so each distinct profile is
+    tested once and its member mask admitted whole.
     """
-    degree = host.degree
-    neighbor_degrees = host.neighbor_degrees
-    count = host.num_nodes
     domains: List[int] = []
     for pattern_node in order:
         pattern_degree = pattern.degree(pattern_node)
@@ -99,16 +98,15 @@ def _candidate_domains(
             reverse=True,
         )
         mask = 0
-        for i in range(count):
-            if degree[i] < pattern_degree:
+        for host_profile, members in host.profiles.items():
+            if len(host_profile) < pattern_degree:
                 continue
-            host_profile = neighbor_degrees[i]
             if any(
                 host_profile[t] < pattern_profile[t]
                 for t in range(pattern_degree)
             ):
                 continue
-            mask |= 1 << i
+            mask |= members
         domains.append(mask)
     return domains
 

@@ -70,15 +70,19 @@ class Workspace:
 def _embeds(
     graph: nx.Graph,
     host: nx.Graph,
-    host_encoding: Optional[HostEncoding] = None,
+    host_encoding: HostEncoding,
     host_bipartite: bool = False,
 ) -> bool:
-    """Exact embeddability check with the cheap necessary conditions first."""
+    """Exact embeddability check with the cheap necessary conditions first.
+
+    The size checks read the encoding: networkx counts a graph's edges by
+    summing every node's degree, O(n) per probe on a large host.
+    """
     if graph.number_of_nodes() == 0:
         return True
-    if graph.number_of_nodes() > host.number_of_nodes():
+    if graph.number_of_nodes() > host_encoding.num_nodes:
         return False
-    if graph.number_of_edges() > host.number_of_edges():
+    if graph.number_of_edges() > host_encoding.num_edges:
         return False
     if host_bipartite and not nx.is_bipartite(graph):
         # Subgraphs of a bipartite host are bipartite, so a pattern with an
@@ -122,11 +126,7 @@ def extract_workspaces(
 
     # One bitset encoding of the host serves every embeddability probe of
     # the greedy scan (one probe per distinct two-qubit interaction).
-    host_encoding = (
-        encode_host(adjacency_graph)
-        if adjacency_graph.number_of_nodes() > 0
-        else None
-    )
+    host_encoding = encode_host(adjacency_graph)
     host_bipartite = (
         adjacency_graph.number_of_edges() > 0 and nx.is_bipartite(adjacency_graph)
     )

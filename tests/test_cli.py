@@ -102,6 +102,29 @@ class TestCommands:
         assert "acetyl-chloride" in err
         assert "grid:NxM" in err
 
+    @pytest.mark.parametrize("thresholds", [["nan", "9200"], ["9200", "nan"]])
+    def test_nan_sweep_threshold_is_a_usage_error(self, thresholds, capsys):
+        # 9200 is trans-crotonic acid's largest explicit delay: an
+        # unchecked NaN shared its sweep cell, in either order.
+        code = main(["sweep", "qft:5", "trans-crotonic-acid",
+                     "--thresholds", *thresholds])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: thresholds must be positive")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--threshold", "nan"],
+        ["--threshold", "-1"],
+        ["--max-monomorphisms", "0"],
+    ])
+    def test_invalid_option_flag_is_a_usage_error(self, flags, capsys):
+        code = main(["place", "qft:5", "trans-crotonic-acid", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid placement options:")
+        assert err.count("\n") == 1
+
     def test_parameterised_specs_place(self, capsys):
         code = main(["place", "qft:4", "complete:6", "--threshold", "100"])
         assert code == 0

@@ -147,6 +147,7 @@ class TestValidation:
         (dict(strategy="zigzag"), "strategy"),
         (dict(output="yaml"), "output"),
         (dict(options="nope"), "PlacementOptions"),
+        (dict(thresholds=(float("nan"), 9200.0)), "positive"),
     ])
     def test_invalid_values_rejected(self, changes, match):
         base = dict(circuit="qft6", environment="histidine")

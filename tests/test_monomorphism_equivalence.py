@@ -12,14 +12,20 @@ Three independent referees keep the rewritten engine honest:
 * :func:`verify_monomorphism`, for soundness of every produced mapping.
 """
 
+import functools
 import itertools
+import operator
 
 import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import load_environment
+from repro.core._bitset import encode_host, iter_bits
 from repro.core.monomorphism import (
+    _candidate_domains,
+    _pattern_order,
     find_monomorphisms,
     has_monomorphism,
     iter_monomorphisms,
@@ -184,6 +190,79 @@ class TestOrderParityWithSeed:
         assert list(iter_monomorphisms(pattern, host)) == list(
             seed_iter_monomorphisms(pattern, host)
         )
+
+
+# ---------------------------------------------------------------------------
+# Candidate domains against the per-node scan
+# ---------------------------------------------------------------------------
+
+
+def per_node_candidate_domains(pattern, order, host):
+    """The domain pass before profiles: both tests run once per host node."""
+    degree = host.degree
+    neighbor_degrees = [
+        tuple(sorted((degree[j] for j in iter_bits(host.adjacency[i])), reverse=True))
+        for i in range(host.num_nodes)
+    ]
+    domains = []
+    for pattern_node in order:
+        pattern_degree = pattern.degree(pattern_node)
+        pattern_profile = sorted(
+            (pattern.degree(nb) for nb in pattern.neighbors(pattern_node)),
+            reverse=True,
+        )
+        mask = 0
+        for i in range(host.num_nodes):
+            if degree[i] < pattern_degree:
+                continue
+            if any(
+                neighbor_degrees[i][t] < pattern_profile[t]
+                for t in range(pattern_degree)
+            ):
+                continue
+            mask |= 1 << i
+        domains.append(mask)
+    return domains
+
+
+DOMAIN_HOSTS = (
+    ("grid:6x6", 10.0),
+    ("heavy-hex:3", 10.0),
+    ("ring:8", 10.0),
+    ("star:6", 10.0),
+    ("histidine", 100.0),
+    ("histidine", 500.0),
+    ("histidine", 1000.0),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _domain_host(spec, threshold):
+    return encode_host(load_environment(spec).adjacency_graph(threshold))
+
+
+class TestCandidateDomainsPerProfile:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(DOMAIN_HOSTS),
+        st.integers(1, 8),
+        st.floats(0.2, 0.9),
+        st.integers(0, 10_000),
+    )
+    def test_domains_match_per_node_scan(self, host_key, size, density, seed):
+        host = _domain_host(*host_key)
+        pattern = nx.gnp_random_graph(size, density, seed=seed)
+        order = _pattern_order(pattern)
+        assert _candidate_domains(pattern, order, host) == (
+            per_node_candidate_domains(pattern, order, host)
+        )
+
+    def test_profiles_partition_the_host(self):
+        for host_key in DOMAIN_HOSTS:
+            host = _domain_host(*host_key)
+            masks = list(host.profiles.values())
+            assert functools.reduce(operator.or_, masks) == host.full_mask
+            assert sum(masks) == host.full_mask  # no node in two profiles
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ class TestOptions:
             PlacementOptions(lookahead_width=0)
         with pytest.raises(PlacementError):
             PlacementOptions(threshold=-5)
+        with pytest.raises(PlacementError, match="nan"):
+            PlacementOptions(threshold=float("nan"))
         with pytest.raises(PlacementError):
             PlacementOptions(fine_tuning_max_rounds=-1)
 
