@@ -3,8 +3,9 @@
 Every benchmark regenerates one of the paper's tables or figures and prints
 it in the paper's layout (``paper`` value next to ``measured`` value) so the
 two can be compared side by side.  Absolute runtimes are not expected to
-match — the molecule coupling tables are reconstructions (see DESIGN.md) —
-but the qualitative shape asserted in each benchmark must hold.
+match — the molecule coupling tables are reconstructions (see the
+``repro.hardware.molecules`` module docstring) — but the qualitative
+shape asserted in each benchmark must hold.
 """
 
 from __future__ import annotations

@@ -22,13 +22,15 @@
 #   5. a heuristic-placer smoke: the same `--placer anneal:SEEDxITERS`
 #      sweep run twice in separate processes must be byte-identical —
 #      the seeded annealer's determinism contract (docs/placers.md);
-#   6. a native-backend smoke: build the compiled replay kernel on demand
-#      (skipped, with a log line, on hosts without a C compiler) and run
-#      the scheduler-facing tier-1 subset — including fine tuning, whose
-#      climbs then run as one kernel call each, and the native-climb
-#      parity tests in tests/test_replay_backends.py — under
-#      REPRO_SCHEDULER_BACKEND=native: the third backend's bit-identity
-#      contract (docs/performance.md);
+#   6. the scheduler-facing tier-1 subset — including fine tuning and the
+#      backend parity tests in tests/test_replay_backends.py — once per
+#      scheduler backend: under REPRO_SCHEDULER_BACKEND=native (build the
+#      compiled replay kernel on demand, whose climbs then run as one
+#      kernel call each; skipped, with a log line, on hosts without a C
+#      compiler) and under REPRO_SCHEDULER_BACKEND=python, the reference
+#      loop and the only fallback `auto` has where the kernel does not
+#      build — both sides of the bit-identity contract
+#      (docs/performance.md);
 #   7. the benchmark regression gate on the fast scenarios
 #      (`run_bench.py --check --scenarios ...`), which also re-checks the
 #      deterministic counters and output fingerprints against the
@@ -174,7 +176,10 @@ if ! diff "$WORK_DIR/anneal-a.txt" "$WORK_DIR/anneal-b.txt"; then
 fi
 echo "anneal sweep byte-identical across processes"
 
-echo "== 6/7 native scheduler backend smoke =="
+echo "== 6/7 scheduler backend subsets =="
+SCHEDULER_TESTS=(tests/test_replay_backends.py tests/test_scheduler.py
+                 tests/test_incremental_scheduler.py tests/test_fine_tuning.py
+                 tests/test_placers.py)
 if "$PYTHON" - <<'PYEOF'
 from repro.timing import _native
 
@@ -185,13 +190,13 @@ raise SystemExit(1)
 PYEOF
 then
     REPRO_SCHEDULER_BACKEND=native "$PYTHON" -m pytest -x -q \
-        tests/test_replay_backends.py tests/test_scheduler.py \
-        tests/test_incremental_scheduler.py tests/test_fine_tuning.py \
-        tests/test_placers.py
+        "${SCHEDULER_TESTS[@]}"
     echo "scheduler-facing tier-1 subset green under the native backend"
 else
     echo "skipping the native-backend subset (no C toolchain on this host)"
 fi
+REPRO_SCHEDULER_BACKEND=python "$PYTHON" -m pytest -x -q "${SCHEDULER_TESTS[@]}"
+echo "scheduler-facing tier-1 subset green under the python backend"
 
 echo "== 7/7 fast benchmark regression gate =="
 "$PYTHON" scripts/run_bench.py --check --repeats 1 \

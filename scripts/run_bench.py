@@ -185,7 +185,7 @@ def main(argv=None) -> int:
 
     # Worker-count, backend and shard independence are correctness
     # properties, not timings — never write (or pass) a baseline in which
-    # parallel runs, the numpy backend or the sharded round trip changed
+    # parallel runs, the native backend or the sharded round trip changed
     # output.
     consistency = bench_harness.parallel_consistency_failures(scenarios)
     consistency += bench_harness.replay_consistency_failures(scenarios)

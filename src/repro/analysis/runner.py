@@ -94,7 +94,7 @@ from repro.core.stats import STATS
 from repro.exceptions import ExperimentError, PlacementError, ThresholdError
 from repro.hardware.environment import PhysicalEnvironment
 from repro.hardware.molecules import molecule
-from repro.timing._replay import BACKEND_CHOICES
+from repro.timing._replay import BACKEND_CHOICES, backend_from_env
 
 #: Signature of the progress callback: ``(completed, total, outcome)``.
 ProgressCallback = Callable[[int, int, "ExperimentOutcome"], None]
@@ -472,11 +472,13 @@ class ExperimentRunner:
         Pre-build per-worker environment caches before the first cell
         (parallel runs only; the serial path warms caches naturally).
     scheduler_backend:
-        When set (``"auto"``/``"python"``/``"numpy"``), override every
+        When set (``"auto"``/``"python"``/``"native"``), override every
         cell's ``options.scheduler_backend`` for this run — the
         whole-grid equivalent of the CLI's ``--scheduler-backend``.
         Outcomes are bit-identical across backends, so this only affects
-        wall time.
+        wall time.  The ``REPRO_SCHEDULER_BACKEND`` environment variable
+        that cells left on ``"auto"`` inherit is validated here too, so
+        an invalid value is refused before any cell runs.
     retry_policy:
         Optional :class:`~repro.analysis.resilience.RetryPolicy`.  When
         set (and not a no-op), cells execute on the resilient
@@ -502,6 +504,9 @@ class ExperimentRunner:
                 f"scheduler_backend must be one of {BACKEND_CHOICES}, "
                 f"got {scheduler_backend!r}"
             )
+        # Cells left on "auto" read the variable only once they run; an
+        # invalid value must fail here, not inside every (retried) cell.
+        backend_from_env()
         if retry_policy is not None:
             from repro.analysis.resilience import RetryPolicy
 

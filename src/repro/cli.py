@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Installed as ``repro-place`` (see ``pyproject.toml``) and usable as
-``python -m repro`` (or ``python -m repro.cli``).  Subcommands:
+Run as ``python -m repro`` (or ``python -m repro.cli``); usage and error
+messages name the program ``repro-place``.  Subcommands:
 
 ``place``
     Place a circuit (a registry spec such as ``qft6`` or ``qft:7``, or a
@@ -58,6 +58,7 @@ one-line message; runtime failures exit with code 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -126,8 +127,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="runtime-evaluator backend (bit-identical outputs; "
                              "default 'auto' defers to REPRO_SCHEDULER_BACKEND, "
-                             "then picks the fastest available of native/"
-                             "numpy/python when profitable)")
+                             "then picks native when its kernel builds, else "
+                             "python)")
     parser.add_argument("--placer", default=None, metavar="SPEC",
                         help="placement engine spec: exact (default), greedy, "
                              "or anneal[:SEED[xITERS]] (multi-restart: "
@@ -880,4 +881,5 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in tests
+    gc.freeze()  # see repro/__main__.py: process entry points only
     sys.exit(main())

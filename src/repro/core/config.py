@@ -58,20 +58,19 @@ class PlacementOptions:
     debug_full_recompute:
         Debug-only: make the incremental cost evaluator verify every
         delta-cost evaluation against a from-scratch scheduling run and
-        assert exact equality (on the numpy backend this additionally
+        assert exact equality (on the native backend this additionally
         cross-checks every full evaluation against the pure Python
         reference).  Slows fine tuning down to (worse than) the
         non-incremental speed; useful when auditing scheduler changes.
     scheduler_backend:
         Evaluation backend of the scheduler's
         :class:`~repro.timing.scheduler.RuntimeEvaluator`: ``"python"``
-        (the reference loop), ``"numpy"`` (vectorised duration tables;
-        requires numpy), ``"native"`` (the C kernel compiled on demand;
-        requires a C compiler at first use) or ``"auto"`` (the default —
-        defer to the ``REPRO_SCHEDULER_BACKEND`` environment variable, then
-        prefer native whenever its kernel builds, else numpy when available
-        and profitable, else python).  Backends are bit-identical, so this
-        knob never changes any placement output.
+        (the reference loop), ``"native"`` (the C kernel compiled on
+        demand; requires a C compiler at first use) or ``"auto"`` (the
+        default — defer to the ``REPRO_SCHEDULER_BACKEND`` environment
+        variable, then pick native whenever its kernel builds, else
+        python).  Backends are bit-identical, so this knob never changes
+        any placement output.
     placer:
         Placement engine, as a :data:`repro.registry.PLACERS` spec:
         ``"exact"`` (the default — the paper's exhaustive monomorphism

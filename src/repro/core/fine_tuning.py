@@ -116,7 +116,6 @@ def hill_climb_incremental(
     movable_qubits: Sequence[Qubit],
     allowed_nodes: Sequence[Node],
     max_rounds: int = 10,
-    extra_cost: Optional[CostFunction] = None,
 ) -> Tuple[Placement, float]:
     """The same greedy search as :func:`hill_climb`, with delta-cost moves.
 
@@ -131,14 +130,10 @@ def hill_climb_incremental(
     On the native backend the whole loop below runs in one kernel call
     (:meth:`~repro.timing.scheduler.RuntimeEvaluator.hill_climb`), move for
     move.  The loop stays the reference, and it still runs on the python
-    and numpy backends, with ``extra_cost``, and under ``full_recompute``
-    (whose per-move parity assertions live in ``runtime_with``).
+    backend and under ``full_recompute`` (whose per-move parity assertions
+    live in ``runtime_with``).
     """
-    if (
-        extra_cost is None
-        and evaluator.backend == "native"
-        and not evaluator.full_recompute
-    ):
+    if evaluator.backend == "native" and not evaluator.full_recompute:
         best, best_cost = evaluator.hill_climb(
             placement, movable_qubits, allowed_nodes, max_rounds
         )
@@ -146,8 +141,6 @@ def hill_climb_incremental(
         return best, best_cost
     best = dict(placement)
     best_cost = evaluator.set_base(best)
-    if extra_cost is not None:
-        best_cost += extra_cost(best)
     for _ in range(max_rounds):
         improved = False
         for qubit in movable_qubits:
@@ -161,17 +154,9 @@ def hill_climb_incremental(
                     overrides = {qubit: node}
                 else:
                     overrides = {qubit: node, occupant: current_node}
-                if extra_cost is None:
-                    # Rejected moves only need to be known to be >= the
-                    # incumbent, so the evaluator may stop scheduling early.
-                    candidate_cost = evaluator.runtime_with(
-                        overrides, limit=best_cost
-                    )
-                else:
-                    candidate_cost = evaluator.runtime_with(overrides)
-                    candidate = dict(best)
-                    candidate.update(overrides)
-                    candidate_cost += extra_cost(candidate)
+                # Rejected moves only need to be known to be >= the
+                # incumbent, so the evaluator may stop scheduling early.
+                candidate_cost = evaluator.runtime_with(overrides, limit=best_cost)
                 if candidate_cost < best_cost:
                     best.update(overrides)
                     evaluator.set_base(best)
@@ -191,16 +176,13 @@ def fine_tune_workspace_placement(
     allowed_nodes: Sequence[Node],
     apply_interaction_cap: bool = True,
     max_rounds: int = 10,
-    extra_cost: Optional[CostFunction] = None,
     evaluator: Optional[RuntimeEvaluator] = None,
     full_recompute: bool = False,
     backend: str = "auto",
 ) -> Tuple[Placement, float]:
     """Fine tune a workspace placement with the default runtime cost.
 
-    ``extra_cost`` (e.g. an incoming swap-stage estimate) is added to the
-    runtime so that fine tuning does not wander away from cheap-to-reach
-    placements.  ``evaluator`` lets the placer share one compiled
+    ``evaluator`` lets the placer share one compiled
     :class:`~repro.timing.scheduler.RuntimeEvaluator` across the many
     candidate monomorphisms of a workspace (its backend wins over the
     ``backend`` argument, which only configures a locally built evaluator);
@@ -230,5 +212,4 @@ def fine_tune_workspace_placement(
         movable_qubits=movable,
         allowed_nodes=list(allowed_nodes),
         max_rounds=max_rounds,
-        extra_cost=extra_cost,
     )

@@ -344,24 +344,24 @@ class PhysicalEnvironment:
         self._component_cache[key] = component
         return component
 
-    def pair_delay_table(self, nodes: Optional[Tuple[Node, ...]] = None) -> array:
-        """Flat row-major ``n x n`` pair-delay matrix over ``nodes``, cached.
+    def pair_delay_table(self) -> array:
+        """Flat row-major ``n x n`` pair-delay matrix over :attr:`nodes`, cached.
 
         Entry ``i * n + j`` is :meth:`pair_delay` of ``(nodes[i], nodes[j])``
         — the diagonal degenerates to the single-qubit delays, matching the
-        scheduler's ``_pair_weight`` for every index pair.  ``nodes``
-        defaults to (and is keyed as) the full declaration-order node tuple,
-        so every :class:`~repro.timing.scheduler.RuntimeEvaluator` built
+        scheduler's ``_pair_weight`` for every index pair.  It is keyed by
+        the declaration-order node tuple, so every
+        :class:`~repro.timing.scheduler.RuntimeEvaluator` built
         against the same calibration shares one table instead of re-running
         the ``O(n^2)`` fill (~524k lookups on a 1024-node grid).  Cached
         next to the threshold-keyed graph caches: recalibration via
         ``set_pair_delay``/``set_single_qubit_delay`` (or a manual
         :meth:`invalidate_caches`) drops it.
 
-        Callers must treat the returned buffer as read-only; both the numpy
-        and native scheduler backends wrap it zero-copy.
+        Callers must treat the returned buffer as read-only; the native
+        scheduler backend wraps it zero-copy.
         """
-        key = self._nodes if nodes is None else tuple(nodes)
+        key = self._nodes
         cached = self._pair_matrix_cache.get(key)
         if cached is not None:
             STATS.increment("scheduler.pair_matrix_cache_hits")
@@ -378,10 +378,8 @@ class PhysicalEnvironment:
         for node, position in index.items():
             flat[position * count + position] = self._single[node]
         for (node_a, node_b), value in self._pairs.items():
-            i = index.get(node_a)
-            j = index.get(node_b)
-            if i is None or j is None:
-                continue
+            i = index[node_a]
+            j = index[node_b]
             flat[i * count + j] = value
             flat[j * count + i] = value
         self._pair_matrix_cache[key] = flat

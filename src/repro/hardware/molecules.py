@@ -38,10 +38,10 @@ Data provenance
   long-range couplings are slow (hundreds to thousands of units), the iron
   complex is uniformly "slow" so that every pair delay exceeds 100 (this is
   what makes Table 3 report N/A for thresholds 50 and 100) — rather than
-  copied digit-for-digit.  This substitution is documented in DESIGN.md; it
-  preserves every qualitative behaviour the paper's evaluation relies on
-  (threshold/connectivity structure, fast-bond topology, relative speed of
-  the molecules) while absolute runtimes differ from the paper's.
+  copied digit-for-digit.  This substitution preserves every qualitative
+  behaviour the paper's evaluation relies on (threshold/connectivity
+  structure, fast-bond topology, relative speed of the molecules) while
+  absolute runtimes differ from the paper's.
 """
 
 from __future__ import annotations

@@ -218,31 +218,24 @@ class RuntimeEvaluator:
     ``"python"``
         The always-available reference: one loop over the op triples with
         lazily memoised delay lookups.
-    ``"numpy"``
-        The op list is compiled to flat parallel arrays and every duration
-        table (full run, or the affected slice of an incremental replay) is
-        computed vectorised; the sequential busy-time recurrence runs as a
-        tight loop over the precomputed durations.  Results are
-        float-for-float identical to the python backend — the same IEEE-754
-        operations on the same operands in the same order — so backend
-        choice never changes any output.
     ``"native"``
         The whole recurrence — duration lookups, checkpoint restore,
         monotone cutoff — runs inside a small C kernel compiled on demand
-        (see :mod:`repro.timing._native`), under the same bit-identical
-        contract.  The kernel can also run a whole hill climb in one call
-        (:meth:`hill_climb`).  Requires a C compiler at first use; an
-        explicit request fails with a one-line error when the build is
+        (see :mod:`repro.timing._native`).  Results are float-for-float
+        identical to the python backend — the same IEEE-754 operations on
+        the same operands in the same order — so backend choice never
+        changes any output.  The kernel can also run a whole hill climb in
+        one call (:meth:`hill_climb`).  Requires a C compiler at first use;
+        an explicit request fails with a one-line error when the build is
         unavailable.
     ``"auto"`` (default)
         Defers to the ``REPRO_SCHEDULER_BACKEND`` environment variable,
-        then picks native whenever its kernel builds, whatever the op
-        count; else numpy when it is importable and the op list is long
-        enough to amortise the fixed array overhead, else python.
+        then picks native whenever its kernel builds, else python,
+        whatever the op count.
 
-    In ``full_recompute`` mode the numpy and native backends additionally
-    cross-check every full evaluation against the pure Python loop, so the
-    parity contract is enforced between backends as well as between
+    In ``full_recompute`` mode the native backend additionally
+    cross-checks every full evaluation against the pure Python loop, so
+    the parity contract is enforced between backends as well as between
     incremental and full evaluation.
     """
 
@@ -298,18 +291,10 @@ class RuntimeEvaluator:
             indices[0] if indices else len(ops) for indices in touched
         ]
 
-        #: Resolved evaluation backend: ``"python"``, ``"numpy"`` or ``"native"``.
-        self.backend: str = _replay.resolve_backend(backend, num_ops=len(ops))
-        self._table: Optional[_replay.ReplayTable] = None
+        #: Resolved evaluation backend: ``"python"`` or ``"native"``.
+        self.backend: str = _replay.resolve_backend(backend)
         self._native: Optional[_native.NativeReplay] = None
-        if self.backend == "numpy":
-            self._table = _replay.ReplayTable(
-                ops,
-                len(self._qubits),
-                self._single_delay,
-                _replay.pair_delay_matrix(environment, self._nodes),
-            )
-        elif self.backend == "native":
+        if self.backend == "native":
             self._native = _native.NativeReplay(
                 ops,
                 len(self._qubits),
@@ -324,8 +309,6 @@ class RuntimeEvaluator:
         self._base_nodes: Optional[List[int]] = None
         self._base_durations: List[float] = []
         self._checkpoints: List[List[float]] = []
-        self._base_nodes_array = None  # numpy mirrors, populated with set_base
-        self._checkpoint_matrix = None
         self.base_runtime: float = 0.0
         # Locally accumulated counters, flushed to STATS in batches so the
         # per-evaluation instrumentation cost stays negligible.
@@ -393,15 +376,6 @@ class RuntimeEvaluator:
                     f"pure Python reference {reference!r}"
                 )
             return result
-        if self._table is not None:
-            result = self._run_full_numpy(nodes, durations_out, checkpoints_out)
-            if self.full_recompute:
-                reference = self._run_full_python(nodes)
-                assert result == reference, (
-                    f"numpy backend runtime {result!r} diverged from the "
-                    f"pure Python reference {reference!r}"
-                )
-            return result
         return self._run_full_python(nodes, durations_out, checkpoints_out)
 
     def _run_full_python(
@@ -427,32 +401,6 @@ class RuntimeEvaluator:
                 times[b] = finish
             if durations_out is not None:
                 durations_out.append(duration)
-        return max(times) if times else 0.0
-
-    def _run_full_numpy(
-        self,
-        nodes: List[int],
-        durations_out: Optional[List[float]] = None,
-        checkpoints_out: Optional[List[List[float]]] = None,
-    ) -> float:
-        table = self._table
-        durations = table.durations(table.nodes_array(nodes)).tolist()
-        times = [0.0] * len(self._qubits)
-        interval = self._checkpoint_interval
-        for index, (a, b, _relative) in enumerate(self._ops):
-            if checkpoints_out is not None and index % interval == 0:
-                checkpoints_out.append(times[:])
-            duration = durations[index]
-            if b < 0:
-                times[a] += duration
-            else:
-                time_a = times[a]
-                time_b = times[b]
-                finish = (time_a if time_a >= time_b else time_b) + duration
-                times[a] = finish
-                times[b] = finish
-        if durations_out is not None:
-            durations_out.extend(durations)
         return max(times) if times else 0.0
 
     def runtime(self, placement: Placement) -> float:
@@ -487,11 +435,6 @@ class RuntimeEvaluator:
             durations_out=self._base_durations,
             checkpoints_out=self._checkpoints,
         )
-        if self._table is not None:
-            self._base_nodes_array = self._table.nodes_array(self._base_nodes)
-            self._checkpoint_matrix = self._table.checkpoint_matrix(
-                self._checkpoints, len(self._qubits)
-            )
         return self.base_runtime
 
     def runtime_with(
@@ -540,10 +483,6 @@ class RuntimeEvaluator:
 
         if self._native is not None:
             return self._replay_tail_native(
-                changed, start, total_ops, overrides, limit
-            )
-        if self._table is not None:
-            return self._replay_tail_numpy(
                 changed, start, total_ops, overrides, limit
             )
 
@@ -620,67 +559,6 @@ class RuntimeEvaluator:
             self._assert_full_recompute_parity(result, changed, overrides)
         return result
 
-    def _replay_tail_numpy(
-        self,
-        changed: Dict[int, int],
-        start: int,
-        total_ops: int,
-        overrides: Mapping[Qubit, Node],
-        limit: Optional[float],
-    ) -> float:
-        """The incremental tail replay over a vectorised duration table.
-
-        Durations for every affected operation are recomputed in one array
-        pass (unaffected operations reuse their recorded base values); the
-        busy-time recurrence, the checkpoint restore and the cutoff rule
-        are operation-for-operation those of the pure Python path.
-        """
-        checkpoint = start // self._checkpoint_interval
-        matrix = self._checkpoint_matrix
-        if matrix is not None and matrix.shape[0] > checkpoint:
-            times = matrix[checkpoint].tolist()
-        else:
-            times = [0.0] * len(self._qubits)
-        affected, values = self._table.changed_durations(
-            self._base_nodes_array, changed
-        )
-        # Scatter the recomputed durations into the recorded base table in
-        # place (and restore afterwards) instead of copying the whole table
-        # per candidate move.
-        durations = self._base_durations
-        saved = [durations[position] for position in affected]
-        for position, value in zip(affected, values):
-            durations[position] = value
-        ops = self._ops
-        cutoff = None if self.full_recompute else limit
-        result = float("inf")
-        try:
-            for index in range(start, total_ops):
-                a, b, _relative = ops[index]
-                duration = durations[index]
-                if b < 0:
-                    finish = times[a] + duration
-                    times[a] = finish
-                else:
-                    time_a = times[a]
-                    time_b = times[b]
-                    finish = (time_a if time_a >= time_b else time_b) + duration
-                    times[a] = finish
-                    times[b] = finish
-                if cutoff is not None and finish >= cutoff:
-                    # Busy times are monotone, so the final runtime is >=
-                    # finish: this move can never beat the incumbent.
-                    self._pending_replayed -= total_ops - 1 - index
-                    return float("inf")
-            result = max(times) if times else 0.0
-        finally:
-            for position, value in zip(affected, saved):
-                durations[position] = value
-
-        if self.full_recompute:
-            self._assert_full_recompute_parity(result, changed, overrides)
-        return result
-
     # -- whole hill climb ---------------------------------------------------
 
     def hill_climb(
@@ -734,11 +612,11 @@ class RuntimeEvaluator:
         changed: Dict[int, int],
         overrides: Mapping[Qubit, Node],
     ) -> None:
-        """Debug gate: incremental == full, and (on numpy) numpy == python."""
+        """Debug gate: incremental == full, and (on native) native == python."""
         nodes = list(self._base_nodes)
         for index, target in changed.items():
             nodes[index] = target
-        # _run_full itself cross-checks numpy against the python reference
+        # _run_full itself cross-checks native against the python reference
         # in full_recompute mode, so one call gates both parity contracts.
         full = self._run_full(nodes)
         assert result == full, (

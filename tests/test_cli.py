@@ -481,3 +481,82 @@ class TestFaultTolerantCli:
         assert main(["shard", "replan", "--plan", f"{out_dir}/plan.json",
                      "--out-dir", str(tmp_path / "recovery")] + outputs) == 0
         assert "nothing to replan" in capsys.readouterr().out
+
+
+class TestUnknownSchedulerBackendFailsClosed:
+    """``numpy`` names no scheduler backend.  Every stored form of it — the
+    environment variable, the flag, a ``--config`` file, a replanned
+    ``plan.json`` — is a usage error: exit 2, one ``error:`` line naming
+    ``auto``, and no cell runs (no table, no output file)."""
+
+    @staticmethod
+    def _assert_refused(code, capsys):
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "'auto'" in errors[0]
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--jobs", "2"], ["--retries", "2"], ["--cell-timeout", "30"],
+    ], ids=["serial", "jobs", "retries", "cell-timeout"])
+    def test_env_value_refuses_sweep(self, flags, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCHEDULER_BACKEND", "numpy")
+        self._assert_refused(
+            main(["sweep", "qft6", "trans-crotonic-acid", *flags]), capsys
+        )
+
+    def test_env_value_refuses_place(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCHEDULER_BACKEND", "numpy")
+        self._assert_refused(
+            main(["place", "qft6", "trans-crotonic-acid"]), capsys
+        )
+
+    def test_env_value_refuses_shard_run(self, tmp_path, capsys, monkeypatch):
+        out_dir = str(tmp_path / "shards")
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "2", "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_SCHEDULER_BACKEND", "numpy")
+        out_file = tmp_path / "out-0.json"
+        self._assert_refused(
+            main(["shard", "run", "--shard-file", f"{out_dir}/shard-0.pkl",
+                  "--out", str(out_file)]),
+            capsys,
+        )
+        assert not out_file.exists()
+
+    def test_flag_value_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["place", "qft6", "trans-crotonic-acid",
+                  "--scheduler-backend", "numpy"])
+        self._assert_refused(info.value.code, capsys)
+
+    def test_config_file_value_is_a_usage_error(self, tmp_path, capsys):
+        data = RunConfig(circuit="qft6",
+                         environment="trans-crotonic-acid").to_dict()
+        data["options"]["scheduler_backend"] = "numpy"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        self._assert_refused(main(["place", "--config", str(path)]), capsys)
+
+    def test_replanned_plan_value_is_a_usage_error(self, tmp_path, capsys):
+        from repro.analysis.serialization import checksummed_payload, dump_json
+
+        out_dir = tmp_path / "shards"
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "2", "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        plan_path = out_dir / "plan.json"
+        metadata = json.loads(plan_path.read_text())
+        metadata.pop("payload_sha256")
+        metadata["config"]["options"]["scheduler_backend"] = "numpy"
+        plan_path.write_text(dump_json(checksummed_payload(metadata)))
+        recovery = tmp_path / "recovery"
+        self._assert_refused(
+            main(["shard", "replan", "--plan", str(plan_path),
+                  "--out-dir", str(recovery)]),
+            capsys,
+        )
+        assert not recovery.exists()

@@ -37,7 +37,7 @@ _options_strategy = st.builds(
     max_workspace_two_qubit_gates=st.one_of(
         st.none(), st.integers(min_value=1, max_value=50)
     ),
-    scheduler_backend=st.sampled_from(["auto", "python", "numpy"]),
+    scheduler_backend=st.sampled_from(["auto", "python", "native"]),
     placer=st.sampled_from(
         ["exact", "greedy", "anneal", "anneal:7", "anneal:3x500"]
     ),

@@ -72,21 +72,6 @@ class TestFineTuneWorkspacePlacement:
         assert runtime == 136.0
         assert circuit_runtime(encoder_circuit, placement, acetyl) == 136.0
 
-    def test_extra_cost_influences_result(self, acetyl, encoder_circuit):
-        # An extra cost that heavily penalises moving qubit "a" off node M
-        # keeps it pinned there even though the runtime alone prefers C2.
-        def penalty(placement):
-            return 0.0 if placement["a"] == "M" else 1e9
-
-        placement, _ = fine_tune_workspace_placement(
-            encoder_circuit,
-            {"a": "M", "b": "C2", "c": "C1"},
-            acetyl,
-            allowed_nodes=list(acetyl.nodes),
-            extra_cost=penalty,
-        )
-        assert placement["a"] == "M"
-
     def test_circuit_without_two_qubit_gates(self, acetyl):
         circuit = QuantumCircuit(["a"], [g.ry("a", 90.0)])
         placement, runtime = fine_tune_workspace_placement(

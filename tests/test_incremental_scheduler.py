@@ -12,7 +12,6 @@ from repro.circuits.library import qft_circuit
 from repro.core.config import PlacementOptions
 from repro.core.fine_tuning import (
     default_cost_function,
-    fine_tune_workspace_placement,
     hill_climb,
     hill_climb_incremental,
 )
@@ -188,31 +187,6 @@ class TestHillClimbParity:
         )
         assert actual_placement == expected_placement
         assert actual_cost == expected_cost
-
-    def test_fine_tune_with_extra_cost_matches_generic(self, crotonic):
-        circuit = _random_circuit(5, 15, 21)
-        placement = _random_placement(circuit, crotonic, 22)
-
-        def extra(candidate):
-            return 0.0 if candidate[0] == placement[0] else 500.0
-
-        tuned, tuned_cost = fine_tune_workspace_placement(
-            circuit, placement, crotonic,
-            allowed_nodes=list(crotonic.nodes), extra_cost=extra,
-        )
-        movable = sorted(
-            {q for gate in circuit if gate.is_two_qubit for q in gate.qubits},
-            key=repr,
-        )
-        base_cost = default_cost_function(circuit, crotonic)
-        reference, reference_cost = hill_climb(
-            placement,
-            lambda p: base_cost(p) + extra(p),
-            movable,
-            list(crotonic.nodes),
-        )
-        assert tuned == reference
-        assert tuned_cost == reference_cost
 
 
 class TestPlacerLevelParity:

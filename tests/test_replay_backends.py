@@ -1,17 +1,16 @@
 """Backend parity for the scheduler replay engine.
 
-The ``RuntimeEvaluator``'s numpy and native backends must be
-*bit-identical* to the pure Python reference on every code path — full
-evaluation, incremental tail replay, the branch-and-bound cutoff, and the
-``full_recompute`` debug mode — for randomized circuits, placements and
-moves.  These tests are the in-process half of that contract;
+The ``RuntimeEvaluator``'s native backend must be *bit-identical* to the
+pure Python reference on every code path — full evaluation, incremental
+tail replay, the branch-and-bound cutoff, and the ``full_recompute`` debug
+mode — for randomized circuits, placements and moves.  These tests are the in-process half of that contract;
 ``tests/test_determinism.py`` covers the cross-process
 (``PYTHONHASHSEED`` x backend) half and the benchmark harness gates the
 same property on the ``replay_*`` macro scenarios.
 
 The parity tests run over every backend available in this interpreter:
-``python`` always, ``numpy`` when importable, ``native`` when its kernel
-builds (a C compiler at first use; see ``repro/timing/_native.py``).
+``python`` always, ``native`` when its kernel builds (a C compiler at
+first use; see ``repro/timing/_native.py``).
 ``TestNativeHillClimb`` holds the native whole-climb entry point to the
 Python fine-tuning loop it replaces.
 """
@@ -34,25 +33,23 @@ from repro.core.fine_tuning import (
 )
 from repro.core.placement import place_circuit
 from repro.core.stats import STATS
-from repro.exceptions import ExperimentError, PlacementError, ReproError
+from repro.exceptions import (
+    ConfigError,
+    ExperimentError,
+    PlacementError,
+    ReproError,
+)
 from repro.hardware.molecules import histidine, trans_crotonic_acid
 from repro.registry import load_environment
 from repro.timing import _native, _replay
 from repro.timing.scheduler import RuntimeEvaluator, circuit_runtime
 
-needs_numpy = pytest.mark.skipif(
-    not _replay.NUMPY_AVAILABLE, reason="numpy is not importable"
-)
 needs_native = pytest.mark.skipif(
     not _native.available(), reason="native kernel does not build here"
 )
 
 #: Every backend the parity matrix can exercise in this interpreter.
-AVAILABLE_BACKENDS = (
-    ["python"]
-    + (["numpy"] if _replay.NUMPY_AVAILABLE else [])
-    + (["native"] if _native.available() else [])
-)
+AVAILABLE_BACKENDS = ["python"] + (["native"] if _native.available() else [])
 
 RELAXED = settings(
     max_examples=20,
@@ -96,6 +93,23 @@ def _evaluators(circuit, environment, cap, **kwargs):
     return evaluators
 
 
+#: Compiled op counts at which ``auto`` must resolve the same way: none,
+#: one, and far above any profitability floor.
+AUTO_OP_COUNTS = (0, 1, 10**4)
+
+
+def _auto_backends():
+    """The backend ``auto`` resolves to, alone and per evaluator op count."""
+    environment = trans_crotonic_acid()
+    resolved = [_replay.resolve_backend("auto")]
+    for num_ops in AUTO_OP_COUNTS:
+        circuit = QuantumCircuit(
+            [0, 1], [g.zz(0, 1, 90.0)] * num_ops, name=f"ops{num_ops}"
+        )
+        resolved.append(RuntimeEvaluator(circuit, environment).backend)
+    return resolved
+
+
 class TestResolveBackend:
     def test_explicit_choices_resolve_to_themselves(self):
         for backend in AVAILABLE_BACKENDS:
@@ -105,52 +119,45 @@ class TestResolveBackend:
         with pytest.raises(ReproError, match="unknown scheduler backend"):
             _replay.resolve_backend("fortran")
 
-    @needs_numpy
-    def test_auto_uses_profitability_thresholds(self, monkeypatch):
-        monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
-        # With the native kernel out of the picture, auto resolves exactly
-        # as before the native backend existed: numpy above its threshold,
-        # python below.
-        monkeypatch.setattr(_native, "available", lambda: False)
-        small = _replay.AUTO_NUMPY_MIN_OPS - 1
-        assert _replay.resolve_backend("auto", num_ops=small) == "python"
-        assert (
-            _replay.resolve_backend("auto", num_ops=_replay.AUTO_NUMPY_MIN_OPS)
-            == "numpy"
-        )
-        assert _replay.resolve_backend("auto", num_ops=None) == "numpy"
+    def test_numpy_request_without_numpy_rejected(self):
+        # No backend uses numpy: a stored "numpy" request is refused with
+        # the valid choices, which name auto.
+        with pytest.raises(ReproError,
+                           match="unknown scheduler backend 'numpy'.*'auto'"):
+            _replay.resolve_backend("numpy")
 
     @needs_native
     def test_auto_prefers_native_at_every_op_count(self, monkeypatch):
         monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
-        for num_ops in (0, 1, None):
-            assert _replay.resolve_backend("auto", num_ops=num_ops) == "native"
+        assert _auto_backends() == ["native"] * (1 + len(AUTO_OP_COUNTS))
 
-    @needs_numpy
+    def test_auto_without_numpy_or_native_falls_back(self, monkeypatch):
+        monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
+        monkeypatch.setattr(_native, "available", lambda: False)
+        assert _auto_backends() == ["python"] * (1 + len(AUTO_OP_COUNTS))
+
     def test_env_var_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "numpy")
-        assert _replay.resolve_backend("auto", num_ops=1) == "numpy"
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "python")
-        assert _replay.resolve_backend("auto", num_ops=10**6) == "python"
+        assert _replay.resolve_backend("auto") == "python"
+        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "auto")
+        monkeypatch.setattr(_native, "available", lambda: False)
+        assert _replay.resolve_backend("auto") == "python"
 
     @needs_native
     def test_env_var_selects_native(self, monkeypatch):
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
-        assert _replay.resolve_backend("auto", num_ops=1) == "native"
+        assert _replay.resolve_backend("auto") == "native"
 
     def test_env_var_does_not_override_explicit_request(self, monkeypatch):
-        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "numpy")
+        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
         assert _replay.resolve_backend("python") == "python"
 
     def test_invalid_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ReproError, match="REPRO_SCHEDULER_BACKEND"):
-            _replay.resolve_backend("auto")
-
-    def test_numpy_request_without_numpy_rejected(self, monkeypatch):
-        monkeypatch.setattr(_replay, "NUMPY_AVAILABLE", False)
-        with pytest.raises(ReproError, match="not importable"):
-            _replay.resolve_backend("numpy")
+        for value in ("cuda", "numpy"):
+            monkeypatch.setenv(_replay.BACKEND_ENV_VAR, value)
+            with pytest.raises(ConfigError,
+                               match="REPRO_SCHEDULER_BACKEND.*'auto'"):
+                _replay.resolve_backend("auto")
 
     def test_native_request_without_build_rejected(self, monkeypatch):
         monkeypatch.setattr(_native, "available", lambda: False)
@@ -163,31 +170,17 @@ class TestResolveBackend:
         # fail just as loudly — a misconfigured deployment, not a fallback.
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
         with pytest.raises(ReproError, match="no C compiler found"):
-            _replay.resolve_backend("auto", num_ops=10**6)
-
-    @needs_numpy
-    def test_auto_without_native_keeps_todays_resolution(self, monkeypatch):
-        monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(_native, "available", lambda: False)
-        assert _replay.resolve_backend("auto", num_ops=10**6) == "numpy"
-        assert _replay.resolve_backend("auto", num_ops=1) == "python"
-
-    def test_auto_without_numpy_or_native_falls_back(self, monkeypatch):
-        monkeypatch.delenv(_replay.BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(_replay, "NUMPY_AVAILABLE", False)
-        monkeypatch.setattr(_native, "available", lambda: False)
-        assert _replay.resolve_backend("auto", num_ops=10**6) == "python"
+            _replay.resolve_backend("auto")
 
     @pytest.mark.skipif(
         _native.available(), reason="native kernel builds on this host"
     )
     def test_pure_python_fallback_without_native_build(self):
-        # On hosts without a working toolchain, auto must silently keep
-        # the python/numpy resolution and the evaluator must stay fully
-        # functional on the pure-Python (or numpy) path.
+        # On hosts without a working toolchain, auto must silently resolve
+        # to python and the evaluator must stay fully functional on the
+        # pure-Python path.
         assert _native.unavailable_reason()
-        resolved = _replay.resolve_backend("auto", num_ops=10**6)
-        assert resolved in ("python", "numpy")
+        assert _replay.resolve_backend("auto") == "python"
         environment = trans_crotonic_acid()
         circuit = _random_circuit(4, 20, 7)
         placement = _random_placement(circuit, environment, 8)
@@ -246,8 +239,8 @@ class TestBackendParity:
                 expected = python.runtime_with(swap)
                 for evaluator in others:
                     assert evaluator.runtime_with(swap) == expected
-        # Replays must leave the base state intact (numpy scatters durations
-        # in place; native keeps per-qubit override flags).
+        # Replays must leave the base state intact (native keeps per-qubit
+        # override flags).
         first = circuit.qubits[0]
         for evaluator in others:
             assert evaluator.runtime_with({first: placement[first]}) == base
@@ -271,7 +264,7 @@ class TestBackendParity:
             evaluator.flush_stats()
             delta = STATS.delta_since(before)
             # The environment-level pair-matrix cache warms on the first
-            # array-backed evaluator and hits afterwards; that is backend
+            # native evaluator and hits afterwards; that is backend
             # metadata, not evaluation accounting.
             delta.pop("scheduler.pair_matrix_cache_hits", None)
             delta.pop("scheduler.pair_matrix_cache_misses", None)
@@ -294,29 +287,6 @@ class TestBackendParity:
         for qubit in circuit.qubits:
             for node in free:
                 evaluator.runtime_with({qubit: node})
-
-    @needs_numpy
-    def test_full_recompute_detects_divergence(self):
-        environment = trans_crotonic_acid()
-        circuit = _random_circuit(4, 20, 9)
-        placement = _random_placement(circuit, environment, 10)
-        evaluator = RuntimeEvaluator(
-            circuit, environment, backend="numpy", full_recompute=True
-        )
-        evaluator.set_base(placement)
-        # Corrupt the compiled pair delays in the numpy table only (the
-        # shared cached buffer is read-only, so rebind a doubled copy): the
-        # cross-backend assertion must catch the (synthetic) divergence.
-        evaluator._table.pair = evaluator._table.pair * 2.0
-        free = [n for n in environment.nodes if n not in set(placement.values())]
-        moved = {q for gate in circuit if gate.is_two_qubit for q in gate.qubits}
-        with pytest.raises(AssertionError):
-            for qubit in sorted(moved, key=repr):
-                for node in free:
-                    evaluator.runtime_with({qubit: node})
-        # Full evaluations are cross-checked too, not just incremental ones.
-        with pytest.raises(AssertionError, match="diverged"):
-            evaluator.set_base(placement)
 
     @needs_native
     def test_full_recompute_detects_native_divergence(self):
@@ -343,54 +313,20 @@ class TestBackendParity:
             assert evaluator.runtime_with({"a": "C4"}) == 0.0
 
 
-@needs_numpy
-class TestGatherCacheBound:
-    def test_cap_evicts_without_changing_results(self, monkeypatch):
-        environment = histidine()
-        circuit = _random_circuit(8, 60, 21)
-        placement = _random_placement(circuit, environment, 22)
-        reference = RuntimeEvaluator(circuit, environment, backend="numpy")
-        reference.set_base(placement)
-        rng = random.Random(5)
-        qubits = list(circuit.qubits)
-        swaps = []
-        for _ in range(40):
-            a, b = rng.sample(qubits, 2)
-            swaps.append({a: placement[b], b: placement[a]})
-        # Reference values under the default (un-hit) cap...
-        expected = [reference.runtime_with(swap) for swap in swaps]
-        assert 4 < len(reference._table._gather_cache) <= (
-            _replay.GATHER_CACHE_MAX_ENTRIES
-        )
-        # ...must be bit-identical under a cap small enough to churn.
-        monkeypatch.setattr(_replay, "GATHER_CACHE_MAX_ENTRIES", 4)
-        bounded = RuntimeEvaluator(circuit, environment, backend="numpy")
-        bounded.set_base(placement)
-        for swap, value in zip(swaps, expected):
-            assert bounded.runtime_with(swap) == value
-        assert len(bounded._table._gather_cache) <= 4
-        # Re-missing an evicted key recomputes the exact same arrays.
-        for swap, value in zip(swaps[:5], expected[:5]):
-            assert bounded.runtime_with(swap) == value
-
-
 class TestPairMatrixCache:
-    @needs_numpy
+    @needs_native
     def test_shared_across_evaluators_with_hit_counter(self, crotonic):
         crotonic.invalidate_caches()
         circuit = _random_circuit(5, 30, 13)
         before = STATS.snapshot()
-        first = RuntimeEvaluator(circuit, crotonic, backend="numpy")
-        second = RuntimeEvaluator(circuit, crotonic, backend="numpy")
+        first = RuntimeEvaluator(circuit, crotonic, backend="native")
+        second = RuntimeEvaluator(circuit, crotonic, backend="native")
         delta = STATS.delta_since(before)
         assert delta.get("scheduler.pair_matrix_cache_misses") == 1
         assert delta.get("scheduler.pair_matrix_cache_hits") == 1
-        # Zero-copy sharing: both tables view the same cached buffer.
-        assert (
-            first._table.pair.__array_interface__["data"][0]
-            == second._table.pair.__array_interface__["data"][0]
-        )
-        assert not first._table.pair.flags.writeable
+        # Zero-copy sharing: both kernels read the one cached buffer.
+        assert first._native._pair is crotonic.pair_delay_table()
+        assert second._native._pair is first._native._pair
 
     def test_recalibration_invalidates(self, crotonic):
         flat = crotonic.pair_delay_table()
@@ -440,8 +376,10 @@ class TestPlacerLevelBackendParity:
             assert results[backend] == results["python"]
 
     def test_invalid_backend_option_rejected(self):
-        with pytest.raises(PlacementError, match="scheduler_backend"):
-            PlacementOptions(scheduler_backend="gpu")
+        for name in ("gpu", "numpy"):
+            with pytest.raises(PlacementError,
+                               match="scheduler_backend.*'auto'"):
+                PlacementOptions(scheduler_backend=name)
 
     def test_native_backend_option_accepted(self):
         assert PlacementOptions(scheduler_backend="native").scheduler_backend == (
@@ -559,9 +497,7 @@ class TestNativeHillClimb:
             )
         assert outcomes["native"] == outcomes["python"]
 
-    def test_extra_cost_and_full_recompute_keep_the_python_loop(
-        self, monkeypatch
-    ):
+    def test_full_recompute_keeps_the_python_loop(self, monkeypatch):
         environment, circuit, placement, movable, allowed = _climb_case(
             "histidine", 5, False
         )
@@ -579,27 +515,15 @@ class TestNativeHillClimb:
                 allowed,
             )
 
-        def extra(candidate):
-            return 0.0 if candidate[movable[0]] == placement[movable[0]] else 7.0
-
         results = {}
         for backend in ("python", "native"):
-            results[backend] = (
-                hill_climb_incremental(
-                    placement,
-                    RuntimeEvaluator(circuit, environment, backend=backend),
-                    movable,
-                    allowed,
-                    extra_cost=extra,
-                ),
-                fine_tune_workspace_placement(
-                    circuit,
-                    placement,
-                    environment,
-                    allowed_nodes=allowed,
-                    full_recompute=True,
-                    backend=backend,
-                ),
+            results[backend] = fine_tune_workspace_placement(
+                circuit,
+                placement,
+                environment,
+                allowed_nodes=allowed,
+                full_recompute=True,
+                backend=backend,
             )
         assert results["native"] == results["python"]
 
