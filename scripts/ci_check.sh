@@ -7,9 +7,11 @@
 #      before any test process is spawned (docs/static-analysis.md);
 #   1. the tier-1 test suite (`pytest -x -q`; bench-marked tests excluded
 #      via pytest.ini);
-#   2. a 2-shard plan -> run -> merge round trip through the CLI, asserting
-#      the merged sweep table is byte-identical to the serial `sweep`
-#      output — the sharded pipeline's end-to-end contract;
+#   2. a 2-shard plan -> run -> merge round trip and a `sweep --jobs 2`
+#      run (its grid has 3 distinct cells, so the process pool runs)
+#      through the CLI, asserting both tables are byte-identical to the
+#      serial `sweep` output — the sharded pipeline's and the worker
+#      pool's end-to-end contract;
 #   3. a RunConfig round-trip smoke: a flag-based `place --output json` run
 #      re-described as a repro.config.RunConfig and re-run via `--config`
 #      must produce identical deterministic fields — the unified workload
@@ -59,7 +61,7 @@ fi
 echo "== 1/7 tier-1 test suite =="
 "$PYTHON" -m pytest -x -q
 
-echo "== 2/7 sharded plan -> run -> merge round trip =="
+echo "== 2/7 sharded plan -> run -> merge round trip and --jobs 2 sweep =="
 WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "$WORK_DIR"' EXIT
 
@@ -78,6 +80,12 @@ if ! diff "$WORK_DIR/serial.txt" "$WORK_DIR/merged.txt"; then
     exit 1
 fi
 echo "merged output byte-identical to serial sweep"
+"$PYTHON" -m repro.cli sweep "${SWEEP_ARGS[@]}" --jobs 2 > "$WORK_DIR/jobs2.txt"
+if ! diff "$WORK_DIR/serial.txt" "$WORK_DIR/jobs2.txt"; then
+    echo "FAIL: sweep --jobs 2 output differs from the serial sweep" >&2
+    exit 1
+fi
+echo "sweep --jobs 2 output byte-identical to serial sweep"
 
 echo "== 3/7 run-config round-trip smoke =="
 "$PYTHON" -m repro.cli place error-correction-encoding acetyl-chloride \

@@ -113,17 +113,10 @@ def run_table2(
         for index, row in enumerate(TABLE2_ROWS)
     ]
     runner = runner or ExperimentRunner(jobs=jobs)
-    if on_result is None:
-        outcomes = runner.run(specs)
-        return [
-            _result_from_outcome(row, outcome)
-            for row, outcome in zip(TABLE2_ROWS, outcomes)
-        ]
-    return runner.run_ordered(
+    return runner.run(
         specs,
         build=lambda outcome: _result_from_outcome(
             TABLE2_ROWS[outcome.index], outcome
         ),
         on_item=on_result,
-        what="table 2 run",
     )

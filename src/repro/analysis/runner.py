@@ -15,17 +15,14 @@ task-graph abstraction instead of three hand-rolled serial loops:
 
 :class:`ExperimentRunner`
     Executes a cell list either serially (``jobs=1``, in-process, no
-    pickling) or on a ``concurrent.futures.ProcessPoolExecutor``.  The
-    parallel path preserves three invariants the experiment harnesses rely
-    on:
+    pickling) or on a ``concurrent.futures.ProcessPoolExecutor`` whose
+    workers call each spec's factories exactly as the serial loop does.
+    The parallel path preserves two invariants the experiment harnesses
+    rely on:
 
-    * **deterministic result ordering** — outcomes are returned in spec
-      order regardless of worker completion order;
-    * **per-worker environment-cache warmup** — each worker instantiates
-      every distinct environment once (keyed by the spec's environment
-      factory) and pre-builds its adjacency graphs at the grid's
-      thresholds, so per-cell work inside a worker hits warm caches just
-      like the serial loop does;
+    * **deterministic result ordering** — :meth:`ExperimentRunner.run`
+      returns outcomes in spec order regardless of worker completion
+      order;
     * **counter aggregation** — each cell's :data:`repro.core.stats.STATS`
       delta is measured inside the worker, shipped back with the outcome
       and merged into the parent registry, so the coordinating process
@@ -38,14 +35,11 @@ byte-identical deterministic fields to the same grid at ``jobs=1`` — wall
 times (:attr:`ExperimentOutcome.software_runtime_seconds`) are the only
 machine-dependent fields.
 
-Two fronts extend the runner beyond one blocking local call:
-
-* **streaming** — :meth:`ExperimentRunner.iter_outcomes` yields outcomes
-  as cells complete, so harnesses can render rows incrementally;
-* **sharding** — :meth:`ExperimentRunner.run` itself is the degenerate
-  one-shard case of the plan → execute → merge pipeline in
-  :mod:`repro.analysis.sharding`, which splits a grid into shards that
-  execute on any host and merge back bit-identically.
+A grid executes one way: :meth:`ExperimentRunner.iter_outcomes` yields
+outcomes as cells complete, so harnesses can render rows incrementally,
+and :meth:`ExperimentRunner.run` collects that stream in spec order.  The
+sharding layer (:mod:`repro.analysis.sharding`) streams each shard's
+cells through the same :meth:`~ExperimentRunner.iter_outcomes`.
 
 The scheduler's evaluation backend is likewise an execution detail: cells
 carry it in their :class:`~repro.core.config.PlacementOptions`
@@ -68,22 +62,12 @@ the serial/pool paths below run exactly as before.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import benchmark_circuit
@@ -110,10 +94,8 @@ class ExperimentSpec:
         Zero-argument callable building a fresh :class:`QuantumCircuit`.
     environment_factory:
         Zero-argument callable building (or returning) the
-        :class:`PhysicalEnvironment`.  Workers cache the built environment
-        per factory (see :func:`environment_cache_key`), so all cells of a
-        grid sharing one factory share one environment object — and its
-        threshold-graph caches — within each worker process.
+        :class:`PhysicalEnvironment`; every cell calls it, in-process or
+        in a worker.
     threshold:
         Optional threshold override; when set, the cell runs with
         ``options.replace(threshold=threshold)``.
@@ -206,68 +188,14 @@ class ExperimentOutcome:
 # ---------------------------------------------------------------------------
 
 
-class _EnvironmentRef:
-    """Worker-side stand-in for an environment registered by the initializer.
-
-    Parallel runs ship each distinct constant environment to every worker
-    exactly once (through the pool initializer); the per-cell specs then
-    carry this reference — just a token — instead of re-pickling the whole
-    delay table with every submitted cell.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Hashable) -> None:
-        self.key = key
-
-    def __call__(self) -> PhysicalEnvironment:
-        environment = _ENVIRONMENT_CACHE.get(self.key)
-        if environment is None:  # pragma: no cover - initializer always runs first
-            raise ExperimentError(
-                f"environment reference {self.key!r} is not registered in this "
-                "process; references are only valid inside ExperimentRunner "
-                "worker processes"
-            )
-        return environment
-
-
 class _ConstantEnvironmentFactory:
-    """Wrap an existing environment object as a picklable factory.
-
-    The wrapper remembers a stable ``token`` minted in the parent process,
-    so every pickled copy of the same wrapper compares (and hashes) equal;
-    parallel runs use the token to ship the environment once per worker
-    (see :class:`_EnvironmentRef`) and to share it — caches and all —
-    across every cell of the grid (see :func:`environment_cache_key`).
-    """
-
-    __slots__ = ("environment", "token")
-
-    _tokens = itertools.count()
+    """Wrap an existing environment object as a picklable factory."""
 
     def __init__(self, environment: PhysicalEnvironment) -> None:
         self.environment = environment
-        self.token = (environment.name, next(self._tokens))
 
     def __call__(self) -> PhysicalEnvironment:
         return self.environment
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _ConstantEnvironmentFactory):
-            return NotImplemented
-        return self.token == other.token
-
-    def __hash__(self) -> int:
-        return hash(self.token)
-
-    def __getstate__(self) -> Tuple[PhysicalEnvironment, Tuple]:
-        return (self.environment, self.token)
-
-    def __setstate__(self, state: Tuple[PhysicalEnvironment, Tuple]) -> None:
-        self.environment, self.token = state
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"constant_environment({self.environment!r})"
 
 
 def constant_environment(
@@ -295,79 +223,16 @@ def molecule_factory(name: str) -> Callable[[], PhysicalEnvironment]:
     return partial(molecule, name)
 
 
-def environment_cache_key(
-    factory: Callable[[], PhysicalEnvironment],
-) -> Optional[Hashable]:
-    """Worker-side cache key for a spec's environment factory.
-
-    Module-level functions hash by identity (stable across pickling, since
-    they are pickled by reference), ``functools.partial`` objects are keyed
-    by their function and arguments, and :func:`constant_environment`
-    wrappers carry an explicit token.  Unhashable factories (or partials
-    over unhashable arguments) return ``None`` — their cells build a fresh
-    environment each time.
-    """
-    if isinstance(factory, _EnvironmentRef):
-        return factory.key
-    if isinstance(factory, _ConstantEnvironmentFactory):
-        # The token, not the wrapper object: _EnvironmentRef cells and the
-        # initializer's registration must resolve to the same cache slot.
-        return factory.token
-    if isinstance(factory, partial):
-        try:
-            key = (
-                factory.func,
-                factory.args,
-                tuple(sorted(factory.keywords.items())),
-            )
-            # Hashability probe for a worker-local dict key; the key never
-            # leaves the process or reaches a serialised payload.
-            hash(key)  # repro: allow[DET003]
-            return key
-        except TypeError:
-            return None
-    try:
-        hash(factory)  # repro: allow[DET003]
-    except TypeError:
-        return None
-    return factory
-
-
 # ---------------------------------------------------------------------------
 # Cell execution (runs in workers for parallel grids)
 # ---------------------------------------------------------------------------
-
-#: Per-worker environment instances, keyed by :func:`environment_cache_key`.
-#: Only populated inside pool workers (see ``_in_worker``): there, each
-#: cell's spec arrives as its own unpickled copy, so keying by factory lets
-#: all cells of a grid share one environment — and its warm caches — per
-#: worker.  The parent/serial path calls factories directly instead: its
-#: factories already return the caller's own objects, and caching them here
-#: would grow an unbounded registry across harness calls in long-lived
-#: processes.
-_ENVIRONMENT_CACHE: Dict[Hashable, PhysicalEnvironment] = {}
-
-_in_worker = False
-
-
-def _environment_for(spec: ExperimentSpec) -> PhysicalEnvironment:
-    if not _in_worker:
-        return spec.environment_factory()
-    key = environment_cache_key(spec.environment_factory)
-    if key is None:
-        return spec.environment_factory()
-    environment = _ENVIRONMENT_CACHE.get(key)
-    if environment is None:
-        environment = spec.environment_factory()
-        _ENVIRONMENT_CACHE[key] = environment
-    return environment
 
 
 def _execute_cell(payload: Tuple[int, ExperimentSpec]) -> ExperimentOutcome:
     """Run one cell and package its outcome (module-level: picklable)."""
     index, spec = payload
     circuit = spec.circuit_factory()
-    environment = _environment_for(spec)
+    environment = spec.environment_factory()
     before = STATS.snapshot()
     start = time.perf_counter()
     feasible = True
@@ -406,49 +271,6 @@ def _execute_cell(payload: Tuple[int, ExperimentSpec]) -> ExperimentOutcome:
     )
 
 
-def _initialize_worker(
-    entries: Sequence[Tuple[Callable[[], PhysicalEnvironment], Tuple[Optional[float], ...]]],
-    warm_graphs: bool,
-) -> None:
-    """Process-pool initializer: register environments, pre-build hot caches.
-
-    Runs once per worker before any cell.  Registration makes every keyed
-    environment available to cells that carry only an
-    :class:`_EnvironmentRef`; with ``warm_graphs`` the adjacency (and
-    largest-component) graphs are built too, so the first cell a worker
-    receives behaves like a mid-sweep cell in the serial loop — warm
-    caches, same counters-per-cell profile across workers.
-    """
-    global _in_worker
-    # Deliberate per-worker state: the flag and the environment cache are
-    # each process's private warm-up, never merged back — outcomes flow
-    # through return values and STATS deltas only.
-    _in_worker = True  # repro: allow[PAR002]
-    for factory, thresholds in entries:
-        key = environment_cache_key(factory)
-        if key is None:
-            continue
-        environment = _ENVIRONMENT_CACHE.get(key)
-        if environment is None:
-            environment = factory()
-            _ENVIRONMENT_CACHE[key] = environment  # repro: allow[PAR002]
-        if not warm_graphs:
-            continue
-        for threshold in thresholds:
-            try:
-                value = (
-                    environment.minimal_connecting_threshold()
-                    if threshold is None
-                    else threshold
-                )
-                environment.adjacency_graph(value)
-                environment.largest_component_graph(value)
-            except Exception:  # repro: allow[ROB002]
-                # Warmup is best-effort: an infeasible threshold fails again
-                # (and is reported) when its cell actually runs.
-                continue
-
-
 # ---------------------------------------------------------------------------
 # The runner
 # ---------------------------------------------------------------------------
@@ -468,9 +290,6 @@ class ExperimentRunner:
         ``(completed_count, total, outcome)``.  In parallel runs it fires
         in completion order (which is nondeterministic); the *returned*
         outcome list is always in spec order.
-    warmup:
-        Pre-build per-worker environment caches before the first cell
-        (parallel runs only; the serial path warms caches naturally).
     scheduler_backend:
         When set (``"auto"``/``"python"``/``"native"``), override every
         cell's ``options.scheduler_backend`` for this run — the
@@ -493,7 +312,6 @@ class ExperimentRunner:
         self,
         jobs: int = 1,
         progress: Optional[ProgressCallback] = None,
-        warmup: bool = True,
         scheduler_backend: Optional[str] = None,
         retry_policy: Optional["object"] = None,
     ) -> None:
@@ -517,38 +335,59 @@ class ExperimentRunner:
                 )
         self.jobs = int(jobs)
         self.progress = progress
-        self.warmup = warmup
         self.scheduler_backend = scheduler_backend
         self.retry_policy = retry_policy
 
-    def run(self, specs: Sequence[ExperimentSpec]) -> List[ExperimentOutcome]:
-        """Execute every cell and return outcomes in spec order.
+    def run(
+        self,
+        specs: Sequence[ExperimentSpec],
+        build: Optional[Callable[[ExperimentOutcome], object]] = None,
+        on_item: Optional[Callable[[object], None]] = None,
+    ) -> List:
+        """Execute every cell and return the results in spec order.
 
-        Local execution is the degenerate one-shard case of the sharded
-        plan → execute → merge pipeline (:mod:`repro.analysis.sharding`):
-        the grid becomes a one-shard plan, the shard executes in-process
-        (serially or over local workers, per ``jobs``), and the merge
-        step's verification — every cell accounted for exactly once —
-        replaces the old ad-hoc missing-outcome check.  A grid split
-        into real shards and merged back goes through exactly this path,
-        which is why the two are byte-identical.
+        Collects :meth:`iter_outcomes`: each outcome is passed through
+        ``build`` (identity when ``None``) as soon as its cell completes —
+        completion order for parallel runs — ``on_item`` fires with the
+        built item, and the returned list is re-assembled in spec order
+        via ``outcome.index``.
         """
-        from repro.analysis import sharding
+        specs = list(specs)
+        results: List = [None] * len(specs)
+        for outcome in self.iter_outcomes(specs):
+            item = build(outcome) if build is not None else outcome
+            results[outcome.index] = item
+            if on_item is not None:
+                on_item(item)
+        return results
+
+    def iter_outcomes(
+        self,
+        specs: Sequence[ExperimentSpec],
+        global_indices: Optional[Sequence[int]] = None,
+    ) -> Iterator[ExperimentOutcome]:
+        """Stream outcomes as cells complete (the ``as_completed`` front end).
+
+        Yields every cell's outcome as soon as it is available — in spec
+        order for serial runs, in completion order for parallel runs
+        (``outcome.index``, the cell's position in ``specs``, identifies
+        it either way).  The ``progress`` callback, if any, fires once per
+        yielded outcome.  ``global_indices`` maps each spec position to
+        its grid-global cell index: shard workers pass their slice of the
+        plan so retry backoff and fault injection key on the *global*
+        grid, making the resilient path invariant to how the grid was
+        sharded.
+
+        Resilient execution (per-attempt processes, retries, timeouts)
+        engages only when the runner carries a non-no-op retry policy or
+        a fault injector is active; otherwise cells run on the plain
+        serial or pool path.
+        """
+        from repro.analysis import resilience
 
         specs = list(specs)
         if not specs:
-            return []
-        plan = sharding.ShardPlan.build(
-            specs, num_shards=1, compute_fingerprint=False
-        )
-        shard = sharding.execute_shard(plan.shard_input(0), runner=self)
-        return sharding.merge_shards([shard], plan=plan).outcomes
-
-    def prepared_specs(
-        self, specs: Sequence[ExperimentSpec]
-    ) -> List[ExperimentSpec]:
-        """The spec list with this runner's whole-grid overrides applied."""
-        specs = list(specs)
+            return
         if self.scheduler_backend is not None:
             specs = [
                 dataclasses.replace(
@@ -559,103 +398,6 @@ class ExperimentRunner:
                 )
                 for spec in specs
             ]
-        return specs
-
-    def iter_outcomes(
-        self, specs: Sequence[ExperimentSpec]
-    ) -> Iterator[ExperimentOutcome]:
-        """Stream outcomes as cells complete (the ``as_completed`` front end).
-
-        Yields every cell's outcome as soon as it is available — in spec
-        order for serial runs, in completion order for parallel runs
-        (``outcome.index`` identifies the cell either way).  The
-        ``progress`` callback, if any, still fires once per yielded
-        outcome.  Harnesses use this to render rows incrementally instead
-        of blocking on the full grid; collecting and sorting the iterator
-        is exactly :meth:`run` minus the merge-step verification.
-        """
-        specs = self.prepared_specs(specs)
-        if not specs:
-            return
-        yield from self._iter_prepared(specs)
-
-    def run_ordered(
-        self,
-        specs: Sequence[ExperimentSpec],
-        build: Optional[Callable[[ExperimentOutcome], object]] = None,
-        on_item: Optional[Callable[[object], None]] = None,
-        what: str = "experiment grid",
-    ) -> List:
-        """Stream the grid, transform each outcome, return spec-order results.
-
-        The shared collect loop of the streaming harnesses: each outcome
-        is passed through ``build`` (identity when ``None``) as soon as
-        its cell completes — completion order for parallel runs —
-        ``on_item`` fires with the built item, and the returned list is
-        re-assembled in spec order via ``outcome.index``.  A cell that
-        produced no outcome raises :class:`ExperimentError` (``what``
-        names the caller in the message) rather than returning a
-        misaligned list.
-        """
-        specs = list(specs)
-        results: List = [None] * len(specs)
-        for outcome in self.iter_outcomes(specs):
-            item = build(outcome) if build is not None else outcome
-            results[outcome.index] = item
-            if on_item is not None:
-                on_item(item)
-        missing = [index for index, item in enumerate(results) if item is None]
-        if missing:  # pragma: no cover - cells either return or raise
-            raise ExperimentError(
-                f"{what} returned no outcome for cell(s) {missing}; "
-                "refusing to return a misaligned result list"
-            )
-        return results
-
-    def execute_prepared(
-        self,
-        specs: Sequence[ExperimentSpec],
-        global_indices: Optional[Sequence[int]] = None,
-    ) -> List[ExperimentOutcome]:
-        """Execute already-prepared specs and order outcomes by cell index.
-
-        The execution core shared by :func:`repro.analysis.sharding.execute_shard`
-        and (through it) :meth:`run`; callers outside the sharding
-        pipeline should use :meth:`run` or :meth:`iter_outcomes`.
-        ``global_indices`` maps each spec position to its grid-global cell
-        index — shard workers pass their slice of the plan so retry
-        backoff and fault injection key on the *global* grid, making the
-        resilient path invariant to how the grid was sharded.
-        """
-        specs = list(specs)
-        outcomes: List[Optional[ExperimentOutcome]] = [None] * len(specs)
-        if not specs:
-            return []
-        for outcome in self._iter_prepared(specs, global_indices=global_indices):
-            outcomes[outcome.index] = outcome
-        missing = [index for index, outcome in enumerate(outcomes) if outcome is None]
-        if missing:  # pragma: no cover - cells either return or raise
-            raise ExperimentError(
-                f"execution returned no outcome for cell(s) {missing}; "
-                "refusing to return a misaligned result list"
-            )
-        return outcomes
-
-    def _iter_prepared(
-        self,
-        specs: List[ExperimentSpec],
-        global_indices: Optional[Sequence[int]] = None,
-    ) -> Iterator[ExperimentOutcome]:
-        """Route prepared specs to the right execution path.
-
-        Resilient execution (per-attempt processes, retries, timeouts)
-        engages only when the runner carries a non-no-op retry policy or
-        a fault injector is active; otherwise the original serial and
-        pool paths run untouched, preserving their performance profile
-        and counter semantics exactly.
-        """
-        from repro.analysis import resilience
-
         injector = resilience.active_fault_injector()
         policy = self.retry_policy
         if (policy is not None and not policy.is_noop) or injector is not None:
@@ -706,74 +448,15 @@ class ExperimentRunner:
                     "or run with jobs=1"
                 ) from exc
 
-    def _warmup_entries(
-        self, specs: List[ExperimentSpec]
-    ) -> List[Tuple[Callable[[], PhysicalEnvironment], Tuple[Optional[float], ...]]]:
-        """Initializer entries: environments worth shipping to every worker.
-
-        Warmup runs in *every* worker, so it only pays off for environments
-        shared by multiple cells; a single-cell environment is built lazily
-        by whichever worker receives its cell.  Constant-environment
-        factories are always included (cells reference them by token, so
-        each worker must register them) but get graph warmup only when
-        shared.
-        """
-        grouped: Dict[Hashable, Tuple[Callable, Dict[Optional[float], None]]] = {}
-        counts: Dict[Hashable, int] = {}
-        for spec in specs:
-            key = environment_cache_key(spec.environment_factory)
-            if key is None:
-                continue
-            factory, thresholds = grouped.setdefault(
-                key, (spec.environment_factory, {})
-            )
-            thresholds.setdefault(spec.resolved_options().threshold)
-            counts[key] = counts.get(key, 0) + 1
-        entries = []
-        for key, (factory, thresholds) in grouped.items():
-            shared = counts[key] > 1
-            if isinstance(factory, _ConstantEnvironmentFactory):
-                entries.append((factory, tuple(thresholds) if shared else ()))
-            elif shared:
-                entries.append((factory, tuple(thresholds)))
-        return entries
-
-    @staticmethod
-    def _lighten(specs: List[ExperimentSpec]) -> List[ExperimentSpec]:
-        """Swap constant-environment factories for per-cell references.
-
-        The environments themselves travel once per worker in the
-        initializer entries; the submitted cells then carry only a token.
-        """
-        light: List[ExperimentSpec] = []
-        for spec in specs:
-            factory = spec.environment_factory
-            if isinstance(factory, _ConstantEnvironmentFactory):
-                spec = dataclasses.replace(
-                    spec, environment_factory=_EnvironmentRef(factory.token)
-                )
-            light.append(spec)
-        return light
-
     def _iter_parallel(
         self, specs: List[ExperimentSpec]
     ) -> Iterator[ExperimentOutcome]:
         total = len(specs)
-        workers = min(self.jobs, total)
-        # Entries are always shipped: they register keyed environments in
-        # each worker (required by _EnvironmentRef cells); self.warmup only
-        # controls whether derived graphs are pre-built on top.
-        entries = self._warmup_entries(specs)
-        light_specs = self._lighten(specs)
-        self._check_picklable(light_specs)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_initialize_worker,
-            initargs=(entries, self.warmup),
-        ) as pool:
+        self._check_picklable(specs)
+        with ProcessPoolExecutor(max_workers=min(self.jobs, total)) as pool:
             pending = {
                 pool.submit(_execute_cell, (index, spec))
-                for index, spec in enumerate(light_specs)
+                for index, spec in enumerate(specs)
             }
             completed = 0
             try:

@@ -112,19 +112,12 @@ def run_scalability_sweep(
         for num_qubits in qubit_counts
     ]
     runner = runner or ExperimentRunner(jobs=jobs)
-    if on_record is None:
-        outcomes = runner.run(specs)
-        return [
-            _record_from_outcome(num_qubits, outcome)
-            for num_qubits, outcome in zip(qubit_counts, outcomes)
-        ]
-    return runner.run_ordered(
+    return runner.run(
         specs,
         build=lambda outcome: _record_from_outcome(
             qubit_counts[outcome.index], outcome
         ),
         on_item=on_record,
-        what="scalability sweep",
     )
 
 

@@ -38,11 +38,6 @@ run in different processes on different machines:
     exactly what ``ExperimentRunner.run`` on the whole grid returns —
     deterministic fields byte-identical, wall times shard-local.
 
-Local execution is the degenerate case of the same path:
-``ExperimentRunner.run`` builds a one-shard plan, executes it in place
-and merges it, so there is a single execution pipeline whether a grid
-runs in-process, over local workers, or across hosts.
-
 Determinism contract: because the placement pipeline is hash-seed
 deterministic end to end (``docs/parallelism.md``), the merged grid's
 deterministic fields (everything except ``software_runtime_seconds`` and
@@ -250,7 +245,6 @@ class ShardPlan:
         specs: Sequence[ExperimentSpec],
         num_shards: int,
         strategy: str = "round-robin",
-        compute_fingerprint: bool = True,
         config: Optional["RunConfig"] = None,
     ) -> "ShardPlan":
         """Partition ``specs`` into ``num_shards`` deterministic shards.
@@ -261,10 +255,8 @@ class ShardPlan:
         cells first (cost estimated from the built circuit's gate and
         qubit counts) to the least-loaded shard, with index and
         shard-number tie-breaks so the result is a pure function of the
-        grid.  ``compute_fingerprint=False`` skips the grid hash — used
-        by the local degenerate one-shard path, where the plan never
-        leaves the process.  ``config`` embeds the run description in the
-        plan and its shard files.
+        grid.  ``config`` embeds the run description in the plan and its
+        shard files.
         """
         specs = tuple(specs)
         if num_shards < 1:
@@ -278,16 +270,11 @@ class ShardPlan:
                 f"shard strategy {strategy!r} produced {len(buckets)} "
                 f"bucket(s) for {num_shards} shard(s)"
             )
-        fingerprint = (
-            grid_fingerprint(specs)
-            if compute_fingerprint
-            else f"local:{len(specs)}"
-        )
         return cls(
             specs=specs,
             assignments=tuple(tuple(sorted(bucket)) for bucket in buckets),
             strategy=strategy,
-            fingerprint=fingerprint,
+            fingerprint=grid_fingerprint(specs),
             config=config,
         )
 
@@ -307,10 +294,6 @@ class ShardPlan:
             specs=tuple(self.specs[index] for index in indices),
             config=self.config,
         )
-
-    def shard_inputs(self) -> List[ShardInput]:
-        """All shard inputs, in shard order."""
-        return [self.shard_input(index) for index in range(self.num_shards)]
 
     def metadata(self) -> Dict[str, Any]:
         """JSON-safe plan description (everything but the specs)."""
@@ -366,13 +349,6 @@ def write_shard(shard: ShardInput, path: str) -> None:
     :func:`read_shard` detects a file corrupted after writing instead of
     unpickling garbage.
     """
-    if shard.plan_fingerprint.startswith("local:"):
-        raise ExperimentError(
-            "refusing to write a shard of a plan built with "
-            "compute_fingerprint=False: its 'local:<N>' fingerprint is not "
-            "grid-specific, so merge_shards could silently combine shards "
-            "of different grids; build the plan with its real fingerprint"
-        )
     try:
         shard_blob = pickle.dumps(shard, protocol=_PICKLE_PROTOCOL)
     except Exception as exc:
@@ -563,16 +539,16 @@ def execute_shard(
     aggregate counters match an uninterrupted execution.
     """
     runner = runner or ExperimentRunner()
-    specs = runner.prepared_specs(shard.specs)
     resumed: Dict[int, ExperimentOutcome] = {}
     header_valid = False
     if checkpoint_path is not None:
         resumed, header_valid = load_shard_checkpoint(checkpoint_path, shard)
     pending = [
-        position
-        for position, global_index in enumerate(shard.indices)
+        (global_index, spec)
+        for global_index, spec in zip(shard.indices, shard.specs)
         if global_index not in resumed
     ]
+    run_globals = [global_index for global_index, _ in pending]
     collected: Dict[int, ExperimentOutcome] = dict(resumed)
     before = STATS.snapshot()
     handle: Optional[TextIO] = None
@@ -591,20 +567,17 @@ def execute_shard(
                     "shard_index": shard.shard_index,
                     "num_shards": shard.num_shards,
                 })
-        if pending:
-            run_specs = [specs[position] for position in pending]
-            run_globals = [shard.indices[position] for position in pending]
-            for outcome in runner._iter_prepared(
-                run_specs, global_indices=run_globals
-            ):
-                global_index = run_globals[outcome.index]
-                outcome.index = global_index
-                collected[global_index] = outcome
-                if handle is not None:
-                    _append_checkpoint_line(handle, {
-                        "index": global_index,
-                        "row": outcome_to_dict(outcome),
-                    })
+        for outcome in runner.iter_outcomes(
+            [spec for _, spec in pending], global_indices=run_globals
+        ):
+            global_index = run_globals[outcome.index]
+            outcome.index = global_index
+            collected[global_index] = outcome
+            if handle is not None:
+                _append_checkpoint_line(handle, {
+                    "index": global_index,
+                    "row": outcome_to_dict(outcome),
+                })
     finally:
         if handle is not None:
             handle.close()
@@ -615,15 +588,6 @@ def execute_shard(
         for outcome in resumed.values():
             folded.merge(outcome.counters)
         counters = folded.snapshot()
-    missing = [
-        global_index for global_index in shard.indices
-        if global_index not in collected
-    ]
-    if missing:  # pragma: no cover - cells either return or raise
-        raise ExperimentError(
-            f"shard {shard.shard_index} execution returned no outcome for "
-            f"cell(s) {missing}"
-        )
     return OutcomeShard(
         plan_fingerprint=shard.plan_fingerprint,
         shard_index=shard.shard_index,

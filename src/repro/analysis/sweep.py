@@ -281,7 +281,7 @@ def _run_sweep_grid(
                     )
                 )
 
-        outcomes = runner.run_ordered(all_specs, on_item=handle, what="sweep grid")
+        outcomes = runner.run(all_specs, on_item=handle)
     return [
         row_from_outcomes(
             outcomes, cell_index, thresholds, circuit_name, environment_name

@@ -51,7 +51,7 @@ from repro.analysis.runner import (
 )
 from repro.analysis.serialization import outcome_to_dict, outcomes_payload
 from repro.analysis.sweep import SweepRow, build_sweep_specs, row_from_outcomes
-from repro.config import RunConfig
+from repro.config import RunConfig, check_execution
 from repro.core.result import PlacementResult
 from repro.core.stats import STATS
 from repro.exceptions import ConfigError
@@ -61,7 +61,6 @@ from repro.registry import load_circuit, load_environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.analysis.experiments import Table2Result
-    from repro.analysis.resilience import RetryPolicy
     from repro.analysis.scalability import ScalabilityRecord
     from repro.analysis.sweep import SweepCell
     from repro.core.config import PlacementOptions
@@ -94,6 +93,36 @@ def sweep_payload(
     if fingerprint is not None:
         payload["plan_fingerprint"] = fingerprint
     return payload
+
+
+def build_runner(
+    jobs: int = 1,
+    retries: int = 0,
+    cell_timeout: Optional[float] = None,
+    progress: Optional[ProgressCallback] = None,
+    scheduler_backend: Optional[str] = None,
+) -> ExperimentRunner:
+    """The :class:`ExperimentRunner` for one execution shape.
+
+    ``jobs``, ``retries`` and ``cell_timeout`` are checked with
+    :class:`RunConfig`'s rules and messages (:class:`ConfigError`).  With
+    no retries and no timeout the runner gets no
+    :class:`~repro.analysis.resilience.RetryPolicy` and keeps its plain
+    serial/pool paths; ``retries`` counts *re*-executions, so the policy
+    allows ``retries + 1`` attempts per cell.
+    """
+    cell_timeout = check_execution(jobs, retries, cell_timeout)
+    policy = None
+    if retries or cell_timeout is not None:
+        from repro.analysis.resilience import RetryPolicy
+
+        policy = RetryPolicy(max_attempts=retries + 1, cell_timeout=cell_timeout)
+    return ExperimentRunner(
+        jobs=jobs,
+        progress=progress,
+        scheduler_backend=scheduler_backend,
+        retry_policy=policy,
+    )
 
 
 def sweep_table_text(row: SweepRow) -> str:
@@ -193,10 +222,10 @@ class SweepResult:
 class SweepGrid:
     """The flattened sweep grid of one config, before execution.
 
-    ``backend`` is the whole-grid scheduler-backend override extracted
-    from the config's options: the specs themselves stay on ``"auto"`` so
-    that plans (and their fingerprints) are identical whatever backend an
-    invocation selects — backends are bit-identical by contract.
+    The specs stay on the ``"auto"`` scheduler backend, so that plans (and
+    their fingerprints) are identical whatever backend an invocation
+    selects — backends are bit-identical by contract; the config's backend
+    reaches the cells as :meth:`Session.runner`'s whole-grid override.
     """
 
     environment: PhysicalEnvironment
@@ -204,7 +233,6 @@ class SweepGrid:
     circuit_name: str
     specs: List[ExperimentSpec]
     cell_index: List[int]
-    backend: Optional[str]
 
 
 # ---------------------------------------------------------------------------
@@ -271,30 +299,14 @@ class Session:
         backend = self.config.options.scheduler_backend
         return None if backend == "auto" else backend
 
-    def retry_policy(self) -> "Optional[RetryPolicy]":
-        """The config's :class:`~repro.analysis.resilience.RetryPolicy`.
-
-        ``None`` when the config asks for no resilience (``retries=0``
-        and no ``cell_timeout``) — runners then keep their plain
-        serial/pool execution paths.  ``retries`` counts *re*-executions,
-        so the policy allows ``retries + 1`` total attempts per cell.
-        """
-        if self.config.retries == 0 and self.config.cell_timeout is None:
-            return None
-        from repro.analysis.resilience import RetryPolicy
-
-        return RetryPolicy(
-            max_attempts=self.config.retries + 1,
-            cell_timeout=self.config.cell_timeout,
-        )
-
     def runner(self) -> ExperimentRunner:
         """An :class:`ExperimentRunner` shaped by this config."""
-        return ExperimentRunner(
-            jobs=self.config.jobs,
+        return build_runner(
+            self.config.jobs,
+            self.config.retries,
+            self.config.cell_timeout,
             progress=self.progress,
             scheduler_backend=self.backend_override(),
-            retry_policy=self.retry_policy(),
         )
 
     def run(
@@ -343,7 +355,7 @@ class Session:
         Factories are module-level loader partials, so specs — and
         therefore the plan fingerprint — serialise identically in any
         process; the scheduler backend is kept *out* of the specs (they
-        stay on ``"auto"``) and carried as the grid's runner override.
+        stay on ``"auto"``) and applied by :meth:`runner`.
         """
         environment = load_environment(self.config.environment)
         thresholds = [
@@ -367,23 +379,13 @@ class Session:
             circuit_name=circuit_name,
             specs=specs,
             cell_index=cell_index,
-            backend=self.backend_override(),
-        )
-
-    def grid_runner(self, grid: SweepGrid) -> ExperimentRunner:
-        """The runner for one built grid (its backend override applied)."""
-        return ExperimentRunner(
-            jobs=self.config.jobs,
-            progress=self.progress,
-            scheduler_backend=grid.backend,
-            retry_policy=self.retry_policy(),
         )
 
     def sweep(self, grid: Optional[SweepGrid] = None) -> SweepResult:
         """Run the whole threshold sweep and assemble its Table-3 row."""
         grid = grid or self.sweep_grid()
         before = STATS.snapshot()
-        outcomes = self.grid_runner(grid).run(grid.specs)
+        outcomes = self.runner().run(grid.specs)
         counters = STATS.delta_since(before)
         row = row_from_outcomes(
             outcomes,
@@ -438,9 +440,7 @@ class Session:
             )
         grid = grid or self.sweep_grid()
         plan = self.shard_plan(grid=grid)
-        return sharding.execute_shard(
-            plan.shard_input(index), self.grid_runner(grid)
-        )
+        return sharding.execute_shard(plan.shard_input(index), self.runner())
 
     # -- table harnesses -----------------------------------------------------
 

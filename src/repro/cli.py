@@ -78,7 +78,7 @@ from repro.analysis.serialization import (
     verify_payload_checksum,
 )
 from repro.analysis.sweep import row_from_outcomes
-from repro.api import Session
+from repro.api import Session, build_runner
 from repro.config import OUTPUT_FORMATS, RunConfig
 from repro.core._bitset import node_index_table
 from repro.core.config import PlacementOptions
@@ -366,25 +366,23 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
     shard = sharding.read_shard(args.shard_file)
-    from repro.analysis.runner import ExperimentRunner
-
     # Resilience settings default from the config embedded in the shard
     # file (the plan's run description); explicit flags override it.
     embedded = shard.config
-    retries = args.retries if args.retries is not None else (
-        embedded.retries if embedded is not None else 0
+    runner = build_runner(
+        args.jobs,
+        args.retries if args.retries is not None else (
+            embedded.retries if embedded is not None else 0
+        ),
+        args.cell_timeout if args.cell_timeout is not None else (
+            embedded.cell_timeout if embedded is not None else None
+        ),
+        progress=(
+            stderr_progress(f"shard {shard.shard_index} cell")
+            if args.progress else None
+        ),
+        scheduler_backend=args.scheduler_backend,
     )
-    cell_timeout = args.cell_timeout if args.cell_timeout is not None else (
-        embedded.cell_timeout if embedded is not None else None
-    )
-    retry_policy = None
-    if retries or cell_timeout is not None:
-        from repro.analysis.resilience import RetryPolicy
-
-        retry_policy = RetryPolicy(
-            max_attempts=retries + 1, cell_timeout=cell_timeout
-        )
-
     if args.resume and args.checkpoint is None:
         raise ConfigError(
             "--resume needs --checkpoint PATH: the checkpoint file is where "
@@ -404,15 +402,6 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
               f"{len(shard.indices)} cell(s) already journaled in "
               f"{args.checkpoint}")
 
-    runner = ExperimentRunner(
-        jobs=args.jobs,
-        progress=(
-            stderr_progress(f"shard {shard.shard_index} cell")
-            if args.progress else None
-        ),
-        scheduler_backend=args.scheduler_backend,
-        retry_policy=retry_policy,
-    )
     outcome_shard = sharding.execute_shard(
         shard, runner, checkpoint_path=args.checkpoint
     )

@@ -54,6 +54,35 @@ CONFIG_SCHEMA_VERSION = 1
 OUTPUT_FORMATS = ("text", "json")
 
 
+def check_execution(
+    jobs: object, retries: object, cell_timeout: object
+) -> Optional[float]:
+    """Validate a run's execution shape; return ``cell_timeout`` as a float.
+
+    The rules and messages of :class:`RunConfig`'s ``jobs``, ``retries``
+    and ``cell_timeout`` fields, shared with ``shard run``, whose flags
+    build no :class:`RunConfig`.  A bad value raises :class:`ConfigError`.
+    """
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
+    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+        raise ConfigError(
+            f"retries must be a non-negative integer, got {retries!r}"
+        )
+    if cell_timeout is None:
+        return None
+    if (
+        isinstance(cell_timeout, bool)
+        or not isinstance(cell_timeout, (int, float))
+        or not cell_timeout > 0  # rejects NaN too
+    ):
+        raise ConfigError(
+            f"cell_timeout must be a positive number of seconds (or null), "
+            f"got {cell_timeout!r}"
+        )
+    return float(cell_timeout)
+
+
 def _options_to_dict(options: PlacementOptions) -> Dict[str, Any]:
     return dataclasses.asdict(options)
 
@@ -140,7 +169,11 @@ class RunConfig:
                     f"{self.thresholds!r}"
                 )
             try:
-                values = tuple(float(value) for value in self.thresholds)
+                raw = tuple(self.thresholds)
+                # float(True) is 1.0: a JSON true must not pass as a threshold.
+                if any(isinstance(value, bool) for value in raw):
+                    raise TypeError
+                values = tuple(float(value) for value in raw)
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"thresholds must be a list of numbers, got {self.thresholds!r}"
@@ -154,34 +187,22 @@ class RunConfig:
             raise ConfigError(
                 f"options must be PlacementOptions, got {type(self.options).__name__}"
             )
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ConfigError(f"jobs must be a positive integer, got {self.jobs!r}")
-        if not isinstance(self.retries, int) or isinstance(self.retries, bool) \
-                or self.retries < 0:
-            raise ConfigError(
-                f"retries must be a non-negative integer, got {self.retries!r}"
-            )
-        if self.cell_timeout is not None:
-            if isinstance(self.cell_timeout, bool) or not isinstance(
-                self.cell_timeout, (int, float)
-            ):
-                raise ConfigError(
-                    f"cell_timeout must be a positive number of seconds (or "
-                    f"null), got {self.cell_timeout!r}"
-                )
-            value = float(self.cell_timeout)
-            if not value > 0:
-                raise ConfigError(
-                    f"cell_timeout must be a positive number of seconds (or "
-                    f"null), got {self.cell_timeout!r}"
-                )
-            object.__setattr__(self, "cell_timeout", value)
-        if not isinstance(self.shards, int) or self.shards < 1:
+        object.__setattr__(
+            self,
+            "cell_timeout",
+            check_execution(self.jobs, self.retries, self.cell_timeout),
+        )
+        if isinstance(self.shards, bool) or not isinstance(self.shards, int) \
+                or self.shards < 1:
             raise ConfigError(f"shards must be a positive integer, got {self.shards!r}")
         if self.shard_index is not None:
-            if not isinstance(self.shard_index, int) or not (
-                0 <= self.shard_index < self.shards
-            ):
+            if isinstance(self.shard_index, bool) \
+                    or not isinstance(self.shard_index, int):
+                raise ConfigError(
+                    f"shard_index must be an integer (or null), got "
+                    f"{self.shard_index!r}"
+                )
+            if not 0 <= self.shard_index < self.shards:
                 raise ConfigError(
                     f"shard_index {self.shard_index!r} out of range for "
                     f"{self.shards} shard(s); valid indices: 0..{self.shards - 1}"

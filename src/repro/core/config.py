@@ -8,6 +8,25 @@ from typing import Optional
 from repro.exceptions import PlacementError
 from repro.timing._replay import BACKEND_CHOICES
 
+#: Option fields that must be ``bool`` and those that must be ``int``
+#: (never ``bool``): a config file's ``"no"`` or ``2.5`` fails here, not
+#: deep inside the placer.
+_BOOL_FIELDS = (
+    "fine_tuning",
+    "lookahead",
+    "leaf_override",
+    "apply_interaction_cap",
+    "sequential_levels",
+    "restrict_to_largest_component",
+    "reorder_commuting_gates",
+    "debug_full_recompute",
+)
+_INT_FIELDS = ("max_monomorphisms", "fine_tuning_max_rounds", "lookahead_width")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass
 class PlacementOptions:
@@ -100,6 +119,30 @@ class PlacementOptions:
     placer: str = "exact"
 
     def __post_init__(self) -> None:
+        for name in _BOOL_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise PlacementError(
+                    f"{name} must be a bool, got {getattr(self, name)!r}"
+                )
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise PlacementError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
+        if self.threshold is not None and (
+            isinstance(self.threshold, bool)
+            or not isinstance(self.threshold, (int, float))
+        ):
+            raise PlacementError(
+                f"threshold must be a number (or None), got {self.threshold!r}"
+            )
+        if self.max_workspace_two_qubit_gates is not None and not _is_int(
+            self.max_workspace_two_qubit_gates
+        ):
+            raise PlacementError(
+                "max_workspace_two_qubit_gates must be an integer (or None), "
+                f"got {self.max_workspace_two_qubit_gates!r}"
+            )
         if not isinstance(self.placer, str) or not self.placer:
             raise PlacementError(
                 f"placer must be a non-empty spec string, got {self.placer!r}"

@@ -268,16 +268,14 @@ def _candidate_placements(
     previous: Optional[Placement],
     evaluator: Optional[RuntimeEvaluator] = None,
 ) -> List[Tuple[Placement, float]]:
-    """Scored candidate placements for one workspace, cheapest first."""
+    """Scored candidate placements for one workspace, cheapest first.
+
+    Only :class:`~repro.core.placers.exact.ExactPlacer` calls this, through
+    ``WorkspacePlacer.candidates``, which places edgeless workspaces itself.
+    """
     pattern = workspace.interaction_graph
     graph = context.graph
     candidates: List[Tuple[Placement, float]] = []
-
-    if pattern.number_of_edges() == 0:
-        base = previous if previous is not None else {}
-        placement = _complete_placement(circuit, dict(base) if previous else {}, context, previous)
-        runtime = _stage_runtime(subcircuit, placement, environment, options, evaluator)
-        return [(placement, runtime)]
 
     monomorphisms = find_monomorphisms(
         pattern,
@@ -564,8 +562,3 @@ def _assemble_physical_circuit(
             )
             physical.extend(swap_circuit.gates)
     return physical
-
-
-def placement_runtime_seconds(result: PlacementResult) -> float:
-    """Convenience accessor mirroring the paper's "estimated circuit runtime"."""
-    return result.runtime_seconds

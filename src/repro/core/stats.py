@@ -89,15 +89,6 @@ class Counters:
         for name in names:
             self._counts.pop(name, None)
 
-    def hit_rate(self, hits: str, misses: str) -> Optional[float]:
-        """``hits / (hits + misses)`` or ``None`` when nothing was counted."""
-        h = self.get(hits)
-        m = self.get(misses)
-        total = h + m
-        if total == 0:
-            return None
-        return h / total
-
     def merge(self, counts: Mapping[str, int]) -> None:
         """Add a counter snapshot (e.g. a worker's delta) into this registry.
 

@@ -89,10 +89,6 @@ class RoutingResult:
         """Total number of SWAP gates."""
         return sum(len(layer) for layer in self.layers)
 
-    def all_swaps(self) -> List[Swap]:
-        """All swaps flattened in execution order."""
-        return [swap for layer in self.layers for swap in layer]
-
 
 def _as_full_permutation(
     graph: nx.Graph,

@@ -341,6 +341,26 @@ class TestRunConfigFlag:
         err = capsys.readouterr().err
         assert "jbos" in err
 
+    @pytest.mark.parametrize("command", [
+        ["place"], ["sweep", "--retries", "1"],
+    ], ids=["place", "sweep-retries"])
+    def test_mistyped_option_value_is_a_usage_error(self, command, tmp_path,
+                                                    capsys):
+        # 2.5 used to crash the placer (place) or fail open as N/A cells
+        # (sweep --retries).
+        data = RunConfig(circuit="qft:5",
+                         environment="trans-crotonic-acid").to_dict()
+        data["options"]["lookahead_width"] = 2.5
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        code = main([*command, "--config", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "lookahead_width must be an integer, got 2.5" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_shard_plan_embeds_config(self, tmp_path, capsys):
         out_dir = str(tmp_path / "shards")
         assert main(["shard", "plan"] + SWEEP_ARGS
@@ -379,6 +399,28 @@ class TestFaultTolerantCli:
                      "--out", str(tmp_path / "out.json"), "--resume"])
         assert code == 2
         assert "--checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--jobs", "0"], "jobs must be a positive integer, got 0"),
+        (["--retries", "-1"], "retries must be a non-negative integer, got -1"),
+        (["--cell-timeout", "0"], "cell_timeout must be a positive number "
+                                  "of seconds (or null), got 0.0"),
+        (["--cell-timeout", "nan"], "cell_timeout must be a positive number "
+                                    "of seconds (or null), got nan"),
+    ], ids=["jobs", "retries", "cell-timeout-zero", "cell-timeout-nan"])
+    def test_shard_run_bad_flag_value_is_a_usage_error(self, flags, message,
+                                                       tmp_path, capsys):
+        out_dir = str(tmp_path / "shards")
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "2", "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        out_file = tmp_path / "out.json"
+        code = main(["shard", "run", "--shard-file", f"{out_dir}/shard-0.pkl",
+                     "--out", str(out_file), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert not out_file.exists()
 
     def test_checkpoint_resume_flow(self, tmp_path, capsys):
         serial_table = self._serial_table(capsys)

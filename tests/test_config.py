@@ -148,6 +148,10 @@ class TestValidation:
         (dict(output="yaml"), "output"),
         (dict(options="nope"), "PlacementOptions"),
         (dict(thresholds=(float("nan"), 9200.0)), "positive"),
+        (dict(jobs=True), "jobs"),
+        (dict(shards=True), "shards"),
+        (dict(shard_index=False), "shard_index"),
+        (dict(thresholds=(True, 100)), "numbers"),
     ])
     def test_invalid_values_rejected(self, changes, match):
         base = dict(circuit="qft6", environment="histidine")

@@ -1,5 +1,7 @@
 """Unit and integration tests for the full placement engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.circuits import gates as g
@@ -11,6 +13,27 @@ from repro.exceptions import PlacementError, ThresholdError
 from repro.hardware.architectures import linear_chain
 from repro.hardware.molecules import pentafluorobutadienyl_iron
 from repro.timing.scheduler import circuit_runtime
+
+#: One wrong-typed value per PlacementOptions field.  Before the type
+#: checks, 2.5 and 1.5 crashed deep in the placer, "no" ran as true and a
+#: bool ran as the integer 1.
+WRONG_TYPED_OPTIONS = {
+    "threshold": True,
+    "max_monomorphisms": True,
+    "fine_tuning": "no",
+    "fine_tuning_max_rounds": 1.5,
+    "lookahead": 1,
+    "lookahead_width": 2.5,
+    "leaf_override": None,
+    "apply_interaction_cap": "false",
+    "sequential_levels": 0,
+    "restrict_to_largest_component": "yes",
+    "reorder_commuting_gates": 1.0,
+    "max_workspace_two_qubit_gates": 2.0,
+    "debug_full_recompute": "true",
+    "scheduler_backend": 1,
+    "placer": 7,
+}
 
 
 class TestOptions:
@@ -25,6 +48,14 @@ class TestOptions:
             PlacementOptions(threshold=float("nan"))
         with pytest.raises(PlacementError):
             PlacementOptions(fine_tuning_max_rounds=-1)
+
+    @pytest.mark.parametrize("name", sorted(WRONG_TYPED_OPTIONS))
+    def test_wrong_typed_values_rejected(self, name):
+        assert set(WRONG_TYPED_OPTIONS) == {
+            field.name for field in dataclasses.fields(PlacementOptions)
+        }
+        with pytest.raises(PlacementError, match=name):
+            PlacementOptions(**{name: WRONG_TYPED_OPTIONS[name]})
 
     def test_replace(self):
         options = PlacementOptions(threshold=100.0)

@@ -9,7 +9,6 @@ from repro.analysis.runner import (
     ExperimentSpec,
     benchmark_circuit_factory,
     constant_environment,
-    environment_cache_key,
     molecule_factory,
     run_experiments,
 )
@@ -81,8 +80,6 @@ class TestExperimentSpec:
     def test_constant_environment_factory_pickles_and_compares_equal(self):
         factory = constant_environment(acetyl_chloride())
         clone = pickle.loads(pickle.dumps(factory))
-        assert clone == factory
-        assert hash(clone) == hash(factory)
         assert clone().name == "acetyl chloride"
 
     def test_resolved_options_threshold_override(self):
@@ -95,20 +92,6 @@ class TestExperimentSpec:
         options = spec.resolved_options()
         assert options.threshold == 123.0
         assert not options.fine_tuning
-
-    def test_environment_cache_key_stability(self):
-        # Module-level functions key by themselves; partials by contents.
-        assert environment_cache_key(acetyl_chloride) is acetyl_chloride
-        key_a = environment_cache_key(molecule_factory("histidine"))
-        key_b = environment_cache_key(molecule_factory("histidine"))
-        assert key_a == key_b
-
-    def test_environment_cache_key_unhashable_partial_returns_none(self):
-        from functools import partial
-
-        # A picklable but unhashable-argument partial must fall back to
-        # "no caching", not crash key construction.
-        assert environment_cache_key(partial(dict, [("a", 1)])) is None
 
     def test_parallel_run_with_unhashable_partial_factory(self):
         from functools import partial
@@ -260,30 +243,25 @@ class TestOutcomeErrors:
         assert outcomes[0].environment_qubits == 3
 
 
-class TestParentProcessCache:
-    def test_serial_runs_do_not_grow_the_environment_cache(self):
-        from repro.analysis import runner as runner_module
-
-        before = len(runner_module._ENVIRONMENT_CACHE)
-        for _ in range(3):
-            sweep_circuit(qec3_encoder, acetyl_chloride(), thresholds=(100.0,))
-        assert len(runner_module._ENVIRONMENT_CACHE) == before
-
-
 class TestSweepParallelParity:
     def test_sweep_circuit_jobs_parity(self):
+        # Both environment forms: an object (a constant_environment
+        # factory) and a spec string (a loader partial).
         thresholds = (100.0, 200.0, 1000.0)
-        serial = sweep_circuit(
-            phaseest, trans_crotonic_acid(), thresholds=thresholds, jobs=1
-        )
-        parallel = sweep_circuit(
-            phaseest, trans_crotonic_acid(), thresholds=thresholds, jobs=2
-        )
-        assert [
-            (c.threshold, c.runtime_seconds, c.num_subcircuits) for c in serial.cells
-        ] == [
-            (c.threshold, c.runtime_seconds, c.num_subcircuits) for c in parallel.cells
-        ]
+        for environment in (trans_crotonic_acid(), "trans-crotonic-acid"):
+            serial = sweep_circuit(
+                phaseest, environment, thresholds=thresholds, jobs=1
+            )
+            parallel = sweep_circuit(
+                phaseest, environment, thresholds=thresholds, jobs=2
+            )
+            assert [
+                (c.threshold, c.runtime_seconds, c.num_subcircuits)
+                for c in serial.cells
+            ] == [
+                (c.threshold, c.runtime_seconds, c.num_subcircuits)
+                for c in parallel.cells
+            ], environment
 
     def test_sweep_table_matches_per_environment_sweeps(self):
         from repro.analysis.sweep import sweep_table

@@ -155,16 +155,6 @@ class TestShardFiles:
         with pytest.raises(ExperimentError, match="cannot read"):
             sharding.read_shard(str(tmp_path / "missing.pkl"))
 
-    def test_unfingerprinted_plan_refuses_shard_files(self, tmp_path):
-        # compute_fingerprint=False is the local degenerate path only; its
-        # 'local:<N>' tag is not grid-specific, so shard files written from
-        # it could merge across unrelated grids.
-        plan = sharding.ShardPlan.build(
-            _small_grid(), 2, compute_fingerprint=False
-        )
-        with pytest.raises(ExperimentError, match="compute_fingerprint"):
-            sharding.write_shard(plan.shard_input(0), str(tmp_path / "s.pkl"))
-
     def test_unpicklable_shard_is_a_clean_error(self, tmp_path):
         spec = ExperimentSpec(
             circuit_factory=lambda: qec3_encoder(),
@@ -344,9 +334,7 @@ class TestCountersMergeAssociativity:
 
 
 class TestDegenerateLocalPath:
-    def test_runner_run_is_one_shard_plan(self):
-        # The local path goes through plan -> execute -> merge; its
-        # outcomes must be indistinguishable from the shard pipeline's.
+    def test_runner_run_returns_outcomes_in_spec_order(self):
         specs = _small_grid()
         outcomes = ExperimentRunner().run(specs)
         assert [outcome.index for outcome in outcomes] == [0, 1, 2, 3]
