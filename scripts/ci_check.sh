@@ -28,16 +28,19 @@
 #      backend parity tests in tests/test_replay_backends.py — once per
 #      scheduler backend: under REPRO_SCHEDULER_BACKEND=native (build the
 #      compiled replay kernel on demand, whose climbs then run as one
-#      kernel call each; skipped, with a log line, on hosts without a C
-#      compiler) and under REPRO_SCHEDULER_BACKEND=python, the reference
-#      loop and the only fallback `auto` has where the kernel does not
-#      build — both sides of the bit-identity contract
+#      kernel call per workspace; skipped, with a log line, on hosts
+#      without a C compiler) and under REPRO_SCHEDULER_BACKEND=python,
+#      the reference loop and the only fallback `auto` has where the
+#      kernel does not build — both sides of the bit-identity contract
 #      (docs/performance.md);
 #   7. the benchmark regression gate on the fast scenarios
 #      (`run_bench.py --check --scenarios ...`), which also re-checks the
 #      deterministic counters and output fingerprints against the
 #      committed BENCH_placement.json (including the exact-vs-anneal
-#      ablation, the replay backend-consistency scenario and the
+#      ablation, the replay backend-consistency scenario, the
+#      `sweep_qft8_histidine` sweep, which does the most fine-tuning
+#      climbs of any scenario and so gates the batched climb's counters
+#      and fingerprint through the sweep and lookahead path, and the
 #      1,024-node `large_host_anneal`, which gates the sparse large-host
 #      set-up and same-seed anneal determinism; its 4,096-node
 #      `large_host_grid64` twin is left to the full run).
@@ -209,6 +212,6 @@ echo "scheduler-facing tier-1 subset green under the python backend"
 echo "== 7/7 fast benchmark regression gate =="
 "$PYTHON" scripts/run_bench.py --check --repeats 1 \
     --scenarios monomorphism_micro place_qec5_boc place_phaseest_crotonic \
-    exact_vs_anneal replay_native large_host_anneal
+    sweep_qft8_histidine exact_vs_anneal replay_native large_host_anneal
 
 echo "ci_check: all gates passed"

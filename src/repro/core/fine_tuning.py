@@ -17,8 +17,8 @@ Two execution paths implement the same search:
   :class:`~repro.timing.scheduler.RuntimeEvaluator` — each candidate move
   re-schedules only the operations after the first one that touches a moved
   qubit, reusing recorded busy-time checkpoints and per-operation durations
-  for the untouched prefix (on the native backend the whole climb is one
-  kernel call).
+  for the untouched prefix (on the native backend every climb of a
+  workspace runs in one kernel call).
 
 Both paths enumerate candidates in the same order and accept the first
 improving move, and the incremental evaluator is bit-for-bit equal to a full
@@ -125,20 +125,10 @@ def hill_climb_incremental(
     Enumeration order and the first-improvement acceptance rule are exactly
     those of :func:`hill_climb`, and the evaluator's incremental results are
     bitwise equal to full evaluations, so both searches land on the same
-    placement at the same cost.
-
-    On the native backend the whole loop below runs in one kernel call
-    (:meth:`~repro.timing.scheduler.RuntimeEvaluator.hill_climb`), move for
-    move.  The loop stays the reference, and it still runs on the python
-    backend and under ``full_recompute`` (whose per-move parity assertions
-    live in ``runtime_with``).
+    placement at the same cost.  This loop is the reference for the native
+    backend's one-call climb
+    (:meth:`~repro.timing.scheduler.RuntimeEvaluator.hill_climb`).
     """
-    if evaluator.backend == "native" and not evaluator.full_recompute:
-        best, best_cost = evaluator.hill_climb(
-            placement, movable_qubits, allowed_nodes, max_rounds
-        )
-        evaluator.flush_stats()
-        return best, best_cost
     best = dict(placement)
     best_cost = evaluator.set_base(best)
     for _ in range(max_rounds):
@@ -171,7 +161,7 @@ def hill_climb_incremental(
 
 def fine_tune_workspace_placement(
     subcircuit: QuantumCircuit,
-    placement: Placement,
+    placements: Sequence[Placement],
     environment: PhysicalEnvironment,
     allowed_nodes: Sequence[Node],
     apply_interaction_cap: bool = True,
@@ -179,22 +169,28 @@ def fine_tune_workspace_placement(
     evaluator: Optional[RuntimeEvaluator] = None,
     full_recompute: bool = False,
     backend: str = "auto",
-) -> Tuple[Placement, float]:
-    """Fine tune a workspace placement with the default runtime cost.
+) -> List[Tuple[Placement, float]]:
+    """Fine tune every start placement of a workspace with the runtime cost.
+
+    Returns one ``(placement, cost)`` per start, in order.  On the native
+    backend all starts climb in one kernel call
+    (:meth:`~repro.timing.scheduler.RuntimeEvaluator.hill_climb`);
+    otherwise :func:`hill_climb_incremental` runs once per start.
 
     ``evaluator`` lets the placer share one compiled
-    :class:`~repro.timing.scheduler.RuntimeEvaluator` across the many
-    candidate monomorphisms of a workspace (its backend wins over the
-    ``backend`` argument, which only configures a locally built evaluator);
-    ``full_recompute`` turns on the evaluator's parity assertion (every
-    incremental cost is checked against a from-scratch evaluation — a
-    debugging aid, not a production mode).
+    :class:`~repro.timing.scheduler.RuntimeEvaluator` across a workspace's
+    candidate sets (its backend wins over the ``backend`` argument, which
+    only configures the one locally built evaluator); ``full_recompute``
+    turns on the evaluator's parity assertion (every incremental cost is
+    checked against a from-scratch evaluation — a debugging aid, not a
+    production mode) and keeps the python loop.
     """
     movable: List[Qubit] = canonical_order(
         {q for gate in subcircuit if gate.is_two_qubit for q in gate.qubits}
     )
     if not movable:
         movable = list(subcircuit.used_qubits())
+    allowed = list(allowed_nodes)
     if evaluator is None:
         evaluator = RuntimeEvaluator(
             subcircuit,
@@ -206,10 +202,9 @@ def fine_tune_workspace_placement(
     elif full_recompute:
         evaluator.full_recompute = True
 
-    return hill_climb_incremental(
-        placement,
-        evaluator,
-        movable_qubits=movable,
-        allowed_nodes=list(allowed_nodes),
-        max_rounds=max_rounds,
-    )
+    if evaluator.backend == "native" and not evaluator.full_recompute:
+        return evaluator.hill_climb(placements, movable, allowed, max_rounds)
+    return [
+        hill_climb_incremental(placement, evaluator, movable, allowed, max_rounds)
+        for placement in placements
+    ]

@@ -275,8 +275,6 @@ def _candidate_placements(
     """
     pattern = workspace.interaction_graph
     graph = context.graph
-    candidates: List[Tuple[Placement, float]] = []
-
     monomorphisms = find_monomorphisms(
         pattern,
         graph,
@@ -289,24 +287,35 @@ def _candidate_placements(
             "adjacency graph although extraction admitted it"
         )
 
-    allowed_nodes = list(graph.nodes())
-    seen = set()
-    for mapping in monomorphisms:
-        placement = _complete_placement(circuit, mapping, context, previous)
-        if options.fine_tuning:
-            placement, runtime = fine_tune_workspace_placement(
-                subcircuit,
+    # Completion never depends on a climb, so every start is completed
+    # first and the whole set is fine tuned in one call.
+    placements = [
+        _complete_placement(circuit, mapping, context, previous)
+        for mapping in monomorphisms
+    ]
+    if options.fine_tuning:
+        scored = fine_tune_workspace_placement(
+            subcircuit,
+            placements,
+            environment,
+            allowed_nodes=list(graph.nodes()),
+            apply_interaction_cap=options.apply_interaction_cap,
+            max_rounds=options.fine_tuning_max_rounds,
+            evaluator=evaluator,
+            full_recompute=options.debug_full_recompute,
+            backend=options.scheduler_backend,
+        )
+    else:
+        scored = [
+            (
                 placement,
-                environment,
-                allowed_nodes=allowed_nodes,
-                apply_interaction_cap=options.apply_interaction_cap,
-                max_rounds=options.fine_tuning_max_rounds,
-                evaluator=evaluator,
-                full_recompute=options.debug_full_recompute,
-                backend=options.scheduler_backend,
+                _stage_runtime(subcircuit, placement, environment, options, evaluator),
             )
-        else:
-            runtime = _stage_runtime(subcircuit, placement, environment, options, evaluator)
+            for placement in placements
+        ]
+    candidates: List[Tuple[Placement, float]] = []
+    seen = set()
+    for placement, runtime in scored:
         key = context.placement_key(placement)
         if key in seen:
             continue

@@ -151,14 +151,15 @@ class _Kernel:
         self.hill_climb.restype = ctypes.c_double
         self.hill_climb.argtypes = [
             ctx_p,              # ctx
-            int32_p,            # keys (placement-key order)
-            ctypes.c_int64,     # num_keys
+            ctypes.c_int64,     # num_starts
+            int32_p,            # nodes (start rows in, final rows out)
+            int32_p,            # keys (placement-key order, one row per start)
             int32_p,            # movable
             ctypes.c_int64,     # num_movable
             int32_p,            # allowed
             ctypes.c_int64,     # num_allowed
             ctypes.c_int64,     # max_rounds
-            ctypes.POINTER(ctypes.c_double),  # base_runtime (in/out)
+            ctypes.POINTER(ctypes.c_double),  # costs_out[num_starts]
             ctypes.POINTER(ctypes.c_int64),   # counts_out[4]
         ]
 
@@ -305,7 +306,6 @@ class NativeReplay:
         "_occupant_p",
         "_ctx",
         "_ctx_ref",
-        "has_base",
     )
 
     def __init__(
@@ -395,7 +395,6 @@ class NativeReplay:
             ),
         )
         self._ctx_ref = ctypes.byref(self._ctx)
-        self.has_base = False
 
     # -- full evaluation ----------------------------------------------------
 
@@ -409,7 +408,6 @@ class NativeReplay:
     def set_base(self, nodes: List[int]) -> float:
         """Full evaluation recording durations + checkpoints for tail replay."""
         self._base_nodes[:] = array("i", nodes)
-        self.has_base = True
         if not self.num_ops:
             return 0.0
         return self._kernel.ctx_full(self._ctx_ref, 1)
@@ -449,47 +447,57 @@ class NativeReplay:
 
     def hill_climb(
         self,
-        keys: List[int],
+        num_starts: int,
+        starts: array,
+        keys: array,
         movable: List[int],
         allowed: List[int],
         max_rounds: int,
-        base_runtime: float,
-    ) -> Tuple[float, float, List[int], Tuple[int, int, int, int]]:
-        """Run the first-improvement climb from the recorded base in C.
+    ) -> Tuple[List[int], List[float], float, Tuple[int, int, int, int]]:
+        """Run the first-improvement climb from every start row in C.
 
-        ``keys`` are the qubit indices in placement-key order, ``movable``
-        and ``allowed`` the search order, ``base_runtime`` the recorded
-        base's runtime (the first incumbent).  Returns ``(cost,
-        base_runtime, base_nodes, counts)``: the final incumbent, the final
-        base's runtime and node indices, and the accepted-move,
-        incremental-evaluation, ops-skipped and ops-replayed counts.
+        ``starts`` holds ``num_starts`` rows of ``num_qubits`` node
+        indices (overwritten with the final rows) and ``keys`` the matching
+        rows of qubit indices in placement-key order; ``movable`` and
+        ``allowed`` are the search order.  Each row is re-based and climbed
+        in turn, leaving the recorded base on the last row's result.
+        Returns ``(nodes, costs, base_runtime, counts)``: the final node
+        rows (flat), each row's cost, the final base's runtime, and the
+        accepted-move, incremental-evaluation, ops-skipped and ops-replayed
+        counts summed over the rows.
         """
+        # The kernel reads num_qubits entries per row of both buffers.
+        if not len(keys) == len(starts) == num_starts * self.num_qubits:
+            raise ValueError(
+                f"hill_climb() needs {num_starts} rows of {self.num_qubits} "
+                f"entries, got {len(starts)} starts and {len(keys)} keys"
+            )
         if self._occupant is None:
             self._occupant = array("i", bytes(4 * self.num_env_nodes))
             self._occupant_p = _int32_view(self._occupant)
             self._ctx.occupant = ctypes.cast(
                 self._occupant_p, ctypes.POINTER(ctypes.c_int32)
             )
-        keys_array = array("i", keys)
         movable_array = array("i", movable)
         allowed_array = array("i", allowed)
-        base = ctypes.c_double(base_runtime)
+        costs = array("d", bytes(8 * num_starts))
         counts = (ctypes.c_int64 * 4)()
-        cost = self._kernel.hill_climb(
+        base_runtime = self._kernel.hill_climb(
             self._ctx_ref,
-            _int32_view(keys_array),
-            len(keys_array),
+            num_starts,
+            _int32_view(starts),
+            _int32_view(keys),
             _int32_view(movable_array),
             len(movable_array),
             _int32_view(allowed_array),
             len(allowed_array),
             max_rounds,
-            ctypes.byref(base),
+            _double_view(costs),
             counts,
         )
         return (
-            cost,
-            base.value,
-            self._base_nodes.tolist(),
+            starts.tolist(),
+            costs.tolist(),
+            base_runtime,
             (counts[0], counts[1], counts[2], counts[3]),
         )

@@ -238,34 +238,33 @@ double repro_ctx_tail(repro_replay_ctx *ctx, int64_t start, double cutoff,
         ctx->times, &ctx->stop_index);
 }
 
-/* The whole first-improvement search of
- * repro.core.fine_tuning.hill_climb_incremental in one call, starting from
- * the base placement recorded by repro_ctx_full(ctx, 1).  Moves are
- * enumerated exactly as the Python loop does: movable qubits in order,
- * allowed nodes in order, the current node skipped, and a taken node
- * swapped with its occupant -- the last qubit in placement-key order
- * (`keys`) on that node, rebuilt per movable qubit like the Python
+/* One first-improvement climb of
+ * repro.core.fine_tuning.hill_climb_incremental, starting from the base
+ * placement recorded by repro_ctx_full(ctx, 1).  Moves are enumerated
+ * exactly as the Python loop does: movable qubits in order, allowed nodes
+ * in order, the current node skipped, and a taken node swapped with its
+ * occupant -- the last qubit in placement-key order (`keys`, num_qubits
+ * entries) on that node, rebuilt per movable qubit like the Python
  * node-to-qubit dict.  A move costs the base runtime when no moved qubit
  * is ever scheduled, else repro_ctx_tail's replay with the incumbent as
  * cutoff.  A strictly cheaper move is written into base_nodes and
  * re-based through repro_ctx_full(ctx, 1), and its cost becomes the
  * incumbent.  The climb stops after a round without a change or after
  * max_rounds rounds.  *base_runtime holds the base runtime (and first
- * incumbent) on entry and the final base runtime on return; counts_out
- * receives accepted moves, incremental evaluations, ops skipped and ops
+ * incumbent) on entry and the final base runtime on return; counts gains
+ * the accepted moves, incremental evaluations, ops skipped and ops
  * replayed, counted as RuntimeEvaluator.runtime_with counts them.
  * Returns the final incumbent cost. */
-double repro_hill_climb(
+static double climb(
     repro_replay_ctx *ctx,
     const int32_t *keys,
-    int64_t num_keys,
     const int32_t *movable,
     int64_t num_movable,
     const int32_t *allowed,
     int64_t num_allowed,
     int64_t max_rounds,
     double *base_runtime,
-    int64_t *counts_out)
+    int64_t *counts)
 {
     int32_t *base = ctx->base_nodes;
     int32_t *occupant = ctx->occupant;
@@ -280,7 +279,7 @@ double repro_hill_climb(
             for (n = 0; n < ctx->num_env_nodes; n++) {
                 occupant[n] = -1;
             }
-            for (n = 0; n < num_keys; n++) {
+            for (n = 0; n < ctx->num_qubits; n++) {
                 occupant[base[keys[n]]] = keys[n];
             }
             for (n = 0; n < num_allowed; n++) {
@@ -335,9 +334,49 @@ double repro_hill_climb(
             break;
         }
     }
-    counts_out[0] = accepted;
-    counts_out[1] = evals;
-    counts_out[2] = skipped;
-    counts_out[3] = replayed;
+    counts[0] += accepted;
+    counts[1] += evals;
+    counts[2] += skipped;
+    counts[3] += replayed;
     return cost;
+}
+
+/* Climb a block of start placements in one call.  Row r of `nodes`
+ * (num_qubits entries) holds start r's node index per evaluator qubit,
+ * and row r of `keys` that start's qubit indices in placement-key order.
+ * Each row is copied into base_nodes, re-based through
+ * repro_ctx_full(ctx, 1) (the first incumbent) and climbed as above;
+ * the final nodes overwrite the row and the final cost lands in
+ * costs_out[r].  counts_out[4] receives the four counts summed over all
+ * rows.  ctx is left on the last row's final base, whose runtime is
+ * returned (0.0 when num_starts is 0). */
+double repro_hill_climb(
+    repro_replay_ctx *ctx,
+    int64_t num_starts,
+    int32_t *nodes,
+    const int32_t *keys,
+    const int32_t *movable,
+    int64_t num_movable,
+    const int32_t *allowed,
+    int64_t num_allowed,
+    int64_t max_rounds,
+    double *costs_out,
+    int64_t *counts_out)
+{
+    size_t row_bytes = (size_t)ctx->num_qubits * sizeof(int32_t);
+    double base_runtime = 0.0;
+    int64_t r;
+    for (r = 0; r < 4; r++) {
+        counts_out[r] = 0;
+    }
+    for (r = 0; r < num_starts; r++) {
+        int32_t *row = nodes + r * ctx->num_qubits;
+        memcpy(ctx->base_nodes, row, row_bytes);
+        base_runtime = repro_ctx_full(ctx, 1);
+        costs_out[r] = climb(
+            ctx, keys + r * ctx->num_qubits, movable, num_movable, allowed,
+            num_allowed, max_rounds, &base_runtime, counts_out);
+        memcpy(row, ctx->base_nodes, row_bytes);
+    }
+    return base_runtime;
 }

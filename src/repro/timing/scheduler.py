@@ -17,6 +17,7 @@ Sequential levels
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -224,10 +225,10 @@ class RuntimeEvaluator:
         (see :mod:`repro.timing._native`).  Results are float-for-float
         identical to the python backend — the same IEEE-754 operations on
         the same operands in the same order — so backend choice never
-        changes any output.  The kernel can also run a whole hill climb in
-        one call (:meth:`hill_climb`).  Requires a C compiler at first use;
-        an explicit request fails with a one-line error when the build is
-        unavailable.
+        changes any output.  The kernel also runs every hill climb of a
+        workspace in one call (:meth:`hill_climb`).  Requires a C compiler
+        at first use; an explicit request fails with a one-line error when
+        the build is unavailable.
     ``"auto"`` (default)
         Defers to the ``REPRO_SCHEDULER_BACKEND`` environment variable,
         then picks native whenever its kernel builds, else python,
@@ -563,48 +564,75 @@ class RuntimeEvaluator:
 
     def hill_climb(
         self,
-        placement: Placement,
+        placements: Sequence[Placement],
         movable_qubits: Sequence[Qubit],
         allowed_nodes: Sequence[Node],
         max_rounds: int,
-    ) -> Tuple[Placement, float]:
-        """Run :func:`~repro.core.fine_tuning.hill_climb_incremental` in one kernel call.
+    ) -> List[Tuple[Placement, float]]:
+        """Climb every start in ``placements`` in one kernel call.
 
-        Native backend only.  Re-bases on ``placement``, then the kernel
-        makes the Python loop's moves in the Python loop's order, scores
-        each with the incumbent as cutoff and re-bases on every accepted
-        move, so the result, the evaluator's final base and the scheduler
-        counters all equal that loop's.  No move is cross-checked against a
-        full evaluation, so ``full_recompute`` callers keep the loop.  Every
-        qubit and node is translated to an index first, so an unknown one
-        raises ``KeyError`` before the kernel runs.  Returns the improved
-        copy of ``placement`` (same key order) and its cost.
+        Native backend only; the reference is
+        :func:`~repro.core.fine_tuning.hill_climb_incremental` run once per
+        start.  For each start in turn the kernel re-bases on it, makes the
+        Python loop's moves in the Python loop's order, scores each with
+        the incumbent as cutoff and re-bases on every accepted move, so the
+        results, the scheduler counters and the evaluator's final base (the
+        last start's result) all equal the reference's.  No move is
+        cross-checked against a full evaluation, so ``full_recompute``
+        callers keep the loop.  Every qubit and node of every start is
+        translated to an index first, so an unknown one raises ``KeyError``
+        before the kernel runs and leaves the evaluator untouched.  Returns
+        one ``(improved copy of the start (same key order), cost)`` per
+        start.
         """
         native = self._native
         if native is None:
             raise RuntimeError(
                 f"hill_climb() needs the native backend, not {self.backend!r}"
             )
+        if not placements:
+            return []
+        self._check_environment_fresh()
+        qubits = self._qubits
         qubit_index = self._qubit_index
         node_index = self._node_index
-        keys = [qubit_index[qubit] for qubit in placement]
+        # Each key row is a permutation of the evaluator's qubits: every
+        # key is one of them (qubit_index) and every one of them is a key
+        # (placement[qubit]), so the kernel reads num_qubits entries a row.
+        keys = array("i")
+        starts = array("i")
+        for placement in placements:
+            keys.extend([qubit_index[qubit] for qubit in placement])
+            starts.extend([node_index[placement[qubit]] for qubit in qubits])
         movable = [qubit_index[qubit] for qubit in movable_qubits]
         allowed = [node_index[node] for node in allowed_nodes]
-        cost, self.base_runtime, base_nodes, counts = native.hill_climb(
-            keys, movable, allowed, max_rounds, self.set_base(placement)
+        # ctypes wraps a round count outside int64 silently (2**64 becomes
+        # 0).  A climb stops after a round without a change, so no climb
+        # runs 2**63 - 1 rounds and clamping changes no result.
+        rounds = min(max(max_rounds, 0), 2**63 - 1)
+        final, costs, self.base_runtime, counts = native.hill_climb(
+            len(placements), starts, keys, movable, allowed, rounds
         )
-        self._base_nodes = base_nodes
+        width = len(qubits)
+        self._base_nodes = final[(len(placements) - 1) * width:]
         accepted, evals, skipped, replayed = counts
-        # One re-basing full evaluation per accepted move, as set_base.
-        STATS.increment("scheduler.full_evals", accepted)
+        # One re-basing full evaluation per start and per accepted move,
+        # as set_base books them.
+        STATS.increment("scheduler.full_evals", len(placements) + accepted)
         self._pending_incremental += evals
         self._pending_skipped += skipped
         self._pending_replayed += replayed
+        self.flush_stats()
         nodes = self._nodes
-        climbed = {
-            qubit: nodes[base_nodes[index]] for qubit, index in zip(placement, keys)
-        }
-        return climbed, cost
+        results: List[Tuple[Placement, float]] = []
+        for row, placement in enumerate(placements):
+            offset = row * width
+            climbed = {
+                qubit: nodes[final[offset + qubit_index[qubit]]]
+                for qubit in placement
+            }
+            results.append((climbed, costs[row]))
+        return results
 
     def _assert_full_recompute_parity(
         self,

@@ -63,9 +63,9 @@ class TestHillClimb:
 
 class TestFineTuneWorkspacePlacement:
     def test_improves_encoder_placement(self, acetyl, encoder_circuit):
-        placement, runtime = fine_tune_workspace_placement(
+        [(placement, runtime)] = fine_tune_workspace_placement(
             encoder_circuit,
-            {"a": "M", "b": "C2", "c": "C1"},
+            [{"a": "M", "b": "C2", "c": "C1"}],
             acetyl,
             allowed_nodes=list(acetyl.nodes),
         )
@@ -74,7 +74,7 @@ class TestFineTuneWorkspacePlacement:
 
     def test_circuit_without_two_qubit_gates(self, acetyl):
         circuit = QuantumCircuit(["a"], [g.ry("a", 90.0)])
-        placement, runtime = fine_tune_workspace_placement(
-            circuit, {"a": "M"}, acetyl, allowed_nodes=list(acetyl.nodes)
+        [(placement, runtime)] = fine_tune_workspace_placement(
+            circuit, [{"a": "M"}], acetyl, allowed_nodes=list(acetyl.nodes)
         )
         assert runtime == 1.0  # moved to C2, the fastest nucleus

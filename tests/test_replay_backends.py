@@ -18,6 +18,7 @@ Python fine-tuning loop it replaces.
 import os
 import random
 import subprocess
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -356,15 +357,30 @@ class TestPairMatrixCache:
         assert clone._pair_matrix_cache == {}
 
 
+#: Placer-level parity cases: (threshold, extra options), with ids.
+PLACER_PARITY_CASES = [
+    pytest.param(100.0, {}, id="100.0"),
+    pytest.param(200.0, {}, id="200.0"),
+    # Beyond int64, where a round count used to wrap to 0 in ctypes.
+    pytest.param(200.0, {"fine_tuning_max_rounds": 2**64}, id="max-rounds-2**64"),
+    # The one exact path that fine tunes without the pipeline's evaluator.
+    pytest.param(200.0, {"sequential_levels": True}, id="sequential-levels"),
+]
+
+
 class TestPlacerLevelBackendParity:
-    @pytest.mark.parametrize("threshold", [100.0, 200.0])
-    def test_place_circuit_identical_across_backends(self, crotonic, threshold):
+    @pytest.mark.parametrize(("threshold", "extra"), PLACER_PARITY_CASES)
+    def test_place_circuit_identical_across_backends(
+        self, crotonic, threshold, extra
+    ):
         results = {}
         for backend in AVAILABLE_BACKENDS:
             result = place_circuit(
                 qft_circuit(6),
                 crotonic,
-                PlacementOptions(threshold=threshold, scheduler_backend=backend),
+                PlacementOptions(
+                    threshold=threshold, scheduler_backend=backend, **extra
+                ),
             )
             results[backend] = (
                 result.total_runtime,
@@ -374,6 +390,26 @@ class TestPlacerLevelBackendParity:
             )
         for backend in AVAILABLE_BACKENDS[1:]:
             assert results[backend] == results["python"]
+
+    @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+    def test_sequential_levels_builds_one_evaluator_per_fine_tuning_call(
+        self, crotonic, monkeypatch, backend
+    ):
+        import repro.core.placement as placement_module
+
+        built = _count_calls(monkeypatch, RuntimeEvaluator, "__init__")
+        tune_calls = _count_calls(
+            monkeypatch, placement_module, "fine_tune_workspace_placement"
+        )
+        result = place_circuit(
+            qft_circuit(6),
+            crotonic,
+            PlacementOptions(
+                threshold=200.0, sequential_levels=True, scheduler_backend=backend
+            ),
+        )
+        # One call per candidate set, not per candidate.
+        assert 0 < len(built) <= len(tune_calls) <= 2 * len(result.stages)
 
     def test_invalid_backend_option_rejected(self):
         for name in ("gpu", "numpy"):
@@ -422,48 +458,63 @@ CLIMB_COUNTERS = (
 )
 
 
-def _climb_case(host, seed, full, shared=False):
-    """A random circuit, placement, movable set and allowed-node order.
+def _climb_case(host, seed, full, shared=(False,)):
+    """A random circuit, start placements, movable set and allowed-node order.
 
-    ``full`` fills every host node, so every move is a swap; otherwise some
-    nodes stay free.  ``shared`` puts the last two placement keys on one
-    node, so the occupant of a node depends on the key order.  Key,
-    movable and allowed orders are all shuffled.
+    One start per entry of ``shared``.  ``full`` fills every host node, so
+    every move is a swap; otherwise some nodes stay free.  A true
+    ``shared`` entry puts that start's last two placement keys on one node,
+    so the occupant of a node depends on the key order.  Key, movable and
+    allowed orders are all shuffled.
     """
     environment = load_environment(host)
     rng = random.Random(seed)
     nodes = list(environment.nodes)
     num_qubits = len(nodes) if full else rng.randint(2, len(nodes) - 1)
     circuit = _random_circuit(num_qubits, rng.randint(0, 60), seed)
-    keys = rng.sample(list(circuit.qubits), num_qubits)
-    placement = dict(zip(keys, rng.sample(nodes, num_qubits)))
-    if shared:
-        placement[keys[-1]] = placement[keys[-2]]
+    placements = []
+    for share in shared:
+        keys = rng.sample(list(circuit.qubits), num_qubits)
+        placement = dict(zip(keys, rng.sample(nodes, num_qubits)))
+        if share:
+            placement[keys[-1]] = placement[keys[-2]]
+        placements.append(placement)
     movable = rng.sample(list(circuit.qubits), rng.randint(1, num_qubits))
     allowed = rng.sample(nodes, rng.randint(1, len(nodes)))
-    return environment, circuit, placement, movable, allowed
+    return environment, circuit, placements, movable, allowed
 
 
-def _climb(evaluator, placement, movable, allowed, max_rounds):
-    """One ``hill_climb_incremental`` run and everything it leaves behind."""
+def _climb(evaluator, climb):
+    """The results of ``climb()`` and everything it leaves behind."""
     before = STATS.snapshot()
-    best, cost = hill_climb_incremental(
-        placement, evaluator, movable, allowed, max_rounds=max_rounds
-    )
+    results = climb()
     after = STATS.snapshot()
     deltas = {
         name: after.get(name, 0) - before.get(name, 0) for name in CLIMB_COUNTERS
     }
+    best = results[-1][0]
     first, second = list(best)[:2]
     follow_up = evaluator.runtime_with({first: best[second], second: best[first]})
     return (
-        list(best.items()),
-        cost,
+        [(list(placement.items()), cost) for placement, cost in results],
         deltas,
         list(evaluator._base_nodes),
         evaluator.base_runtime,
         follow_up,
     )
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so every call is counted; returns the counter."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 @needs_native
@@ -476,29 +527,36 @@ class TestNativeHillClimb:
     @given(
         seed=st.integers(0, 10_000),
         host=st.sampled_from(CLIMB_HOSTS),
-        max_rounds=st.sampled_from((0, 1, 3, 10)),
+        max_rounds=st.sampled_from((0, 1, 3, 10, 2**64)),
         full=st.booleans(),
-        shared=st.booleans(),
+        shared=st.lists(st.booleans(), min_size=1, max_size=6),
         cap=st.booleans(),
     )
     def test_native_climb_matches_python_loop(
         self, seed, host, max_rounds, full, shared, cap
     ):
-        environment, circuit, placement, movable, allowed = _climb_case(
+        environment, circuit, placements, movable, allowed = _climb_case(
             host, seed, full, shared
         )
-        outcomes = {}
-        for backend in ("python", "native"):
-            evaluator = RuntimeEvaluator(
+        python, native = (
+            RuntimeEvaluator(
                 circuit, environment, apply_interaction_cap=cap, backend=backend
             )
-            outcomes[backend] = _climb(
-                evaluator, placement, movable, allowed, max_rounds
+            for backend in ("python", "native")
+        )
+        expected = _climb(python, lambda: [
+            hill_climb_incremental(
+                placement, python, movable, allowed, max_rounds=max_rounds
             )
-        assert outcomes["native"] == outcomes["python"]
+            for placement in placements
+        ])
+        actual = _climb(native, lambda: native.hill_climb(
+            placements, movable, allowed, max_rounds
+        ))
+        assert actual == expected
 
     def test_full_recompute_keeps_the_python_loop(self, monkeypatch):
-        environment, circuit, placement, movable, allowed = _climb_case(
+        environment, circuit, placements, movable, allowed = _climb_case(
             "histidine", 5, False
         )
 
@@ -506,20 +564,18 @@ class TestNativeHillClimb:
             raise AssertionError("the native climb was called")
 
         monkeypatch.setattr(_native.NativeReplay, "hill_climb", forbidden)
-        # Sanity: a plain native climb does go through the patched entry.
+        # Sanity: a plain native fine tuning does go through the patched entry.
         with pytest.raises(AssertionError, match="native climb"):
-            hill_climb_incremental(
-                placement,
-                RuntimeEvaluator(circuit, environment, backend="native"),
-                movable,
-                allowed,
+            fine_tune_workspace_placement(
+                circuit, placements, environment, allowed_nodes=allowed,
+                backend="native",
             )
 
         results = {}
         for backend in ("python", "native"):
             results[backend] = fine_tune_workspace_placement(
                 circuit,
-                placement,
+                placements,
                 environment,
                 allowed_nodes=allowed,
                 full_recompute=True,
@@ -528,18 +584,42 @@ class TestNativeHillClimb:
         assert results["native"] == results["python"]
 
     def test_unknown_qubit_or_node_raises_before_the_kernel(self):
-        environment, circuit, placement, movable, allowed = _climb_case(
+        environment, circuit, [placement], movable, allowed = _climb_case(
             "trans-crotonic-acid", 3, False
         )
         evaluator = RuntimeEvaluator(circuit, environment, backend="native")
         with pytest.raises(KeyError):
-            evaluator.hill_climb(placement, movable, allowed + ["nowhere"], 3)
+            evaluator.hill_climb([placement], movable, allowed + ["nowhere"], 3)
         with pytest.raises(KeyError):
-            evaluator.hill_climb(placement, movable + ["ghost"], allowed, 3)
+            evaluator.hill_climb([placement], movable + ["ghost"], allowed, 3)
+        # A bad second start fails before the first one is climbed.
+        stray = dict(placement)
+        stray[movable[0]] = "nowhere"
+        with pytest.raises(KeyError):
+            evaluator.hill_climb([placement, stray], movable, allowed, 3)
+        assert evaluator.hill_climb([], movable, allowed, 3) == []
+        # The binding refuses rows the kernel would read past.
+        with pytest.raises(ValueError, match="rows"):
+            evaluator._native.hill_climb(1, array("i"), array("i"), [0], [0], 3)
         assert evaluator._base_nodes is None  # never re-based
         python = RuntimeEvaluator(circuit, environment, backend="python")
         with pytest.raises(RuntimeError, match="native backend"):
-            python.hill_climb(placement, movable, allowed, 3)
+            python.hill_climb([placement], movable, allowed, 3)
+
+    def test_one_kernel_call_per_candidate_set(self, crotonic, monkeypatch):
+        import repro.core.placement as placement_module
+
+        kernel_calls = _count_calls(monkeypatch, _native.NativeReplay, "hill_climb")
+        tune_calls = _count_calls(
+            monkeypatch, placement_module, "fine_tune_workspace_placement"
+        )
+        result = place_circuit(
+            qft_circuit(6),
+            crotonic,
+            PlacementOptions(threshold=200.0, scheduler_backend="native"),
+        )
+        assert len(kernel_calls) == len(tune_calls)
+        assert len(kernel_calls) <= 2 * len(result.stages)
 
 
 class TestNativeBuild:
