@@ -88,17 +88,8 @@ class HostEncoding:
             node: position for position, node in enumerate(self.nodes)
         }
         count = len(self.nodes)
-        adjacency = [0] * count
-        degree = [0] * count
-        for a, b in host.edges():
-            i = self.index[a]
-            j = self.index[b]
-            if i == j:  # self-loops carry no placement meaning
-                continue
-            adjacency[i] |= 1 << j
-            adjacency[j] |= 1 << i
-        for position in range(count):
-            degree[position] = adjacency[position].bit_count()
+        adjacency = adjacency_masks(host, self.index)
+        degree = [mask.bit_count() for mask in adjacency]
         self.adjacency: List[int] = adjacency
         self.degree: List[int] = degree
         # Nodes grouped by the descending degree multiset of their
@@ -129,6 +120,21 @@ class HostEncoding:
             host.number_of_nodes(),
             host.number_of_edges(),
         )
+
+
+def adjacency_masks(graph: nx.Graph, index: Dict[Node, int]) -> List[int]:
+    """One neighbour bitmask per node of ``graph``, numbered by ``index``.
+
+    Self-loops carry no placement or routing meaning and are dropped.
+    """
+    adjacency = [0] * len(index)
+    for a, b in graph.edges():
+        i = index[a]
+        j = index[b]
+        if i != j:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    return adjacency
 
 
 def iter_bits(mask: int) -> Iterator[int]:

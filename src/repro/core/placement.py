@@ -246,7 +246,7 @@ def _estimate_swap_cost(
         if old_node is None or old_node == new_node:
             continue
         hops = context.distances_from(old_node).get(new_node)
-        if hops is None:  # pragma: no cover - guarded by construction
+        if hops is None:  # another component of a disconnected working graph
             return float("inf")
         max_hops = max(max_hops, hops)
         total_hops += hops
@@ -457,7 +457,7 @@ def run_pipeline(
                 evaluator_for(index + 1),
             )
 
-        best_placement, best_runtime = _select_candidate(
+        chosen = _select_candidate(
             candidates,
             lookahead_candidates,
             previous_placement,
@@ -465,6 +465,14 @@ def run_pipeline(
             median_delay,
             options,
         )
+        if chosen is None:
+            raise PlacementError(
+                f"workspace {index} has no placement reachable by SWAPs at "
+                f"threshold {threshold:g} on {environment.name!r}: every candidate "
+                "moves a qubit between disconnected components of the adjacency "
+                "graph (the default restrict_to_largest_component=True avoids this)"
+            )
+        best_placement, best_runtime = chosen
 
         if previous_placement is not None:
             swap_stage = _build_swap_stage(
@@ -523,8 +531,13 @@ def _select_candidate(
     context: _GraphContext,
     median_delay: float,
     options: PlacementOptions,
-) -> Tuple[Placement, float]:
-    """Pick the cheapest candidate, optionally looking one stage ahead."""
+) -> Optional[Tuple[Placement, float]]:
+    """Pick the cheapest candidate, optionally looking one stage ahead.
+
+    Returns ``None`` when every candidate scores infinite, which happens
+    when each one would move a qubit to another component of a
+    disconnected working graph.
+    """
     width = options.lookahead_width
     shortlist = candidates[:width] if lookahead_candidates is not None else candidates
     best: Optional[Tuple[Placement, float]] = None
@@ -545,8 +558,6 @@ def _select_candidate(
         if score < best_score:
             best_score = score
             best = (placement, runtime)
-    if best is None:  # pragma: no cover - candidates is never empty
-        raise PlacementError("no candidate placement available")
     return best
 
 

@@ -8,7 +8,8 @@ permutation.
 The algorithm follows the paper:
 
 1. Cut the graph into two connected, size-balanced subgraphs ``G1``/``G2``
-   (:func:`repro.routing.separators.balanced_connected_bisection`).
+   (:func:`repro.routing.separators.bisect_mask`, the mask form of
+   :func:`~repro.routing.separators.balanced_connected_bisection`).
 2. Colour every token by the side its destination lies on, then move every
    token to its side: inside each side, tokens of the wrong colour "bubble"
    towards the root of a spanning tree rooted at the communication channel;
@@ -32,30 +33,38 @@ on the correct side.
 Determinism contract
 --------------------
 
-Every choice the router makes — spanning-tree traversal order, channel-edge
-selection, leaf processing order, subgraph construction — is resolved
-through one :func:`repro.core._bitset.node_index_table` built at entry, so
-the emitted layers are byte-identical across interpreter processes and
-``PYTHONHASHSEED`` values.  In particular the router never iterates a plain
-``set`` (or a networkx subgraph *view* over one, whose iteration order
-follows the set's hash order) where the order can reach the output.
+``route_permutation`` numbers the graph's nodes once per call with
+:class:`repro.core._bitset.HostEncoding` (the
+:func:`repro.core._bitset.node_index_table` order, one neighbour bitmask
+per node).  Below that entry point every step — the reachability check, the
+leaf pre-pass, the component split, the recursive bisection and the per-side
+BFS trees — works on int masks and index arrays, and every choice (traversal
+order, channel edge, leaf order) is an index comparison, so the emitted
+layers are byte-identical across interpreter processes and
+``PYTHONHASHSEED`` values.  No set, subgraph copy or subgraph view is ever
+iterated below the entry point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Hashable, List, Mapping, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
-from repro.core._bitset import node_index_table
+from repro.core._bitset import HostEncoding, iter_bits
 from repro.exceptions import RoutingError
 from repro.routing.permutation import (
     Permutation,
     complete_partial_permutation,
     required_permutation,
 )
-from repro.routing.separators import balanced_connected_bisection, bfs_tree_parents
+from repro.routing.separators import (
+    bfs_parents,
+    bisect_mask,
+    component_masks,
+    crossing_edges,
+)
 
 Node = Hashable
 Swap = Tuple[Node, Node]
@@ -102,12 +111,6 @@ def _as_full_permutation(
     return complete_partial_permutation(graph, dict(permutation))
 
 
-def _apply_layer(token_target: Dict[Node, Node], layer: Layer) -> None:
-    """Swap token destinations along every edge of the layer."""
-    for a, b in layer:
-        token_target[a], token_target[b] = token_target[b], token_target[a]
-
-
 def _verify_layers(graph: nx.Graph, layers: Sequence[Layer]) -> None:
     """Internal consistency check: swaps are graph edges and layer-disjoint."""
     for layer in layers:
@@ -148,35 +151,37 @@ def route_permutation(
     if graph.number_of_nodes() == 0:
         return RoutingResult([], Permutation({}))
 
-    order = node_index_table(graph.nodes())
     full = _as_full_permutation(graph, permutation)
-    token_target: Dict[Node, Node] = full.as_dict()
+    encoding = HostEncoding(graph)
+    index = encoding.index
+    # target[i]: index of the node the token now on node i must reach.
+    target = [index[full[node]] for node in encoding.nodes]
 
-    for source, target in token_target.items():
-        if source == target:
-            continue
-        if not nx.has_path(graph, source, target):
-            raise RoutingError(
-                f"token at {source!r} cannot reach {target!r}: "
-                "no path in the adjacency graph"
-            )
+    components = component_masks(encoding.adjacency, encoding.full_mask)
+    if len(components) > 1:
+        label = {
+            node: number
+            for number, component in enumerate(components)
+            for node in iter_bits(component)
+        }
+        for source, destination in full.as_dict().items():
+            if label[index[source]] != label[index[destination]]:
+                raise RoutingError(
+                    f"token at {source!r} cannot reach {destination!r}: "
+                    "no path in the adjacency graph"
+                )
 
     layers: List[Layer] = []
-    frozen: Set[Node] = set()
+    active = encoding.full_mask
     if leaf_override:
-        layers.extend(_leaf_override_pass(graph, token_target, frozen, order))
-
-    active_nodes = set(graph.nodes()) - frozen
-    active = _canonical_subgraph(graph, active_nodes, order)
-    component_layers: List[Layer] = []
-    components = sorted(
-        nx.connected_components(active),
-        key=lambda component: min(order[node] for node in component),
-    )
-    for component in components:
-        routed = _route_component(
-            _canonical_subgraph(active, component, order), token_target, order
+        loops = sum(
+            1 << index[node] for node, neighbours in graph.adj.items() if node in neighbours
         )
+        active = _leaf_override_pass(encoding, loops, target, layers)
+
+    component_layers: List[Layer] = []
+    for component in component_masks(encoding.adjacency, active):
+        routed = _route_component(encoding, component, target)
         # Distinct components act on disjoint nodes, so their layer
         # sequences can run in parallel.
         component_layers = _merge_layer_sequences(component_layers, routed)
@@ -184,34 +189,14 @@ def route_permutation(
 
     if validate:
         _verify_layers(graph, layers)
-        remaining = [n for n, t in token_target.items() if t != n]
+        remaining = [
+            encoding.nodes[node] for node, goal in enumerate(target) if goal != node
+        ]
         if remaining:
             raise RoutingError(
                 f"routing failed to deliver tokens on nodes {sorted(map(repr, remaining))}"
             )
     return RoutingResult(layers, full)
-
-
-def _canonical_subgraph(
-    graph: nx.Graph, nodes: Set[Node], order: Dict[Node, int]
-) -> nx.Graph:
-    """A deterministic induced-subgraph copy.
-
-    ``graph.subgraph(node_set)`` yields a view whose iteration order can
-    follow the *set*'s hash order, and ``.copy()`` freezes that order into
-    the new graph's adjacency — making every later traversal depend on
-    ``PYTHONHASHSEED``.  Rebuilding with nodes and edges inserted in
-    node-index order makes the copy's iteration order canonical.
-    """
-    members = sorted(nodes, key=order.__getitem__)
-    member_set = set(members)
-    sub = nx.Graph()
-    sub.add_nodes_from(members)
-    for a in members:
-        for b in sorted(graph.adj[a], key=order.__getitem__):
-            if b in member_set and order[a] < order[b]:
-                sub.add_edge(a, b)
-    return sub
 
 
 def _merge_layer_sequences(first: List[Layer], second: List[Layer]) -> List[Layer]:
@@ -228,126 +213,92 @@ def _merge_layer_sequences(first: List[Layer], second: List[Layer]) -> List[Laye
 
 
 def _leaf_override_pass(
-    graph: nx.Graph,
-    token_target: Dict[Node, Node],
-    frozen: Set[Node],
-    order: Dict[Node, int],
-) -> List[Layer]:
-    """The leaf–target value override heuristic.
+    encoding: HostEncoding, loops: int, target: List[int], layers: List[Layer]
+) -> int:
+    """The leaf–target value override heuristic; returns the unfrozen mask.
 
     Repeatedly: freeze every leaf that already holds its destination value;
     and whenever a leaf's destination value sits on the leaf's unique active
     neighbour, swap it in (one layer can serve many leaves in parallel) and
     freeze the leaf.  Frozen leaves are excluded from the rest of the
-    routing, shrinking the instance.
+    routing, shrinking the instance.  A node with a self-loop is never a
+    leaf: like networkx's ``degree``, the loop counts twice.
     """
-    layers: List[Layer] = []
+    adjacency, nodes = encoding.adjacency, encoding.nodes
+    active = encoding.full_mask
     while True:
-        active = graph.subgraph(set(graph.nodes()) - frozen)
-        progress = False
-
-        # Freeze satisfied leaves first (no swaps needed).
-        for node in list(active.nodes()):
-            if active.degree(node) == 1 and token_target[node] == node:
-                frozen.add(node)
-                progress = True
-        if progress:
+        leaves = [
+            node
+            for node in iter_bits(active & ~loops)
+            if (adjacency[node] & active).bit_count() == 1
+        ]
+        settled = 0
+        for leaf in leaves:
+            if target[leaf] == leaf:
+                settled |= 1 << leaf
+        if settled:
+            active &= ~settled
             continue
 
         layer: Layer = []
-        used: Set[Node] = set()
-        for leaf in sorted(
-            (n for n in active.nodes() if active.degree(n) == 1),
-            key=order.__getitem__,
-        ):
-            if leaf in used:
+        used = swapped = 0
+        for leaf in leaves:
+            neighbour_bit = adjacency[leaf] & active
+            if used & (1 << leaf | neighbour_bit):
                 continue
-            neighbours = list(active.neighbors(leaf))
-            if len(neighbours) != 1:
-                continue
-            neighbour = neighbours[0]
-            if neighbour in used:
-                continue
-            if token_target[neighbour] == leaf:
-                layer.append((leaf, neighbour))
-                used.update((leaf, neighbour))
+            neighbour = neighbour_bit.bit_length() - 1
+            if target[neighbour] == leaf:
+                layer.append((nodes[leaf], nodes[neighbour]))
+                target[leaf], target[neighbour] = leaf, target[leaf]
+                used |= 1 << leaf | neighbour_bit
+                swapped |= 1 << leaf
         if not layer:
-            break
-        _apply_layer(token_target, layer)
+            return active
         layers.append(layer)
-        for leaf, _ in layer:
-            frozen.add(leaf)
-    return layers
+        active &= ~swapped
 
 
 def _route_component(
-    graph: nx.Graph, token_target: Dict[Node, Node], order: Dict[Node, int]
+    encoding: HostEncoding, members: int, target: List[int]
 ) -> List[Layer]:
     """Recursive routing of a connected component (tokens stay inside it)."""
-    n = graph.number_of_nodes()
+    n = members.bit_count()
     if n <= 1:
         return []
-    if all(token_target[node] == node for node in graph.nodes()):
+    if all(target[node] == node for node in iter_bits(members)):
         return []
     if n == 2:
-        a, b = sorted(graph.nodes(), key=order.__getitem__)
-        if token_target[a] == b:
-            layer = [(a, b)]
-            _apply_layer(token_target, layer)
-            return [layer]
+        a = (members & -members).bit_length() - 1
+        b = members.bit_length() - 1
+        if target[a] == b:
+            target[a], target[b] = target[b], target[a]
+            return [[(encoding.nodes[a], encoding.nodes[b])]]
         return []
 
-    bisection = balanced_connected_bisection(graph, order)
-    side_one: Set[Node] = set(bisection.part_one)
-    side_two: Set[Node] = set(bisection.part_two)
-
-    separation_layers = _separate_sides(
-        graph, side_one, side_two, bisection.channel_edges, token_target, order
-    )
-
-    sub_one = _canonical_subgraph(graph, side_one, order)
-    sub_two = _canonical_subgraph(graph, side_two, order)
-    layers_one = _route_component(sub_one, token_target, order)
-    layers_two = _route_component(sub_two, token_target, order)
+    one, two = bisect_mask(encoding.adjacency, members)
+    separation_layers = _separate_sides(encoding, one, two, target)
+    layers_one = _route_component(encoding, one, target)
+    layers_two = _route_component(encoding, two, target)
     return separation_layers + _merge_layer_sequences(layers_one, layers_two)
 
 
-def _spanning_tree_parents(
-    graph: nx.Graph, nodes: Set[Node], root: Node, order: Dict[Node, int]
-) -> Dict[Node, Node]:
-    """Parent pointers of a BFS spanning tree of ``nodes`` rooted at ``root``.
+def _climbs(adjacency: Sequence[int], root: int, side: int) -> List[Tuple[int, int, int]]:
+    """``(child, parent, pair mask)`` of a side's BFS tree, deepest first.
 
-    The BFS visits each node's neighbours in node-index order (shared
-    traversal: :func:`repro.routing.separators.bfs_tree_parents`), so the
-    tree — and hence every bubble trajectory — is independent of the
-    adjacency dict's insertion order.
+    Ties are broken by node index.
     """
-    return bfs_tree_parents(graph, root, order, nodes=nodes)
-
-
-def _depths_from_parents(parents: Dict[Node, Node], root: Node, nodes: Set[Node]) -> Dict[Node, int]:
-    depths = {root: 0}
-    for node in nodes:
-        if node in depths:
-            continue
-        chain = []
-        current = node
-        while current not in depths:
-            chain.append(current)
-            current = parents[current]
-        base = depths[current]
-        for offset, member in enumerate(reversed(chain), start=1):
-            depths[member] = base + offset
-    return depths
+    parents = bfs_parents(adjacency, root, side)
+    depth = {root: 0}
+    for child, parent in parents.items():
+        depth[child] = depth[parent] + 1
+    return [
+        (child, parents[child], 1 << child | 1 << parents[child])
+        for child in sorted(parents, key=lambda node: (-depth[node], node))
+    ]
 
 
 def _separate_sides(
-    graph: nx.Graph,
-    side_one: Set[Node],
-    side_two: Set[Node],
-    channel_edges: Sequence[Swap],
-    token_target: Dict[Node, Node],
-    order: Dict[Node, int],
+    encoding: HostEncoding, one: int, two: int, target: List[int]
 ) -> List[Layer]:
     """Move every token to the side that contains its destination.
 
@@ -355,72 +306,53 @@ def _separate_sides(
     communication channel along a spanning tree of their side and cross over
     whenever both channel endpoints hold wrong-side tokens.
     """
-    if not channel_edges:
+    adjacency, nodes = encoding.adjacency, encoding.nodes
+    channels = crossing_edges(adjacency, one, two)
+    if not channels:
         raise RoutingError("bisection produced no communication channel")
-    # A single channel edge, as in the paper's analysis.
-    # ``Bisection.channel_edges`` arrives canonically oriented
-    # (lower-index endpoint first) and sorted by node index — see
-    # ``repro.routing.separators._channel_edges`` — so the first edge is
-    # the canonical minimum.
-    channel = channel_edges[0]
-    root_one = channel[0] if channel[0] in side_one else channel[1]
-    root_two = channel[1] if channel[0] in side_one else channel[0]
+    # A single channel edge, as in the paper's analysis: the first one in
+    # node-index order.
+    low, high = channels[0]
+    root_one, root_two = (low, high) if one >> low & 1 else (high, low)
+    roots = 1 << root_one | 1 << root_two
+    climbs = _climbs(adjacency, root_one, one) + _climbs(adjacency, root_two, two)
 
-    parents_one = _spanning_tree_parents(graph, side_one, root_one, order)
-    parents_two = _spanning_tree_parents(graph, side_two, root_two, order)
-    depths_one = _depths_from_parents(parents_one, root_one, side_one)
-    depths_two = _depths_from_parents(parents_two, root_two, side_two)
-
-    def wrong(node: Node) -> bool:
-        target = token_target[node]
-        if node in side_one:
-            return target in side_two
-        return target in side_one
-
+    # Each node with the mask of the side it does not belong to.
+    across = [(node, two if one >> node & 1 else one) for node in iter_bits(one | two)]
     layers: List[Layer] = []
-    max_iterations = 4 * graph.number_of_nodes() + 8
-    for _ in range(max_iterations):
-        wrong_nodes = [node for node in graph.nodes() if wrong(node)]
-        if not wrong_nodes:
-            break
+    for _ in range(4 * len(across) + 8):
+        wrong = 0
+        for node, other in across:
+            if other >> target[node] & 1:
+                wrong |= 1 << node
+        if not wrong:
+            return layers
 
         layer: Layer = []
-        used: Set[Node] = set()
-
+        used = 0
         # Rule 1: exchange across the communication channel when both
         # endpoints hold tokens destined for the other side.
-        if wrong(root_one) and wrong(root_two):
-            layer.append((root_one, root_two))
-            used.update((root_one, root_two))
+        if wrong & roots == roots:
+            layer.append((nodes[root_one], nodes[root_two]))
+            target[root_one], target[root_two] = target[root_two], target[root_one]
+            used = roots
 
         # Rule 2: within each side, wrong tokens bubble one step towards the
         # root, passing right-side tokens downwards.  Deepest first.
-        for side_nodes, parents, depths in (
-            (side_one, parents_one, depths_one),
-            (side_two, parents_two, depths_two),
-        ):
-            candidates = sorted(
-                (node for node in side_nodes if node in parents),
-                key=lambda node: (-depths[node], order[node]),
-            )
-            for child in candidates:
-                parent = parents[child]
-                if child in used or parent in used:
-                    continue
-                if wrong(child) and not wrong(parent):
-                    layer.append((child, parent))
-                    used.update((child, parent))
+        for child, parent, pair in climbs:
+            if used & pair or wrong & pair != 1 << child:
+                continue
+            layer.append((nodes[child], nodes[parent]))
+            target[child], target[parent] = target[parent], target[child]
+            used |= pair
 
         if not layer:
             raise RoutingError(
                 "bubble separation stalled; this indicates an inconsistent "
                 "bisection or token assignment"
             )
-        _apply_layer(token_target, layer)
         layers.append(layer)
-    else:
-        raise RoutingError("bubble separation exceeded its iteration budget")
-    return layers
+    raise RoutingError("bubble separation exceeded its iteration budget")
 
 
 def route_between_placements(

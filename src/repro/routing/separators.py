@@ -8,22 +8,28 @@ parameter ``s``: the ratio of the smaller part to the larger part, taken over
 the whole recursion.  The appendix of the paper shows every graph of maximal
 degree ``k`` admits ``s >= 1/k``; chains and 2D lattices achieve ``s >= 1/2``.
 
-Every tie-break in this module — spanning-tree traversal order, channel-edge
-orientation, boundary-refinement order — is resolved through one
-:func:`repro.core._bitset.node_index_table` per call, so the bisection found
-for a given node/edge set is independent of the input graph's internal
-iteration order (and hence of ``PYTHONHASHSEED``).
+Determinism contract
+--------------------
+
+The cut is computed on an integer index of the graph — the layout of
+:class:`repro.core._bitset.HostEncoding`: nodes numbered in
+:func:`repro.core._bitset.node_index_table` order, one neighbour bitmask per
+node, node subsets as int masks.  Every tie-break — spanning-tree traversal
+order, channel-edge orientation, boundary-refinement order — is an index
+comparison, so the bisection found for a given node/edge set is independent
+of the input graph's insertion order (and hence of ``PYTHONHASHSEED``).  The
+bubble router (:mod:`repro.routing.bubble`) calls :func:`bisect_mask` on its
+own encoding, so its recursion builds no subgraphs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.core._bitset import node_index_table
+from repro.core._bitset import adjacency_masks, iter_bits, node_index_table
 from repro.exceptions import RoutingError
 
 Node = Hashable
@@ -58,150 +64,170 @@ class Bisection:
         return len(self.part_one) - len(self.part_two)
 
 
-def _channel_edges(
-    graph: nx.Graph,
-    part_one: Set[Node],
-    part_two: Set[Node],
-    order: Dict[Node, int],
-) -> Tuple:
-    """Cut edges, canonically oriented and sorted by node index."""
+def reach(adjacency: Sequence[int], seed: int, members: int) -> int:
+    """The nodes of ``members`` connected to the ``seed`` mask inside ``members``."""
+    seen = frontier = seed & members
+    while frontier:
+        grown = 0
+        for node in iter_bits(frontier):
+            grown |= adjacency[node]
+        frontier = grown & members & ~seen
+        seen |= frontier
+    return seen
+
+
+def component_masks(adjacency: Sequence[int], members: int) -> List[int]:
+    """Connected components of ``members``, ordered by their lowest index."""
+    components = []
+    while members:
+        component = reach(adjacency, members & -members, members)
+        components.append(component)
+        members &= ~component
+    return components
+
+
+def crossing_edges(
+    adjacency: Sequence[int], one: int, two: int
+) -> List[Tuple[int, int]]:
+    """Edges between the two masks, lower index first, in index order."""
     edges = []
-    for a, b in graph.edges():
-        if (a in part_one and b in part_two) or (a in part_two and b in part_one):
-            if order[b] < order[a]:
-                a, b = b, a
-            edges.append((a, b))
-    edges.sort(key=lambda edge: (order[edge[0]], order[edge[1]]))
-    return tuple(edges)
-
-
-def _bisection_from_parts(
-    graph: nx.Graph,
-    part_a: Set[Node],
-    part_b: Set[Node],
-    order: Dict[Node, int],
-) -> Bisection:
-    if len(part_a) < len(part_b):
-        part_a, part_b = part_b, part_a
-    return Bisection(
-        frozenset(part_a),
-        frozenset(part_b),
-        _channel_edges(graph, set(part_a), set(part_b), order),
-    )
-
-
-def bfs_tree_parents(
-    graph: nx.Graph,
-    root: Node,
-    order: Dict[Node, int],
-    nodes: Optional[Set[Node]] = None,
-) -> Dict[Node, Node]:
-    """Index-ordered BFS spanning-tree parent pointers (discovery order).
-
-    Each node's neighbours are visited in node-index order, so the tree is
-    independent of the graph's adjacency insertion order.  ``nodes``
-    optionally restricts the traversal to an induced subset.  The dict's
-    insertion order is BFS discovery order — the determinism-critical
-    traversal shared by this module's spanning-tree cuts and the bubble
-    router's per-side trees (:mod:`repro.routing.bubble`).
-    """
-    parents: Dict[Node, Node] = {}
-    visited: Set[Node] = {root}
-    queue: deque = deque([root])
-    while queue:
-        parent = queue.popleft()
-        for child in sorted(graph.adj[parent], key=order.__getitem__):
-            if (nodes is None or child in nodes) and child not in visited:
-                visited.add(child)
-                parents[child] = parent
-                queue.append(child)
-    return parents
-
-
-def _bfs_tree_edges(
-    graph: nx.Graph, root: Node, order: Dict[Node, int]
-) -> List[Tuple[Node, Node]]:
-    """BFS spanning-tree edges with neighbours visited in node-index order."""
-    return [
-        (parent, child)
-        for child, parent in bfs_tree_parents(graph, root, order).items()
-    ]
-
-
-def _dfs_tree_edges(
-    graph: nx.Graph, root: Node, order: Dict[Node, int]
-) -> List[Tuple[Node, Node]]:
-    """DFS spanning-tree edges with neighbours visited in node-index order."""
-    edges: List[Tuple[Node, Node]] = []
-    visited: Set[Node] = {root}
-    stack: List[Tuple[Node, Iterable[Node]]] = [
-        (root, iter(sorted(graph.adj[root], key=order.__getitem__)))
-    ]
-    while stack:
-        parent, children = stack[-1]
-        advanced = False
-        for child in children:
-            if child not in visited:
-                visited.add(child)
-                edges.append((parent, child))
-                stack.append(
-                    (child, iter(sorted(graph.adj[child], key=order.__getitem__)))
-                )
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
+    for low in iter_bits(one | two):
+        # Only neighbours above ``low``, so each edge is listed once.
+        across = adjacency[low] & (two if one >> low & 1 else one) & ~((2 << low) - 1)
+        edges.extend((low, high) for high in iter_bits(across))
     return edges
 
 
-def _tree_edge_split(
-    graph: nx.Graph, tree: nx.Graph, order: Dict[Node, int]
-) -> Optional[Bisection]:
-    """Best bisection obtained by deleting a single spanning-tree edge."""
-    total = graph.number_of_nodes()
-    best: Optional[Bisection] = None
-    for edge in list(tree.edges()):
-        tree.remove_edge(*edge)
-        components = list(nx.connected_components(tree))
-        tree.add_edge(*edge)
-        if len(components) != 2:
-            continue
-        part_a, part_b = components
-        candidate = _bisection_from_parts(graph, set(part_a), set(part_b), order)
-        if best is None or abs(candidate.balance) < abs(best.balance):
-            best = candidate
-        if best.balance <= total % 2:
-            break
+def bfs_parents(adjacency: Sequence[int], root: int, members: int) -> Dict[int, int]:
+    """Index-ordered BFS spanning-tree parent pointers over ``members``.
+
+    Each node's unvisited neighbours join in index order, so the dict's
+    insertion order is BFS discovery order — the traversal shared by this
+    module's spanning-tree cuts and the bubble router's per-side trees.
+    """
+    parents: Dict[int, int] = {}
+    seen = 1 << root
+    queue = [root]
+    for parent in queue:
+        fresh = adjacency[parent] & members & ~seen
+        seen |= fresh
+        for child in iter_bits(fresh):
+            parents[child] = parent
+            queue.append(child)
+    return parents
+
+
+def _dfs_parents(adjacency: Sequence[int], root: int, members: int) -> Dict[int, int]:
+    """DFS spanning-tree parent pointers (lowest unvisited neighbour first)."""
+    parents: Dict[int, int] = {}
+    seen = 1 << root
+    stack = [root]
+    while stack:
+        fresh = adjacency[stack[-1]] & members & ~seen
+        if fresh:
+            child = (fresh & -fresh).bit_length() - 1
+            seen |= 1 << child
+            parents[child] = stack[-1]
+            stack.append(child)
+        else:
+            stack.pop()
+    return parents
+
+
+def _tree_cut(adjacency: Sequence[int], members: int) -> int:
+    """Subtree mask of the most balanced single spanning-tree edge cut.
+
+    The trees are BFS then DFS trees rooted at the first, middle and last
+    member.  Each tree's edges are scanned as nodes in discovery order,
+    then each node's children in discovery order, and the first edge of
+    least imbalance wins; each tree is scored in one pass from its
+    subtree masks.
+    """
+    nodes = list(iter_bits(members))
+    total = len(nodes)
+    best_balance = total
+    best = 0
+    for root in dict.fromkeys((nodes[0], nodes[total // 2], nodes[-1])):
+        for parents in (
+            bfs_parents(adjacency, root, members),
+            _dfs_parents(adjacency, root, members),
+        ):
+            subtree = {child: 1 << child for child in parents}
+            children: Dict[int, List[int]] = {}
+            for child in reversed(parents):
+                parent = parents[child]
+                if parent != root:
+                    subtree[parent] |= subtree[child]
+            for child, parent in parents.items():
+                children.setdefault(parent, []).append(child)
+            for parent in (root, *parents):
+                for child in children.get(parent, ()):
+                    balance = abs(total - 2 * subtree[child].bit_count())
+                    if balance < best_balance:
+                        best_balance, best = balance, subtree[child]
+                        if balance <= total % 2:
+                            return best
     return best
 
 
-def _refine_by_moving_boundary(
-    graph: nx.Graph, bisection: Bisection, order: Dict[Node, int]
-) -> Bisection:
-    """Greedy local improvement: move boundary nodes from the big part to the small one.
+def _connected(adjacency: Sequence[int], members: int) -> bool:
+    return reach(adjacency, members & -members, members) == members
 
-    A node is moved only when both induced subgraphs stay connected, so the
-    result is always a valid connected bisection at least as balanced as the
-    input.
+
+def bisect_mask(adjacency: Sequence[int], members: int) -> Tuple[int, int]:
+    """``(part_one, part_two)`` masks of a connected set of at least two nodes.
+
+    The most balanced spanning-tree edge cut (:func:`_tree_cut`; the root's
+    side is ``part_one`` on a size tie), then a greedy local improvement:
+    while ``part_one`` is at least two larger, move its first boundary node
+    (in channel-edge order) whose move keeps both parts connected.
     """
-    part_one = set(bisection.part_one)
-    part_two = set(bisection.part_two)
-    improved = True
-    while improved and len(part_one) - len(part_two) >= 2:
-        improved = False
-        for a, b in _channel_edges(graph, part_one, part_two, order):
-            candidate = a if a in part_one else b
-            new_one = part_one - {candidate}
-            new_two = part_two | {candidate}
-            if not new_one:
-                continue
-            if nx.is_connected(graph.subgraph(new_one)) and nx.is_connected(
-                graph.subgraph(new_two)
-            ):
-                part_one, part_two = new_one, new_two
-                improved = True
+    subtree = _tree_cut(adjacency, members)
+    rest = members & ~subtree
+    if rest.bit_count() < subtree.bit_count():
+        one, two = subtree, rest
+    else:
+        one, two = rest, subtree
+    while one.bit_count() - two.bit_count() >= 2:
+        for low, high in crossing_edges(adjacency, one, two):
+            moved = 1 << (low if one >> low & 1 else high)
+            if _connected(adjacency, one & ~moved) and _connected(adjacency, two | moved):
+                one, two = one & ~moved, two | moved
                 break
-    return _bisection_from_parts(graph, part_one, part_two, order)
+        else:
+            break
+    return one, two
+
+
+def _index(
+    graph: nx.Graph, order: Optional[Dict[Node, int]] = None
+) -> Tuple[List[Node], List[int]]:
+    """``graph``'s nodes in ``order`` (canonical by default) and their masks."""
+    if order is None:
+        order = node_index_table(graph.nodes())
+    index = {
+        node: position
+        for position, node in enumerate(sorted(graph.nodes(), key=order.__getitem__))
+    }
+    return list(index), adjacency_masks(graph, index)
+
+
+def _checked_bisect(adjacency: Sequence[int], members: int) -> Tuple[int, int]:
+    if members.bit_count() < 2:
+        raise RoutingError("cannot bisect a graph with fewer than two nodes")
+    if not _connected(adjacency, members):
+        raise RoutingError("cannot bisect a disconnected graph")
+    return bisect_mask(adjacency, members)
+
+
+def _bisection(
+    nodes: Sequence[Node], adjacency: Sequence[int], one: int, two: int
+) -> Bisection:
+    return Bisection(
+        frozenset(nodes[node] for node in iter_bits(one)),
+        frozenset(nodes[node] for node in iter_bits(two)),
+        tuple((nodes[a], nodes[b]) for a, b in crossing_edges(adjacency, one, two)),
+    )
 
 
 def balanced_connected_bisection(
@@ -216,52 +242,28 @@ def balanced_connected_bisection(
     general bounded-degree graphs it comfortably achieves the ``s >= 1/k``
     guarantee of the appendix on all the architectures used in this project.
 
-    ``order`` may supply an existing node-index table covering (a superset
-    of) the graph's nodes — the bubble router passes its whole-graph table
-    so the recursion does not re-``repr``-sort every subgraph.  Only the
-    relative order of the graph's own nodes is used, so any consistent
-    table yields the same cut as the freshly built default.
+    ``order`` may supply a node-index table covering (a superset of) the
+    graph's nodes; only the relative order of the graph's own nodes is
+    used, so any table consistent with ``repr`` order yields the same cut
+    as the freshly built default.
     """
-    if graph.number_of_nodes() < 2:
-        raise RoutingError("cannot bisect a graph with fewer than two nodes")
-    if not nx.is_connected(graph):
-        raise RoutingError("cannot bisect a disconnected graph")
-
-    if order is None:
-        order = node_index_table(graph.nodes())
-    nodes = sorted(graph.nodes(), key=order.__getitem__)
-    roots = [nodes[0], nodes[len(nodes) // 2], nodes[-1]]
-    best: Optional[Bisection] = None
-    seen_roots = set()
-    for root in roots:
-        if root in seen_roots:
-            continue
-        seen_roots.add(root)
-        for tree_builder in (_bfs_tree_edges, _dfs_tree_edges):
-            tree = nx.Graph(tree_builder(graph, root, order))
-            tree.add_nodes_from(nodes)
-            candidate = _tree_edge_split(graph, tree, order)
-            if candidate is None:
-                continue
-            if best is None or abs(candidate.balance) < abs(best.balance):
-                best = candidate
-    if best is None:  # pragma: no cover - a connected graph always has a spanning tree
-        raise RoutingError("failed to bisect the graph")
-    return _refine_by_moving_boundary(graph, best, order)
+    nodes, adjacency = _index(graph, order)
+    one, two = _checked_bisect(adjacency, (1 << len(nodes)) - 1)
+    return _bisection(nodes, adjacency, one, two)
 
 
 def recursive_bisections(graph: nx.Graph) -> List[Bisection]:
     """All bisections performed by the full recursion (in discovery order)."""
+    nodes, adjacency = _index(graph)
     result: List[Bisection] = []
-    stack = [graph]
+    stack = [(1 << len(nodes)) - 1]
     while stack:
-        current = stack.pop()
-        if current.number_of_nodes() < 2:
+        members = stack.pop()
+        if members.bit_count() < 2:
             continue
-        bisection = balanced_connected_bisection(current)
-        result.append(bisection)
-        stack.append(graph.subgraph(bisection.part_one).copy())
-        stack.append(graph.subgraph(bisection.part_two).copy())
+        one, two = _checked_bisect(adjacency, members)
+        result.append(_bisection(nodes, adjacency, one, two))
+        stack += (one, two)
     return result
 
 

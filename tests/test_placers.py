@@ -158,6 +158,27 @@ class TestPlacerContract:
         )
         _assert_valid_result(result, circuit, environment)
 
+    @pytest.mark.parametrize("spec", ENGINE_SPECS)
+    def test_disconnected_working_graph_names_the_cause(self, spec):
+        # At threshold 50 crotonic acid's C4 is isolated.  Without the
+        # largest-component restriction some qubit must move to or from it,
+        # so every candidate of a later workspace is unreachable by SWAPs.
+        options = PlacementOptions(
+            threshold=50.0, placer=spec, restrict_to_largest_component=False
+        )
+        with pytest.raises(PlacementError) as raised:
+            place_circuit(qft6(), trans_crotonic_acid(), options)
+        message = str(raised.value)
+        assert "\n" not in message
+        assert message.startswith("workspace 1 has no placement reachable by SWAPs")
+        assert "threshold 50 " in message
+        assert "disconnected components" in message
+        assert "restrict_to_largest_component=True" in message
+        default = place_circuit(
+            qft6(), trans_crotonic_acid(), PlacementOptions(threshold=50.0, placer=spec)
+        )
+        assert len(default.stages) == 5
+
     @pytest.mark.parametrize("spec", ("greedy", "anneal:0x100"))
     def test_placer_object_place_entrypoint(self, spec):
         placer = PLACERS.build(spec)
