@@ -9,7 +9,11 @@ with the same contract:
   sends every pattern edge to a host edge (the host may have extra edges —
   this is subgraph monomorphism, not induced-subgraph isomorphism);
 * enumeration is capped (the paper uses ``k = 100`` candidate mappings per
-  workspace) and deterministic, so experiments are reproducible.
+  workspace) and deterministic, so experiments are reproducible;
+* the pattern must be a simple graph: a pattern node with a self-loop
+  raises :class:`~repro.exceptions.MonomorphismError` naming the node (a
+  qubit cannot interact with itself, and the host encoding drops
+  self-loops, so such a pattern has no meaningful image).
 
 The search itself runs over integer bitmasks (:mod:`repro.core._bitset`):
 the host is relabelled to contiguous ints once (and cached per graph), its
@@ -30,7 +34,8 @@ is therefore exactly the one the original scan-based enumerator produced
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Optional
+import operator
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -43,33 +48,30 @@ Mapping_ = Dict[Node, Node]
 
 
 def _pattern_order(pattern: nx.Graph) -> List[Node]:
-    """Order pattern nodes: highest degree first, then keep the frontier connected."""
-    if pattern.number_of_nodes() == 0:
-        return []
-    remaining = set(pattern.nodes())
-    node_order = node_index_table(remaining)
+    """Order pattern nodes: highest degree first, then keep the frontier connected.
+
+    Each step takes the unplaced node with the most placed neighbours, then
+    the highest degree, then the highest canonical index.  The key is
+    unique, and once a node is placed every frontier node outranks every
+    node without a placed neighbour, so this is the frontier-first rule
+    with one counter update per edge instead of a rescan of the order.
+    """
+    degree = pattern.degree
+    # [placed neighbours, degree, canonical index, node]: the index is
+    # unique, so max() decides before it would compare two nodes.
+    keys = {
+        node: [0, degree[node], position, node]
+        for node, position in node_index_table(pattern.nodes()).items()
+    }
+    remaining = list(keys.values())
     order: List[Node] = []
-    # Start from the highest-degree node (ties broken deterministically).
-    start = max(remaining, key=lambda n: (pattern.degree(n), node_order[n]))
-    order.append(start)
-    remaining.remove(start)
     while remaining:
-        frontier = [
-            node
-            for node in remaining
-            if any(neighbour in order for neighbour in pattern.neighbors(node))
-        ]
-        pool = frontier if frontier else list(remaining)
-        nxt = max(
-            pool,
-            key=lambda n: (
-                sum(1 for nb in pattern.neighbors(n) if nb in order),
-                pattern.degree(n),
-                node_order[n],
-            ),
-        )
-        order.append(nxt)
-        remaining.remove(nxt)
+        key = max(remaining)
+        remaining.remove(key)
+        node = key[3]
+        order.append(node)
+        for neighbour in pattern.neighbors(node):
+            keys[neighbour][0] += 1
     return order
 
 
@@ -88,25 +90,27 @@ def _candidate_domains(
     membership in a complete monomorphism, so filtering by them cannot drop
     or reorder any yielded mapping.  Both depend on a host node only
     through its neighbour-degree profile, so each distinct profile is
-    tested once and its member mask admitted whole.
+    tested once per distinct pattern profile and its member mask admitted
+    whole.
     """
+    degree = dict(pattern.degree())
+    profiles = host.profiles.items()
+    masks: Dict[Tuple[int, ...], int] = {}
     domains: List[int] = []
     for pattern_node in order:
-        pattern_degree = pattern.degree(pattern_node)
-        pattern_profile = sorted(
-            (pattern.degree(nb) for nb in pattern.neighbors(pattern_node)),
-            reverse=True,
+        pattern_profile = tuple(
+            sorted([degree[nb] for nb in pattern.neighbors(pattern_node)], reverse=True)
         )
-        mask = 0
-        for host_profile, members in host.profiles.items():
-            if len(host_profile) < pattern_degree:
-                continue
-            if any(
-                host_profile[t] < pattern_profile[t]
-                for t in range(pattern_degree)
-            ):
-                continue
-            mask |= members
+        mask = masks.get(pattern_profile)
+        if mask is None:
+            mask = 0
+            width = len(pattern_profile)  # the degree: patterns are simple
+            for host_profile, members in profiles:
+                if len(host_profile) >= width and all(
+                    map(operator.ge, host_profile, pattern_profile)
+                ):
+                    mask |= members
+            masks[pattern_profile] = mask
         domains.append(mask)
     return domains
 
@@ -133,6 +137,12 @@ def iter_monomorphisms(
         extraction, candidate placement) pass it to skip the per-call cache
         lookup entirely.
     """
+    loops = list(nx.nodes_with_selfloops(pattern))
+    if loops:
+        raise MonomorphismError(
+            f"pattern node {loops[0]!r} has a self-loop; a pattern must be a "
+            "simple graph"
+        )
     if max_count is not None and max_count <= 0:
         return
     if pattern.number_of_nodes() > host.number_of_nodes():
@@ -182,9 +192,7 @@ def iter_monomorphisms(
                 images[position] = bit_index
                 if position == last:
                     yielded += 1
-                    yield {
-                        order[p]: host_nodes[images[p]] for p in range(positions)
-                    }
+                    yield dict(zip(order, map(host_nodes.__getitem__, images)))
                     if max_count is not None and yielded >= max_count:
                         return
                     continue  # next candidate at the same position

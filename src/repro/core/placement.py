@@ -33,7 +33,7 @@ import networkx as nx
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Qubit
-from repro.core._bitset import HostEncoding, encode_host, node_index_table
+from repro.core._bitset import HostEncoding, encode_host, iter_bits
 from repro.core.config import DEFAULT_OPTIONS, PlacementOptions
 from repro.core.fine_tuning import fine_tune_workspace_placement
 from repro.core.monomorphism import find_monomorphisms
@@ -58,25 +58,41 @@ class _GraphContext:
 
     Built once per :func:`place_circuit` run and threaded through the
     helpers so that the hot loops never sort nodes by ``repr`` or launch a
-    fresh breadth-first search: the node-order table replaces every
-    ``sorted(..., key=repr)`` tie-break (one ``repr`` per node, total), and
-    hop distances are computed per source node at most once.
+    breadth-first search over networkx: the host encoding's node index
+    replaces every ``sorted(..., key=repr)`` tie-break, hop distances come
+    from per-source BFS rings over its neighbour masks, computed at most
+    once per source, and each workspace's monomorphisms are enumerated at
+    most once (the lookahead's enumeration serves the workspace's own
+    placement one iteration later).
     """
 
     def __init__(self, graph: nx.Graph, circuit: QuantumCircuit) -> None:
         self.graph = graph
-        self.node_order: Dict[Node, int] = node_index_table(graph.nodes())
         self.host_encoding: HostEncoding = encode_host(graph)
+        self.node_order: Dict[Node, int] = self.host_encoding.index
         self.qubits: Tuple[Qubit, ...] = tuple(circuit.qubits)
-        self._distances: Dict[Node, Dict[Node, int]] = {}
+        self.monomorphisms: Dict[int, List[Dict[Qubit, Node]]] = {}
+        self._rings: Dict[int, List[int]] = {}
 
-    def distances_from(self, source: Node) -> Dict[Node, int]:
-        """Hop distances from ``source`` (cached per source node)."""
-        cached = self._distances.get(source)
-        if cached is None:
-            cached = nx.single_source_shortest_path_length(self.graph, source)
-            self._distances[source] = cached
-        return cached
+    def rings(self, source: int) -> List[int]:
+        """BFS rings around bit ``source``: ring ``d`` masks the bits ``d`` hops away.
+
+        Cached per source.  A bit in no ring lies in another component.
+        """
+        rings = self._rings.get(source)
+        if rings is None:
+            adjacency = self.host_encoding.adjacency
+            ring = seen = 1 << source
+            rings = []
+            while ring:
+                rings.append(ring)
+                reach = 0
+                for bit in iter_bits(ring):
+                    reach |= adjacency[bit]
+                ring = reach & ~seen
+                seen |= ring
+            self._rings[source] = rings
+        return rings
 
     def placement_key(self, placement: Placement) -> Tuple[int, ...]:
         """Order-free integer fingerprint of a placement (for deduplication)."""
@@ -165,45 +181,46 @@ def _complete_placement(
 
     Inactive qubits prefer to stay where the previous stage left them (when
     that node is still free), then take the free node closest to their old
-    position, and finally any free node in a deterministic order.
+    position (the lowest free bit of the first BFS ring that has one), and
+    finally the lowest free bit, i.e. any free node in node order.
     """
-    graph = context.graph
-    node_order = context.node_order
     placement: Placement = dict(partial)
-    used = set(placement.values())
-    free_set = {node for node in graph.nodes() if node not in used}
-
     unplaced = [q for q in circuit.qubits if q not in placement]
+    if not unplaced:
+        return placement
+    encoding = context.host_encoding
+    index = encoding.index
+    free = encoding.full_mask
+    for node in placement.values():
+        free &= ~(1 << index[node])
+
     remaining: List[Qubit] = []
     if previous is not None:
         for qubit in unplaced:
-            old_node = previous.get(qubit)
-            if old_node is not None and old_node in free_set:
-                placement[qubit] = old_node
-                free_set.remove(old_node)
+            old_bit = index.get(previous.get(qubit))
+            if old_bit is not None and free >> old_bit & 1:
+                placement[qubit] = previous[qubit]
+                free ^= 1 << old_bit
             else:
                 remaining.append(qubit)
     else:
-        remaining = list(unplaced)
+        remaining = unplaced
 
     for qubit in remaining:
-        if not free_set:
+        if not free:
             raise PlacementError(
                 "ran out of physical qubits while completing a placement"
             )
-        if previous is not None and previous.get(qubit) in graph:
-            distances = context.distances_from(previous[qubit])
-            target = min(
-                free_set,
-                key=lambda node: (
-                    distances.get(node, float("inf")),
-                    node_order[node],
-                ),
-            )
-        else:
-            target = min(free_set, key=node_order.__getitem__)
-        placement[qubit] = target
-        free_set.remove(target)
+        nearest = free
+        old_bit = index.get(previous.get(qubit)) if previous is not None else None
+        if old_bit is not None:
+            for ring in context.rings(old_bit):
+                if ring & free:
+                    nearest = ring & free
+                    break
+        target = nearest & -nearest
+        placement[qubit] = encoding.nodes[target.bit_length() - 1]
+        free ^= target
     return placement
 
 
@@ -239,21 +256,28 @@ def _estimate_swap_cost(
     the largest displacement and its work at least the total displacement;
     each layer costs about one SWAP, i.e. three times a typical edge delay.
     """
+    index = context.node_order
+    rings = context.rings
     max_hops = 0
     total_hops = 0
     for qubit, new_node in candidate.items():
         old_node = previous.get(qubit)
         if old_node is None or old_node == new_node:
             continue
-        hops = context.distances_from(old_node).get(new_node)
-        if hops is None:  # another component of a disconnected working graph
+        # The hop distance is the index of the first ring holding the bit.
+        target = 1 << index[new_node]
+        for hops, ring in enumerate(rings(index[old_node])):
+            if ring & target:
+                break
+        else:  # another component of a disconnected working graph
             return float("inf")
-        max_hops = max(max_hops, hops)
+        if hops > max_hops:
+            max_hops = hops
         total_hops += hops
     if total_hops == 0:
         return 0.0
     estimated_depth = max_hops + 0.5 * (total_hops - max_hops) / max(
-        1, context.graph.number_of_nodes()
+        1, len(index)
     )
     return 3.0 * median_delay * estimated_depth
 
@@ -273,14 +297,16 @@ def _candidate_placements(
     Only :class:`~repro.core.placers.exact.ExactPlacer` calls this, through
     ``WorkspacePlacer.candidates``, which places edgeless workspaces itself.
     """
-    pattern = workspace.interaction_graph
     graph = context.graph
-    monomorphisms = find_monomorphisms(
-        pattern,
-        graph,
-        max_count=options.max_monomorphisms,
-        host_encoding=context.host_encoding,
-    )
+    monomorphisms = context.monomorphisms.get(workspace.index)
+    if monomorphisms is None:
+        monomorphisms = find_monomorphisms(
+            workspace.interaction_graph,
+            graph,
+            max_count=options.max_monomorphisms,
+            host_encoding=context.host_encoding,
+        )
+        context.monomorphisms[workspace.index] = monomorphisms
     if not monomorphisms:
         raise PlacementError(
             f"workspace {workspace.index} has no monomorphism into the "
@@ -330,12 +356,17 @@ def _build_swap_stage(
     index: int,
     previous: Placement,
     target: Placement,
-    graph: nx.Graph,
+    context: _GraphContext,
     environment: PhysicalEnvironment,
     options: PlacementOptions,
 ) -> SwapStage:
     partial = required_permutation(previous, target)
-    routing = route_permutation(graph, partial, leaf_override=options.leaf_override)
+    routing = route_permutation(
+        context.graph,
+        partial,
+        leaf_override=options.leaf_override,
+        host_encoding=context.host_encoding,
+    )
     runtime = swap_stage_runtime(
         routing.layers, environment, sequential_levels=options.sequential_levels
     )
@@ -436,7 +467,8 @@ def run_pipeline(
         # monomorphisms do not depend on the choice made here (the paper's
         # "only 2k monomorphism calls" observation), so one shared list is
         # enough for scoring; the accepted next-stage placement is recomputed
-        # with the proper previous placement on the next loop iteration.
+        # with the proper previous placement on the next loop iteration,
+        # which completes and fine tunes the monomorphisms the context kept.
         # Single-candidate engines (greedy, anneal) skip the lookahead: with
         # one candidate per workspace there is nothing to rank, and the
         # extra engine run would double their cost for an identical choice.
@@ -476,7 +508,8 @@ def run_pipeline(
 
         if previous_placement is not None:
             swap_stage = _build_swap_stage(
-                index - 1, previous_placement, best_placement, graph, environment, options
+                index - 1, previous_placement, best_placement, context,
+                environment, options,
             )
             swap_stages.append(swap_stage)
 

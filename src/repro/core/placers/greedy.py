@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Qubit
+from repro.core._bitset import iter_bits
 from repro.core.monomorphism import _pattern_order, find_monomorphisms
 from repro.core.placers.base import Placement, WorkspacePlacer
 from repro.exceptions import PlacementError
@@ -95,24 +96,30 @@ def greedy_seed_mapping(workspace, subcircuit: QuantumCircuit, context) -> Place
             else:
                 # No free node is adjacent to every placed partner; take
                 # the free node closest (interaction-weighted hops) to them.
+                free_mask = encoding.full_mask & ~used_mask
                 distance_maps = [
                     (
                         _pair_weight(weights, qubit, nb),
-                        context.distances_from(mapping[nb]),
+                        {
+                            bit: hops
+                            for hops, ring in enumerate(
+                                context.rings(encoding.index[mapping[nb]])
+                            )
+                            for bit in iter_bits(ring & free_mask)
+                        },
                     )
                     for nb in placed
                 ]
                 best_key = None
-                free_mask = encoding.full_mask & ~used_mask
-                for node in _iter_mask_nodes(free_mask, encoding):
+                for bit in iter_bits(free_mask):
                     cost = sum(
-                        weight * distances.get(node, math.inf)
+                        weight * distances.get(bit, math.inf)
                         for weight, distances in distance_maps
                     )
-                    key = (cost, node_order[node])
+                    key = (cost, bit)
                     if best_key is None or key < best_key:
                         best_key = key
-                        chosen = node
+                        chosen = encoding.nodes[bit]
         else:
             best_key = None
             free_mask = encoding.full_mask & ~used_mask

@@ -33,8 +33,8 @@ on the correct side.
 Determinism contract
 --------------------
 
-``route_permutation`` numbers the graph's nodes once per call with
-:class:`repro.core._bitset.HostEncoding` (the
+``route_permutation`` numbers the graph's nodes with a
+:class:`repro.core._bitset.HostEncoding`, its caller's or one it builds (the
 :func:`repro.core._bitset.node_index_table` order, one neighbour bitmask
 per node).  Below that entry point every step — the reachability check, the
 leaf pre-pass, the component split, the recursive bisection and the per-side
@@ -48,7 +48,7 @@ iterated below the entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Mapping, Sequence, Set, Tuple, Union
+from typing import Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
@@ -128,6 +128,7 @@ def route_permutation(
     permutation: Union[Permutation, Mapping[Node, Node]],
     leaf_override: bool = True,
     validate: bool = True,
+    host_encoding: Optional[HostEncoding] = None,
 ) -> RoutingResult:
     """Realise a (possibly partial) node permutation as parallel SWAP layers.
 
@@ -147,12 +148,16 @@ def route_permutation(
     validate:
         Run internal consistency checks on the produced layers (cheap; keep
         on unless routing is in a tight inner loop).
+    host_encoding:
+        Optional precomputed :class:`~repro.core._bitset.HostEncoding` of
+        ``graph``; the placer passes its working graph's encoding so that
+        no swap stage re-encodes the graph.
     """
     if graph.number_of_nodes() == 0:
         return RoutingResult([], Permutation({}))
 
     full = _as_full_permutation(graph, permutation)
-    encoding = HostEncoding(graph)
+    encoding = host_encoding if host_encoding is not None else HostEncoding(graph)
     index = encoding.index
     # target[i]: index of the node the token now on node i must reach.
     target = [index[full[node]] for node in encoding.nodes]

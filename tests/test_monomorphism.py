@@ -41,6 +41,18 @@ class TestBasics:
         with pytest.raises(MonomorphismError):
             first_monomorphism(nx.cycle_graph(3), nx.path_graph(5))
 
+    def test_self_loop_pattern_fails_closed(self):
+        # A self-loop counts twice in the node's degree but once in its
+        # neighbour profile; the search refuses it with one line.
+        pattern = nx.Graph([(0, 0), (0, 1)])
+        with pytest.raises(MonomorphismError, match=r"^pattern node 0 has a self-loop"):
+            find_monomorphisms(pattern, nx.complete_graph(5))
+        with pytest.raises(MonomorphismError, match="'a' has a self-loop"):
+            has_monomorphism(nx.Graph([("a", "a")]), nx.complete_graph(3))
+        # Also when the pattern could not fit the host anyway.
+        with pytest.raises(MonomorphismError, match="node 2 has a self-loop"):
+            find_monomorphisms(nx.Graph([(0, 1), (1, 2), (2, 2)]), nx.path_graph(2))
+
     def test_path_into_cycle(self):
         pattern = nx.path_graph(4)
         host = nx.cycle_graph(6)

@@ -14,6 +14,7 @@ tokens, partial and full permutations, ``leaf_override`` on and off, and
 every Table-3 molecule's working graph at the paper's six thresholds.
 """
 
+import functools
 import random
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core._bitset import node_index_table
+from repro.core._bitset import encode_host, node_index_table
 from repro.exceptions import RoutingError
 from repro.hardware.molecules import MOLECULE_FACTORIES
 from repro.hardware.threshold_graph import PAPER_THRESHOLDS
@@ -834,6 +835,28 @@ class TestPinnedCases:
         graph.add_edge(0, 0)
         assert bubble.route_permutation(graph, {0: 1, 1: 0}).layers == [[(1, 0)]]
         assert route_permutation(graph, {0: 1, 1: 0}).layers == [[(1, 0)]]
+
+    @pytest.mark.parametrize("threshold", PAPER_THRESHOLDS)
+    def test_passed_encoding_routes_identically(self, threshold):
+        environment = MOLECULE_FACTORIES["histidine"]()
+        rng = random.Random(f"encoding@{threshold}")
+        for graph in _working_graphs(environment, threshold):
+            encoding = encode_host(graph)
+            for mode in PERMUTATION_MODES:
+                permutation = _random_permutation(rng, graph, mode)
+                for leaf_override in (True, False):
+                    own = _route_outcome(
+                        bubble.route_permutation, graph, permutation, leaf_override
+                    )
+                    passed = _route_outcome(
+                        functools.partial(
+                            bubble.route_permutation, host_encoding=encoding
+                        ),
+                        graph,
+                        permutation,
+                        leaf_override,
+                    )
+                    assert passed == own, (mode, leaf_override)
 
     def test_unreachable_token_message_names_first_failing_token(self):
         graph = nx.Graph([(0, 1), (2, 3)])
