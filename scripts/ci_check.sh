@@ -16,20 +16,16 @@
 #      run (its grid has 3 distinct cells, so the process pool runs)
 #      through the CLI, asserting both tables are byte-identical to the
 #      serial `sweep` output — the sharded pipeline's and the worker
-#      pool's end-to-end contract;
+#      pool's end-to-end contract — and that merging a half-length copy
+#      of one outcome shard fails closed with an error naming the file;
 #   3. a RunConfig round-trip smoke: a flag-based `place --output json` run
 #      re-described as a repro.config.RunConfig and re-run via `--config`
 #      must produce identical deterministic fields — the unified workload
 #      API's config contract (docs/api.md);
-#   4. a fault-injection smoke: the same 2-shard sweep with an injected
-#      worker crash (recovered by --retries) and a corrupted outcome
-#      shard (recovered by `shard replan` + re-run, with `shard run
-#      --resume` exercising the checkpoint journal), asserting the
-#      recovered merge is byte-identical to the serial table;
-#   5. a heuristic-placer smoke: the same `--placer anneal:SEEDxITERS`
+#   4. a heuristic-placer smoke: the same `--placer anneal:SEEDxITERS`
 #      sweep run twice in separate processes must be byte-identical —
 #      the seeded annealer's determinism contract (docs/placers.md);
-#   6. the scheduler-facing tier-1 subset — including fine tuning and the
+#   5. the scheduler-facing tier-1 subset — including fine tuning and the
 #      backend parity tests in tests/test_replay_backends.py — once per
 #      scheduler backend: under REPRO_SCHEDULER_BACKEND=native (build the
 #      compiled replay kernel on demand, whose climbs then run as one
@@ -38,7 +34,7 @@
 #      the reference loop and the only fallback `auto` has where the
 #      kernel does not build — both sides of the bit-identity contract
 #      (docs/performance.md);
-#   7. the benchmark regression gate on the fast scenarios
+#   6. the benchmark regression gate on the fast scenarios
 #      (`run_bench.py --check --scenarios ...`), which also re-checks the
 #      deterministic counters and output fingerprints against the
 #      committed BENCH_placement.json (including the exact-vs-anneal
@@ -58,7 +54,7 @@ cd "$REPO_ROOT"
 export PYTHONPATH="$REPO_ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 PYTHON="${PYTHON:-python}"
 
-echo "== 0/7 static-analysis gate =="
+echo "== 0/6 static-analysis gate =="
 "$PYTHON" -m repro.lint --check
 if "$PYTHON" -c "import mypy" > /dev/null 2>&1; then
     "$PYTHON" -m mypy --config-file mypy.ini
@@ -66,7 +62,7 @@ else
     echo "mypy not installed; skipping the typing tier (lint gate still ran)"
 fi
 
-echo "== 1/7 tier-1 test suite =="
+echo "== 1/6 tier-1 test suite =="
 "$PYTHON" -m pytest -x -q
 for HASH_SEED in 1 12345; do
     PYTHONHASHSEED="$HASH_SEED" "$PYTHON" -m pytest -x -q \
@@ -74,7 +70,7 @@ for HASH_SEED in 1 12345; do
 done
 echo "routing and extraction equivalence suites green under PYTHONHASHSEED=1 and 12345"
 
-echo "== 2/7 sharded plan -> run -> merge round trip and --jobs 2 sweep =="
+echo "== 2/6 sharded plan -> run -> merge round trip and --jobs 2 sweep =="
 WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "$WORK_DIR"' EXIT
 
@@ -93,6 +89,22 @@ if ! diff "$WORK_DIR/serial.txt" "$WORK_DIR/merged.txt"; then
     exit 1
 fi
 echo "merged output byte-identical to serial sweep"
+# A truncated outcome shard must fail the merge closed, naming the file.
+TRUNCATED="$WORK_DIR/truncated-1.json"
+head -c "$(( $(wc -c < "$WORK_DIR/outcomes-1.json") / 2 ))" \
+    "$WORK_DIR/outcomes-1.json" > "$TRUNCATED"
+if "$PYTHON" -m repro.cli shard merge --plan "$WORK_DIR/shards/plan.json" \
+    "$WORK_DIR/outcomes-0.json" "$TRUNCATED" \
+    > /dev/null 2> "$WORK_DIR/merge-err.txt"; then
+    echo "FAIL: merge accepted a truncated outcome shard" >&2
+    exit 1
+fi
+if ! grep -q "^error: .*truncated-1.json" "$WORK_DIR/merge-err.txt"; then
+    echo "FAIL: the merge error does not name the truncated file:" >&2
+    cat "$WORK_DIR/merge-err.txt" >&2
+    exit 1
+fi
+echo "merge of a truncated outcome shard failed closed"
 "$PYTHON" -m repro.cli sweep "${SWEEP_ARGS[@]}" --jobs 2 > "$WORK_DIR/jobs2.txt"
 if ! diff "$WORK_DIR/serial.txt" "$WORK_DIR/jobs2.txt"; then
     echo "FAIL: sweep --jobs 2 output differs from the serial sweep" >&2
@@ -100,7 +112,7 @@ if ! diff "$WORK_DIR/serial.txt" "$WORK_DIR/jobs2.txt"; then
 fi
 echo "sweep --jobs 2 output byte-identical to serial sweep"
 
-echo "== 3/7 run-config round-trip smoke =="
+echo "== 3/6 run-config round-trip smoke =="
 "$PYTHON" -m repro.cli place error-correction-encoding acetyl-chloride \
     --output json > "$WORK_DIR/place-flags.json"
 "$PYTHON" - "$WORK_DIR" <<'PYEOF'
@@ -141,52 +153,7 @@ if flags != config:
 print("config round trip: deterministic fields identical")
 PYEOF
 
-echo "== 4/7 fault-injection smoke =="
-FAULT_DIR="$WORK_DIR/fault"
-mkdir -p "$FAULT_DIR"
-# Worker crash on cell 0's first attempt: --retries must recover to the
-# exact serial table through the resilient (process-per-attempt) path.
-REPRO_FAULT_PLAN="0:kill" "$PYTHON" -m repro.cli sweep "${SWEEP_ARGS[@]}" \
-    --retries 2 > "$FAULT_DIR/faulted-sweep.txt"
-if ! diff "$WORK_DIR/serial.txt" "$FAULT_DIR/faulted-sweep.txt"; then
-    echo "FAIL: sweep with injected crash + retries differs from serial" >&2
-    exit 1
-fi
-# Corrupt shard 1's outcome file as it is written; a strict merge must
-# fail closed on the checksum, then replan + re-run + resume recovers.
-"$PYTHON" -m repro.cli shard run --shard-file "$WORK_DIR/shards/shard-0.pkl" \
-    --out "$FAULT_DIR/outcomes-0.json" --checkpoint "$FAULT_DIR/ckpt-0.jsonl"
-REPRO_FAULT_PLAN="out:1" "$PYTHON" -m repro.cli shard run \
-    --shard-file "$WORK_DIR/shards/shard-1.pkl" \
-    --out "$FAULT_DIR/outcomes-1.json"
-if "$PYTHON" -m repro.cli shard merge --plan "$WORK_DIR/shards/plan.json" \
-    "$FAULT_DIR/outcomes-0.json" "$FAULT_DIR/outcomes-1.json" \
-    > /dev/null 2> "$FAULT_DIR/merge-err.txt"; then
-    echo "FAIL: merge accepted a corrupted outcome shard" >&2
-    exit 1
-fi
-grep -q "outcomes-1.json" "$FAULT_DIR/merge-err.txt"
-"$PYTHON" -m repro.cli shard replan --plan "$WORK_DIR/shards/plan.json" \
-    --out-dir "$FAULT_DIR/recovery" \
-    "$FAULT_DIR/outcomes-0.json" "$FAULT_DIR/outcomes-1.json" > /dev/null
-# Resume shard 0 from its journal (all cells already done -> no re-work)
-# and re-run the replanned shard 1 input.
-"$PYTHON" -m repro.cli shard run --shard-file "$WORK_DIR/shards/shard-0.pkl" \
-    --out "$FAULT_DIR/outcomes-0.json" \
-    --checkpoint "$FAULT_DIR/ckpt-0.jsonl" --resume
-"$PYTHON" -m repro.cli shard run \
-    --shard-file "$FAULT_DIR/recovery/shard-1.pkl" \
-    --out "$FAULT_DIR/recovered-1.json"
-"$PYTHON" -m repro.cli shard merge --plan "$WORK_DIR/shards/plan.json" \
-    "$FAULT_DIR/outcomes-0.json" "$FAULT_DIR/recovered-1.json" \
-    > "$FAULT_DIR/recovered-merge.txt"
-if ! diff "$WORK_DIR/serial.txt" "$FAULT_DIR/recovered-merge.txt"; then
-    echo "FAIL: recovered merge differs from the serial sweep" >&2
-    exit 1
-fi
-echo "fault injection: crash, corruption, replan and resume all recovered"
-
-echo "== 5/7 heuristic-placer determinism smoke =="
+echo "== 4/6 heuristic-placer determinism smoke =="
 ANNEAL_ARGS=(sweep random:8x20x5 grid:4x4 --thresholds 10 20
              --placer anneal:7x150)
 "$PYTHON" -m repro.cli "${ANNEAL_ARGS[@]}" > "$WORK_DIR/anneal-a.txt"
@@ -197,7 +164,7 @@ if ! diff "$WORK_DIR/anneal-a.txt" "$WORK_DIR/anneal-b.txt"; then
 fi
 echo "anneal sweep byte-identical across processes"
 
-echo "== 6/7 scheduler backend subsets =="
+echo "== 5/6 scheduler backend subsets =="
 SCHEDULER_TESTS=(tests/test_replay_backends.py tests/test_scheduler.py
                  tests/test_incremental_scheduler.py tests/test_fine_tuning.py
                  tests/test_placers.py)
@@ -219,7 +186,7 @@ fi
 REPRO_SCHEDULER_BACKEND=python "$PYTHON" -m pytest -x -q "${SCHEDULER_TESTS[@]}"
 echo "scheduler-facing tier-1 subset green under the python backend"
 
-echo "== 7/7 fast benchmark regression gate =="
+echo "== 6/6 fast benchmark regression gate =="
 "$PYTHON" scripts/run_bench.py --check --repeats 1 \
     --scenarios monomorphism_micro place_qec5_boc place_phaseest_crotonic \
     sweep_qft8_histidine exact_vs_anneal replay_native large_host_anneal

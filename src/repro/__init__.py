@@ -41,7 +41,6 @@ The lower-level building blocks remain available::
     print(result.summary())
 """
 
-from repro.analysis.resilience import FailedOutcome, FaultInjector, RetryPolicy
 from repro.api import GridResult, PlaceResult, Session, SweepResult
 from repro.circuits import QuantumCircuit
 from repro.config import RunConfig
@@ -54,7 +53,6 @@ from repro.core import (
 from repro.exceptions import (
     CircuitError,
     ConfigError,
-    InjectedFaultError,
     PlacementError,
     RegistryError,
     ReproError,
@@ -88,9 +86,6 @@ __all__ = [
     "PlaceResult",
     "SweepResult",
     "GridResult",
-    "RetryPolicy",
-    "FaultInjector",
-    "FailedOutcome",
     "CIRCUITS",
     "ENVIRONMENTS",
     "PLACERS",
@@ -107,6 +102,5 @@ __all__ = [
     "UnknownSpecError",
     "ConfigError",
     "ShardFormatError",
-    "InjectedFaultError",
     "__version__",
 ]

@@ -49,14 +49,9 @@ carry it in their :class:`~repro.core.config.PlacementOptions`
 grid (``scheduler_backend=...``).  Backends are bit-identical (see
 ``docs/performance.md``), so none of these choices changes any outcome.
 
-Fault tolerance is opt-in: construct the runner with a
-:class:`~repro.analysis.resilience.RetryPolicy` (``retry_policy=...``) —
-or install a test-only fault injector — and execution switches to the
-resilient path in :mod:`repro.analysis.resilience`, which isolates every
-attempt in its own process so failing cells retry, hung cells time out,
-and exhausted cells degrade to structured
-:class:`~repro.analysis.resilience.FailedOutcome` rows.  Without either,
-the serial/pool paths below run exactly as before.
+A cell that raises :class:`~repro.exceptions.ThresholdError` or
+:class:`~repro.exceptions.PlacementError` is an infeasible ("N/A")
+outcome; any other exception propagates out of the grid.
 """
 
 from __future__ import annotations
@@ -298,14 +293,6 @@ class ExperimentRunner:
         wall time.  The ``REPRO_SCHEDULER_BACKEND`` environment variable
         that cells left on ``"auto"`` inherit is validated here too, so
         an invalid value is refused before any cell runs.
-    retry_policy:
-        Optional :class:`~repro.analysis.resilience.RetryPolicy`.  When
-        set (and not a no-op), cells execute on the resilient
-        per-attempt-process path: failures retry with deterministic
-        backoff, hung cells are killed at ``cell_timeout``, and exhausted
-        cells yield :class:`~repro.analysis.resilience.FailedOutcome`
-        rows instead of raising.  ``None`` (the default) keeps the plain
-        serial/pool paths byte-for-byte unchanged.
     """
 
     def __init__(
@@ -313,7 +300,6 @@ class ExperimentRunner:
         jobs: int = 1,
         progress: Optional[ProgressCallback] = None,
         scheduler_backend: Optional[str] = None,
-        retry_policy: Optional["object"] = None,
     ) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be at least 1, got {jobs}")
@@ -323,20 +309,11 @@ class ExperimentRunner:
                 f"got {scheduler_backend!r}"
             )
         # Cells left on "auto" read the variable only once they run; an
-        # invalid value must fail here, not inside every (retried) cell.
+        # invalid value must fail here, not inside every cell.
         backend_from_env()
-        if retry_policy is not None:
-            from repro.analysis.resilience import RetryPolicy
-
-            if not isinstance(retry_policy, RetryPolicy):
-                raise ExperimentError(
-                    f"retry_policy must be a RetryPolicy (or None), got "
-                    f"{type(retry_policy).__name__}"
-                )
         self.jobs = int(jobs)
         self.progress = progress
         self.scheduler_backend = scheduler_backend
-        self.retry_policy = retry_policy
 
     def run(
         self,
@@ -362,9 +339,7 @@ class ExperimentRunner:
         return results
 
     def iter_outcomes(
-        self,
-        specs: Sequence[ExperimentSpec],
-        global_indices: Optional[Sequence[int]] = None,
+        self, specs: Sequence[ExperimentSpec]
     ) -> Iterator[ExperimentOutcome]:
         """Stream outcomes as cells complete (the ``as_completed`` front end).
 
@@ -372,19 +347,9 @@ class ExperimentRunner:
         order for serial runs, in completion order for parallel runs
         (``outcome.index``, the cell's position in ``specs``, identifies
         it either way).  The ``progress`` callback, if any, fires once per
-        yielded outcome.  ``global_indices`` maps each spec position to
-        its grid-global cell index: shard workers pass their slice of the
-        plan so retry backoff and fault injection key on the *global*
-        grid, making the resilient path invariant to how the grid was
-        sharded.
-
-        Resilient execution (per-attempt processes, retries, timeouts)
-        engages only when the runner carries a non-no-op retry policy or
-        a fault injector is active; otherwise cells run on the plain
-        serial or pool path.
+        yielded outcome.  Cells run in-process when ``jobs`` is 1 or the
+        grid has a single cell, and on the process pool otherwise.
         """
-        from repro.analysis import resilience
-
         specs = list(specs)
         if not specs:
             return
@@ -398,18 +363,7 @@ class ExperimentRunner:
                 )
                 for spec in specs
             ]
-        injector = resilience.active_fault_injector()
-        policy = self.retry_policy
-        if (policy is not None and not policy.is_noop) or injector is not None:
-            yield from resilience.execute_cells(
-                specs,
-                policy=policy,
-                injector=injector,
-                jobs=self.jobs,
-                progress=self.progress,
-                global_indices=global_indices,
-            )
-        elif self.jobs == 1 or len(specs) == 1:
+        if self.jobs == 1 or len(specs) == 1:
             yield from self._iter_serial(specs)
         else:
             yield from self._iter_parallel(specs)
@@ -520,16 +474,7 @@ def stderr_progress(prefix: str = "cell", stream=None):
     def callback(completed: int, total: int, outcome: ExperimentOutcome) -> None:
         out = stream if stream is not None else sys.stderr
         elapsed = max(time.perf_counter() - start, 1e-9)
-        # FailedOutcome rows (exhausted retries) are distinct from the
-        # paper's structural "N/A" cells: show the failure kind and the
-        # attempts consumed so an operator can tell them apart on sight.
-        failure = getattr(outcome, "failure", None)
-        if outcome.feasible:
-            status = "ok"
-        elif failure:
-            status = f"FAILED:{failure} after {getattr(outcome, 'attempts', 0)} attempt(s)"
-        else:
-            status = "N/A"
+        status = "ok" if outcome.feasible else "N/A"
         label = outcome.label or outcome.circuit_name
         print(
             f"{prefix} {completed}/{total}: {label} [{status}, "

@@ -21,7 +21,9 @@ The full :class:`~repro.core.result.PlacementResult` (``outcome.result``,
 present only for ``keep_result=True`` cells) is intentionally *not*
 serialised: it is a deep object graph with no JSON form, and every grid
 harness consumes only the scalar summary.  In-memory merges keep it;
-file round-trips drop it.
+file round-trips drop it.  :func:`outcome_from_dict` reads rows back and
+refuses a row that is not a JSON object or that carries the ``failure``
+key of the removed cell-retry layer (``docs/api.md``).
 
 :func:`dump_json` is the canonical encoder (sorted keys, fixed
 separators, trailing newline): byte-identical inputs produce
@@ -99,18 +101,25 @@ def outcome_to_dict(outcome: ExperimentOutcome) -> Dict[str, Any]:
 def outcome_from_dict(row: Mapping[str, Any]) -> ExperimentOutcome:
     """Rebuild an :class:`ExperimentOutcome` from :func:`outcome_to_dict`.
 
-    Rows carrying a ``failure`` key are rebuilt as
-    :class:`~repro.analysis.resilience.FailedOutcome` — the structured
-    form of a cell whose retries were exhausted — so failure metadata
-    (``attempts``, ``failure``) survives file round trips.
+    A row that is not a mapping raises ``TypeError``.  A row carrying a
+    ``failure`` key raises :class:`ShardFormatError`: it records a cell
+    whose retries ran out, written before the cell-retry layer was
+    removed, and read as an ordinary row it would pass for an "N/A" cell.
     """
-    from repro.analysis.resilience import FailedOutcome
-
-    cls = FailedOutcome if "failure" in row else ExperimentOutcome
-    known = {field.name for field in dataclasses.fields(cls)} - {"result"}
+    if not isinstance(row, Mapping):
+        raise TypeError(
+            f"an outcome row must be a JSON object, got {type(row).__name__}"
+        )
+    if "failure" in row:
+        raise ShardFormatError(
+            f"outcome row of cell {row.get('index')!r} is a failed cell "
+            f"(failure={row['failure']!r}) from the removed cell-retry "
+            "layer; re-run its shard"
+        )
+    known = {field.name for field in dataclasses.fields(ExperimentOutcome)} - {"result"}
     data = {key: value for key, value in row.items() if key in known}
     data["counters"] = dict(data.get("counters") or {})
-    return cls(**data)
+    return ExperimentOutcome(**data)
 
 
 def deterministic_row(outcome: ExperimentOutcome) -> Dict[str, Any]:

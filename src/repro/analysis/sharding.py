@@ -45,17 +45,14 @@ the per-process cache counters; see
 :data:`repro.analysis.serialization.WORK_COUNTERS`) are byte-identical to
 the serial run for *any* shard count and either strategy.
 
-Fault tolerance (``docs/parallelism.md`` section 8): every file this
-module writes is crash-safe — atomic temp-file + ``os.replace`` writes
-with an embedded SHA-256 payload checksum verified on read — and every
-unreadable file fails with a one-line
-:class:`~repro.exceptions.ShardFormatError` naming the path and the
-cause.  :func:`execute_shard` can journal completed cells to a
-*checkpoint* file (``checkpoint_path=``), so an interrupted shard resumes
-from its last completed cell instead of starting over; and
-:func:`merge_shards` with ``allow_partial=True`` merges whatever shards
-exist, reporting the missing shards and cells explicitly so a recovery
-plan (CLI ``shard replan``) can cover exactly the gaps.
+Crash-safe files (``docs/parallelism.md`` section 8): every file this
+module writes goes through an atomic temp-file + ``os.replace`` write
+and carries an embedded SHA-256 payload checksum verified on read, and
+every unreadable, corrupted or malformed file fails with a one-line
+:class:`~repro.exceptions.ShardFormatError`.  A cell that raises
+anything but the "N/A" errors propagates out of :func:`execute_shard`;
+a shard that did not run is re-run, and the merge refuses to proceed
+without it.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import os
 import pickle
 from dataclasses import dataclass, field
 from typing import (
@@ -74,7 +70,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    TextIO,
     Tuple,
 )
 
@@ -146,7 +141,6 @@ STRATEGIES = tuple(SHARD_STRATEGIES.names())
 #: Format tags written into (and checked in) the shard file headers.
 SHARD_INPUT_FORMAT = "repro-shard-input"
 OUTCOME_SHARD_FORMAT = "repro-outcome-shard"
-CHECKPOINT_FORMAT = "repro-shard-checkpoint"
 
 #: Pickle protocol for shard-input files: fixed, so the same plan always
 #: produces the same bytes regardless of the writing interpreter's default.
@@ -432,169 +426,32 @@ class OutcomeShard:
     counters: Dict[str, int] = field(default_factory=dict)
 
 
-def load_shard_checkpoint(
-    path: str, shard: ShardInput
-) -> Tuple[Dict[int, ExperimentOutcome], bool]:
-    """Read a checkpoint journal: completed outcomes by global cell index.
-
-    Returns ``(outcomes, header_valid)``.  A missing or empty file (and a
-    file whose only line is a torn header) is simply "no progress yet" —
-    ``({}, False)`` — so resume is idempotent; a header belonging to a
-    different shard or grid, or a malformed interior line, raises
-    :class:`~repro.exceptions.ShardFormatError`.  A torn *final* line
-    (crash mid-append) is dropped: its cell re-runs.
-    """
-    if not os.path.exists(path):
-        return {}, False
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise ShardFormatError(
-            f"cannot read checkpoint file {path!r}: {exc}"
-        ) from exc
-    parsed: List[object] = []
-    for position, line in enumerate(lines):
-        try:
-            parsed.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            if position == len(lines) - 1:
-                break  # torn tail from a crash mid-append; the cell re-runs
-            raise ShardFormatError(
-                f"checkpoint file {path!r}: line {position + 1} is not valid "
-                f"JSON ({exc}); the file is corrupt"
-            ) from exc
-    if not parsed:
-        return {}, False
-    header = parsed[0]
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise ShardFormatError(
-            f"{path!r} is not a shard-checkpoint file (expected format "
-            f"{CHECKPOINT_FORMAT!r})"
-        )
-    for key, expected in (
-        ("plan_fingerprint", shard.plan_fingerprint),
-        ("shard_index", shard.shard_index),
-        ("num_shards", shard.num_shards),
-    ):
-        if header.get(key) != expected:
-            raise ShardFormatError(
-                f"checkpoint file {path!r} belongs to a different run "
-                f"({key}={header.get(key)!r}, this shard has {expected!r}); "
-                "delete it or point --checkpoint elsewhere"
-            )
-    valid_indices = set(shard.indices)
-    completed: Dict[int, ExperimentOutcome] = {}
-    for position, row in enumerate(parsed[1:], start=2):
-        try:
-            index = int(row["index"])
-            outcome = outcome_from_dict(row["row"])
-        except Exception as exc:
-            raise ShardFormatError(
-                f"checkpoint file {path!r}: row at line {position} is "
-                f"malformed ({exc!r})"
-            ) from exc
-        if index not in valid_indices:
-            raise ShardFormatError(
-                f"checkpoint file {path!r} records cell {index}, which is "
-                f"not assigned to shard {shard.shard_index}"
-            )
-        outcome.index = index
-        completed[index] = outcome
-    return completed, True
-
-
-def _append_checkpoint_line(handle: TextIO, record: Dict[str, Any]) -> None:
-    """Append one durable journal line (flushed and fsynced).
-
-    Durability per line is the point of a checkpoint: a crash right after
-    a cell completes must not lose that cell.  A crash *during* this
-    append leaves a torn final line, which the reader drops.
-    """
-    handle.write(json.dumps(record, sort_keys=True) + "\n")
-    handle.flush()
-    os.fsync(handle.fileno())
-
-
 def execute_shard(
-    shard: ShardInput,
-    runner: Optional[ExperimentRunner] = None,
-    checkpoint_path: Optional[str] = None,
+    shard: ShardInput, runner: Optional[ExperimentRunner] = None
 ) -> OutcomeShard:
     """Run one shard's cells and package the outcome shard.
 
     ``runner`` controls *how* the shard's own cells execute (serially or
-    over local worker processes, progress callbacks, backend override,
-    retry policy); defaults to a serial runner.  The shard's cells run
-    exactly as they would inside a whole-grid run — same per-cell work,
-    same counters — and cell indices are passed through to the runner as
-    *global* grid indices, so retry backoff and fault injection are
-    invariant to how the grid was sharded.
-
-    With ``checkpoint_path``, each completed cell is appended to a
-    durable JSON-lines journal; re-running with the same path (CLI
-    ``shard run --resume``) skips the journaled cells and executes only
-    the missing ones.  The resumed shard's counters fold the journaled
-    cells' counters together with the live run's, so the merged grid's
-    aggregate counters match an uninterrupted execution.
+    over local worker processes, progress callbacks, backend override);
+    defaults to a serial runner.  The cells stream through
+    :meth:`ExperimentRunner.iter_outcomes` exactly as they would inside a
+    whole-grid run — same per-cell work, same counters — and each
+    outcome's shard-local index is replaced by its global grid index.
     """
     runner = runner or ExperimentRunner()
-    resumed: Dict[int, ExperimentOutcome] = {}
-    header_valid = False
-    if checkpoint_path is not None:
-        resumed, header_valid = load_shard_checkpoint(checkpoint_path, shard)
-    pending = [
-        (global_index, spec)
-        for global_index, spec in zip(shard.indices, shard.specs)
-        if global_index not in resumed
-    ]
-    run_globals = [global_index for global_index, _ in pending]
-    collected: Dict[int, ExperimentOutcome] = dict(resumed)
     before = STATS.snapshot()
-    handle: Optional[TextIO] = None
-    try:
-        if checkpoint_path is not None:
-            # The checkpoint is an append-only journal with a per-line fsync;
-            # atomic whole-file replacement would defeat its purpose.
-            handle = open(  # repro: allow[ROB001]
-                checkpoint_path, "a" if header_valid else "w", encoding="utf-8"
-            )
-            if not header_valid:
-                _append_checkpoint_line(handle, {
-                    "format": CHECKPOINT_FORMAT,
-                    "schema_version": SCHEMA_VERSION,
-                    "plan_fingerprint": shard.plan_fingerprint,
-                    "shard_index": shard.shard_index,
-                    "num_shards": shard.num_shards,
-                })
-        for outcome in runner.iter_outcomes(
-            [spec for _, spec in pending], global_indices=run_globals
-        ):
-            global_index = run_globals[outcome.index]
-            outcome.index = global_index
-            collected[global_index] = outcome
-            if handle is not None:
-                _append_checkpoint_line(handle, {
-                    "index": global_index,
-                    "row": outcome_to_dict(outcome),
-                })
-    finally:
-        if handle is not None:
-            handle.close()
-    counters = STATS.delta_since(before)
-    if resumed:
-        folded = Counters()
-        folded.merge(counters)
-        for outcome in resumed.values():
-            folded.merge(outcome.counters)
-        counters = folded.snapshot()
+    outcomes = sorted(
+        runner.iter_outcomes(shard.specs), key=lambda outcome: outcome.index
+    )
+    for outcome, global_index in zip(outcomes, shard.indices):
+        outcome.index = global_index
     return OutcomeShard(
         plan_fingerprint=shard.plan_fingerprint,
         shard_index=shard.shard_index,
         num_shards=shard.num_shards,
         indices=tuple(shard.indices),
-        outcomes=[collected[global_index] for global_index in shard.indices],
-        counters=counters,
+        outcomes=outcomes,
+        counters=STATS.delta_since(before),
     )
 
 
@@ -632,7 +489,8 @@ def outcome_shard_from_payload(payload: Mapping[str, Any]) -> OutcomeShard:
 
     The embedded checksum, if any, is ignored here (file readers verify
     it against the raw file first; in-memory payloads need no integrity
-    check), so pre-checksum payloads remain loadable.
+    check), so pre-checksum payloads remain loadable.  A missing key or a
+    value of the wrong type raises :class:`ShardFormatError`.
     """
     if payload.get("format") != OUTCOME_SHARD_FORMAT:
         raise ShardFormatError(
@@ -640,13 +498,18 @@ def outcome_shard_from_payload(payload: Mapping[str, Any]) -> OutcomeShard:
             f"{OUTCOME_SHARD_FORMAT!r}, got {payload.get('format')!r})"
         )
     try:
+        counters = payload.get("counters", {})
+        if not isinstance(counters, Mapping):
+            raise TypeError(
+                f"counters must be a JSON object, got {type(counters).__name__}"
+            )
         return OutcomeShard(
             plan_fingerprint=payload["plan_fingerprint"],
             shard_index=int(payload["shard_index"]),
             num_shards=int(payload["num_shards"]),
             indices=tuple(int(index) for index in payload["indices"]),
             outcomes=[outcome_from_dict(row) for row in payload["rows"]],
-            counters={str(k): int(v) for k, v in payload.get("counters", {}).items()},
+            counters={str(k): int(v) for k, v in counters.items()},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ShardFormatError(
@@ -666,23 +529,16 @@ def write_outcome_shard(shard: OutcomeShard, path: str) -> None:
     scalar rows.
     """
     atomic_write_text(path, dump_json(outcome_shard_to_payload(shard)))
-    # Test-only hook: a fault plan may corrupt this shard's output file
-    # after the (successful, atomic) write, to exercise the detection and
-    # replan/resume recovery paths end to end.
-    from repro.analysis import resilience
-
-    injector = resilience.active_fault_injector()
-    if injector is not None and injector.corrupts_output(shard.shard_index):
-        resilience.corrupt_file(path)
 
 
 def read_outcome_shard(path: str) -> OutcomeShard:
     """Read an outcome shard written by :func:`write_outcome_shard`.
 
     Unreadable or corrupt files — missing, truncated, foreign format,
-    payload-checksum mismatch — raise a one-line
-    :class:`~repro.exceptions.ShardFormatError` naming the path and the
-    cause (including the expected digest for checksum mismatches).
+    payload-checksum mismatch, malformed rows or counters — raise a
+    one-line :class:`~repro.exceptions.ShardFormatError` naming the path
+    and the cause (including the expected digest for checksum
+    mismatches).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -694,7 +550,10 @@ def read_outcome_shard(path: str) -> OutcomeShard:
     if not isinstance(payload, dict):
         raise ShardFormatError(f"{path!r} is not an outcome-shard file")
     verify_payload_checksum(payload, path)
-    return outcome_shard_from_payload(payload)
+    try:
+        return outcome_shard_from_payload(payload)
+    except ShardFormatError as exc:
+        raise ShardFormatError(f"{path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -704,33 +563,16 @@ def read_outcome_shard(path: str) -> OutcomeShard:
 
 @dataclass
 class MergedGrid:
-    """The reassembled grid: outcomes in grid order plus merged counters.
+    """The reassembled grid: outcomes in grid order plus merged counters."""
 
-    A *partial* merge (``merge_shards(..., allow_partial=True)``) leaves
-    ``None`` holes in ``outcomes`` for cells no present shard delivered
-    and reports the gaps explicitly: ``missing_shards`` lists the absent
-    shard indices and ``missing_cells`` the uncovered global cell indices
-    — exactly the manifest a recovery plan (CLI ``shard replan``) needs.
-    Complete merges leave both empty.
-    """
-
-    outcomes: List[Optional[ExperimentOutcome]]
+    outcomes: List[ExperimentOutcome]
     counters: Dict[str, int]
     plan_fingerprint: str
     num_shards: int
-    missing_shards: Tuple[int, ...] = ()
-    missing_cells: Tuple[int, ...] = ()
-
-    @property
-    def is_complete(self) -> bool:
-        """Whether every cell of the grid is covered."""
-        return not self.missing_shards and not self.missing_cells
 
 
 def merge_shards(
-    shards: Sequence[OutcomeShard],
-    plan: Optional[ShardPlan] = None,
-    allow_partial: bool = False,
+    shards: Sequence[OutcomeShard], plan: Optional[ShardPlan] = None
 ) -> MergedGrid:
     """Verify and merge outcome shards back into one grid.
 
@@ -740,13 +582,6 @@ def merge_shards(
     list, and the union of indices covers the grid exactly once.  Counter
     deltas are folded with :meth:`Counters.merge` in shard order — merge
     order cannot matter, since merging is per-name addition.
-
-    ``allow_partial=True`` relaxes only the *coverage* requirement:
-    missing shards and cells become the returned grid's
-    ``missing_shards``/``missing_cells`` manifest (with ``None`` holes in
-    the outcome list) instead of an error.  Duplicated shards or cells,
-    fingerprint mismatches and malformed shards are always errors — a
-    partial merge is still a verified merge.
     """
     shards = sorted(shards, key=lambda shard: shard.shard_index)
     if not shards:
@@ -785,13 +620,12 @@ def merge_shards(
         index for index in seen_shards if not 0 <= index < num_shards
     ]
     missing_shards = sorted(set(range(num_shards)) - set(seen_shards))
-    if duplicate_shards or out_of_range or (missing_shards and not allow_partial):
+    if duplicate_shards or out_of_range or missing_shards:
         raise ExperimentError(
             f"merging a {num_shards}-shard plan needs every shard exactly "
             f"once, got shard indices {sorted(seen_shards)} "
-            f"(missing {missing_shards}); re-run the missing shards (or "
-            "rebuild their inputs with 'repro-place shard replan'), or "
-            "merge what exists with allow_partial=True (--allow-partial)"
+            f"(missing {missing_shards}); run each missing shard and pass "
+            "its outcome file"
         )
 
     for shard in shards:
@@ -815,36 +649,27 @@ def merge_shards(
             )
 
     all_indices = [index for shard in shards for index in shard.indices]
-    if plan is not None:
-        total = plan.total_cells
-    elif allow_partial:
-        # Without a plan the grid size is unknowable from a partial shard
-        # set; the tightest lower bound is the highest delivered index.
-        total = max(all_indices) + 1 if all_indices else 0
-    else:
-        total = len(all_indices)
+    total = plan.total_cells if plan is not None else len(all_indices)
     duplicates = sorted(
         {index for index in all_indices if all_indices.count(index) > 1}
     )
     missing_cells = sorted(set(range(total)) - set(all_indices))
-    bad_indices = [index for index in all_indices if not 0 <= index < total]
-    if duplicates or bad_indices or (missing_cells and not allow_partial):
+    if duplicates or missing_cells:
         raise ExperimentError(
             "outcome shards do not cover the grid exactly once "
             f"(missing cells {missing_cells}, duplicated cells {duplicates})"
         )
 
-    outcomes: List[Optional[ExperimentOutcome]] = [None] * total
+    outcomes: List[ExperimentOutcome] = sorted(
+        (outcome for shard in shards for outcome in shard.outcomes),
+        key=lambda outcome: outcome.index,
+    )
     merged = Counters()
     for shard in shards:
         merged.merge(shard.counters)
-        for outcome in shard.outcomes:
-            outcomes[outcome.index] = outcome
     return MergedGrid(
         outcomes=outcomes,
         counters=merged.snapshot(),
         plan_fingerprint=fingerprint,
         num_shards=num_shards,
-        missing_shards=tuple(missing_shards),
-        missing_cells=tuple(missing_cells),
     )

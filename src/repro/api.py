@@ -51,7 +51,7 @@ from repro.analysis.runner import (
 )
 from repro.analysis.serialization import outcome_to_dict, outcomes_payload
 from repro.analysis.sweep import SweepRow, build_sweep_specs, row_from_outcomes
-from repro.config import RunConfig, check_execution
+from repro.config import RunConfig
 from repro.core.result import PlacementResult
 from repro.core.stats import STATS
 from repro.exceptions import ConfigError
@@ -93,36 +93,6 @@ def sweep_payload(
     if fingerprint is not None:
         payload["plan_fingerprint"] = fingerprint
     return payload
-
-
-def build_runner(
-    jobs: int = 1,
-    retries: int = 0,
-    cell_timeout: Optional[float] = None,
-    progress: Optional[ProgressCallback] = None,
-    scheduler_backend: Optional[str] = None,
-) -> ExperimentRunner:
-    """The :class:`ExperimentRunner` for one execution shape.
-
-    ``jobs``, ``retries`` and ``cell_timeout`` are checked with
-    :class:`RunConfig`'s rules and messages (:class:`ConfigError`).  With
-    no retries and no timeout the runner gets no
-    :class:`~repro.analysis.resilience.RetryPolicy` and keeps its plain
-    serial/pool paths; ``retries`` counts *re*-executions, so the policy
-    allows ``retries + 1`` attempts per cell.
-    """
-    cell_timeout = check_execution(jobs, retries, cell_timeout)
-    policy = None
-    if retries or cell_timeout is not None:
-        from repro.analysis.resilience import RetryPolicy
-
-        policy = RetryPolicy(max_attempts=retries + 1, cell_timeout=cell_timeout)
-    return ExperimentRunner(
-        jobs=jobs,
-        progress=progress,
-        scheduler_backend=scheduler_backend,
-        retry_policy=policy,
-    )
 
 
 def sweep_table_text(row: SweepRow) -> str:
@@ -301,10 +271,8 @@ class Session:
 
     def runner(self) -> ExperimentRunner:
         """An :class:`ExperimentRunner` shaped by this config."""
-        return build_runner(
-            self.config.jobs,
-            self.config.retries,
-            self.config.cell_timeout,
+        return ExperimentRunner(
+            jobs=self.config.jobs,
             progress=self.progress,
             scheduler_backend=self.backend_override(),
         )
@@ -404,22 +372,20 @@ class Session:
 
     # -- shard ---------------------------------------------------------------
 
-    def shard_plan(
-        self, grid: Optional[SweepGrid] = None, embed_config: bool = True
-    ) -> sharding.ShardPlan:
+    def shard_plan(self, grid: Optional[SweepGrid] = None) -> sharding.ShardPlan:
         """Partition this config's sweep grid into its deterministic shards.
 
-        The returned plan embeds the config (``embed_config``), so shard
-        input files written from it are self-describing.  The config's
-        ``scheduler_backend`` is deliberately *not* part of the planned
-        grid (see :class:`SweepGrid`).
+        The returned plan embeds the config, so shard input files written
+        from it are self-describing.  The config's ``scheduler_backend``
+        is deliberately *not* part of the planned grid (see
+        :class:`SweepGrid`).
         """
         grid = grid or self.sweep_grid()
         return sharding.ShardPlan.build(
             grid.specs,
             num_shards=self.config.shards,
             strategy=self.config.strategy,
-            config=self.config if embed_config else None,
+            config=self.config,
         )
 
     def sweep_shard(

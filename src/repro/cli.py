@@ -22,14 +22,10 @@ messages name the program ``repro-place``.  Subcommands:
     into shard input files plus a ``plan.json``, ``shard run`` executes
     one shard file anywhere (any host with this package), and ``shard
     merge`` verifies and merges the outcome shards back into exactly the
-    table a serial ``sweep`` would have printed.  ``shard run`` takes
-    ``--checkpoint PATH`` (journal finished cells) and ``--resume``
-    (skip journaled cells after a crash); ``shard merge
-    --allow-partial`` merges whatever shards exist and prints the
-    missing-cell manifest; ``shard replan`` writes recovery shard
-    inputs covering exactly the shards whose outputs are missing or
-    corrupt.  See ``docs/parallelism.md`` ("Sharding across hosts" and
-    "Fault tolerance").
+    table a serial ``sweep`` would have printed; a missing, corrupted or
+    foreign outcome shard fails the merge with one error line.  See
+    ``docs/parallelism.md`` ("Sharding across hosts" and "Crash-safe
+    files").
 
 ``list``
     List the available circuits, molecules and parameterised families.
@@ -37,11 +33,6 @@ messages name the program ``repro-place``.  Subcommands:
 ``place``, ``sweep`` and ``shard plan`` accept ``--config run.json`` — a
 serialised :class:`repro.config.RunConfig` replacing (or defaulted by)
 the positional arguments and flags; explicit flags override the file.
-They also accept ``--retries N`` and ``--cell-timeout SECONDS``
-(mirrored by ``shard run``): failed cells are re-executed up to ``N``
-extra times with deterministic exponential backoff, and cells exceeding
-the wall-clock budget are killed and retried
-(:mod:`repro.analysis.resilience`).
 ``place`` and ``sweep`` accept ``--output json`` for machine-readable
 rows + counters; all JSON surfaces share one serialisation helper
 (:mod:`repro.analysis.serialization`), so rows written by any of them can
@@ -67,19 +58,17 @@ from typing import List, Optional
 from repro import api
 from repro.analysis import sharding
 from repro.analysis.reporting import format_table
-from repro.analysis.runner import stderr_progress
+from repro.analysis.runner import ExperimentRunner, stderr_progress
 from repro.analysis.serialization import (
-    SCHEMA_VERSION,
     atomic_write_text,
     checksummed_payload,
     dump_json,
-    outcome_to_dict,
     outcomes_payload,
     verify_payload_checksum,
 )
 from repro.analysis.sweep import row_from_outcomes
-from repro.api import Session, build_runner
-from repro.config import OUTPUT_FORMATS, RunConfig
+from repro.api import Session
+from repro.config import OUTPUT_FORMATS, RunConfig, check_execution
 from repro.core._bitset import node_index_table
 from repro.core.config import PlacementOptions
 from repro.exceptions import (
@@ -136,17 +125,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                              "simulated annealer for hosts where exact "
                              "search is infeasible (see 'repro list' and "
                              "docs/placers.md)")
-
-
-def _add_resilience_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--retries", type=int, default=None,
-                        help="re-execution attempts per failed cell "
-                             "(default 0 = fail fast); exhausted cells "
-                             "become structured FailedOutcome rows")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-cell wall-clock budget; a cell exceeding "
-                             "it is killed and retried (default: unlimited)")
 
 
 def _add_output_option(parser: argparse.ArgumentParser) -> None:
@@ -212,10 +190,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                         base.thresholds if base else None, None),
         options=_merged_options(base.options if base else PlacementOptions(), args),
         jobs=pick(getattr(args, "jobs", None), base.jobs if base else None, 1),
-        retries=pick(getattr(args, "retries", None),
-                     base.retries if base else None, 0),
-        cell_timeout=pick(getattr(args, "cell_timeout", None),
-                          base.cell_timeout if base else None, None),
         shards=pick(getattr(args, "shards", None), base.shards if base else None, 1),
         shard_index=pick(getattr(args, "shard_index", None),
                          base.shard_index if base else None, None),
@@ -366,54 +340,21 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
     shard = sharding.read_shard(args.shard_file)
-    # Resilience settings default from the config embedded in the shard
-    # file (the plan's run description); explicit flags override it.
-    embedded = shard.config
-    runner = build_runner(
-        args.jobs,
-        args.retries if args.retries is not None else (
-            embedded.retries if embedded is not None else 0
-        ),
-        args.cell_timeout if args.cell_timeout is not None else (
-            embedded.cell_timeout if embedded is not None else None
-        ),
+    check_execution(args.jobs)
+    runner = ExperimentRunner(
+        jobs=args.jobs,
         progress=(
             stderr_progress(f"shard {shard.shard_index} cell")
             if args.progress else None
         ),
         scheduler_backend=args.scheduler_backend,
     )
-    if args.resume and args.checkpoint is None:
-        raise ConfigError(
-            "--resume needs --checkpoint PATH: the checkpoint file is where "
-            "completed cells were journaled"
-        )
-    if args.checkpoint is not None and not args.resume:
-        # Without --resume a checkpoint path means "journal this run from
-        # scratch": discard any stale journal rather than silently
-        # resuming from a previous (possibly unrelated) invocation.
-        if os.path.exists(args.checkpoint):
-            os.remove(args.checkpoint)
-    resumed = 0
-    if args.resume and args.checkpoint is not None:
-        completed, _ = sharding.load_shard_checkpoint(args.checkpoint, shard)
-        resumed = len(completed)
-        print(f"resuming shard {shard.shard_index}: {resumed} of "
-              f"{len(shard.indices)} cell(s) already journaled in "
-              f"{args.checkpoint}")
-
-    outcome_shard = sharding.execute_shard(
-        shard, runner, checkpoint_path=args.checkpoint
-    )
+    outcome_shard = sharding.execute_shard(shard, runner)
     sharding.write_outcome_shard(outcome_shard, args.out)
     infeasible = sum(1 for o in outcome_shard.outcomes if not o.feasible)
-    failed = sum(
-        1 for o in outcome_shard.outcomes if getattr(o, "failure", None)
-    )
-    extras = f", {failed} failed" if failed else ""
     print(f"shard {shard.shard_index}/{shard.num_shards}: "
           f"{len(outcome_shard.outcomes)} cell(s) "
-          f"({infeasible} infeasible{extras}) -> {args.out}")
+          f"({infeasible} infeasible) -> {args.out}")
     return 0
 
 
@@ -445,86 +386,10 @@ def _read_plan_metadata(path: str) -> dict:
     return metadata
 
 
-def _outcome_status(outcome) -> str:
-    """One-word cell status for merge tables (MISSING for ``None`` holes)."""
-    if outcome is None:
-        return "MISSING"
-    if getattr(outcome, "failure", None):
-        return f"FAILED ({outcome.failure})"
-    return "ok" if outcome.feasible else "N/A"
-
-
-def _render_partial_merge(
-    args: argparse.Namespace, merged, metadata, output: str
-) -> int:
-    """Report a partial merge: per-cell table/rows plus the gap manifest.
-
-    The sweep-table rendering needs every cell, so partial merges always
-    use the generic per-cell view; the manifest names the missing shard
-    and cell indices and spells out the ``shard replan`` invocation that
-    rebuilds exactly the gap.
-    """
-    labels = metadata.get("labels") if metadata is not None else None
-    if output == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "rows": [
-                outcome_to_dict(outcome) if outcome is not None else None
-                for outcome in merged.outcomes
-            ],
-            "counters": {
-                name: int(value)
-                for name, value in sorted(merged.counters.items())
-            },
-            "plan_fingerprint": merged.plan_fingerprint,
-            "num_shards": merged.num_shards,
-            "missing_shards": list(merged.missing_shards),
-            "missing_cells": list(merged.missing_cells),
-        }
-        print(dump_json(payload), end="")
-        return 0
-    table_rows = []
-    for index, outcome in enumerate(merged.outcomes):
-        if outcome is not None:
-            label = outcome.label or outcome.circuit_name
-        elif labels is not None and index < len(labels):
-            label = labels[index]
-        else:
-            label = f"cell {index}"
-        table_rows.append([label, _outcome_status(outcome)])
-    covered = sum(1 for outcome in merged.outcomes if outcome is not None)
-    print(format_table(
-        ["cell", "status"], table_rows,
-        title=f"partial merge ({covered} of {len(merged.outcomes)} cells, "
-              f"fingerprint {merged.plan_fingerprint[:12]})",
-    ))
-    print(f"missing shard(s): {list(merged.missing_shards)}")
-    print(f"missing cell(s): {list(merged.missing_cells)}")
-    plan_arg = args.plan if args.plan is not None else "plan.json"
-    outputs = " ".join(args.shard_outputs)
-    print("to recover, rebuild inputs for the gaps and re-run them:")
-    print(f"  repro-place shard replan --plan {plan_arg} --out-dir "
-          f"<recovery-dir> {outputs}")
-    return 0
-
-
 def _cmd_shard_merge(args: argparse.Namespace) -> int:
-    allow_partial = getattr(args, "allow_partial", False)
-    shards = []
-    for path in args.shard_outputs:
-        try:
-            shards.append(sharding.read_outcome_shard(path))
-        except ExperimentError as exc:
-            if not allow_partial:
-                raise
-            # Under --allow-partial an unreadable (truncated, corrupted)
-            # shard output is a gap to report, not a fatal error: the cell
-            # data it held is recovered by re-running its shard.
-            print(f"warning: skipping unreadable shard output: {exc}",
-                  file=sys.stderr)
-    merged = sharding.merge_shards(shards, allow_partial=allow_partial)
+    shards = [sharding.read_outcome_shard(path) for path in args.shard_outputs]
+    merged = sharding.merge_shards(shards)
     output = args.output or "text"
-    metadata = None
     if args.plan is not None:
         metadata = _read_plan_metadata(args.plan)
         if merged.plan_fingerprint != metadata["fingerprint"]:
@@ -539,22 +404,11 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
                 f"outcome shards declare {merged.num_shards} shard(s) but "
                 f"the plan has {metadata['num_shards']}"
             )
-        if allow_partial and len(merged.outcomes) < metadata["total_cells"]:
-            # A plan-less partial merge can only bound the grid size by
-            # the highest delivered cell; the plan knows the true total.
-            tail = range(len(merged.outcomes), metadata["total_cells"])
-            merged.outcomes.extend([None] * len(tail))
-            merged.missing_cells = tuple(
-                sorted(set(merged.missing_cells) | set(tail))
-            )
         if len(merged.outcomes) != metadata["total_cells"]:
             raise ExperimentError(
                 f"merged grid has {len(merged.outcomes)} cell(s) but the "
                 f"plan describes {metadata['total_cells']}"
             )
-    if not merged.is_complete:
-        return _render_partial_merge(args, merged, metadata, output)
-    if metadata is not None:
         try:
             row = row_from_outcomes(
                 merged.outcomes,
@@ -585,7 +439,8 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
         print(dump_json(payload), end="")
         return 0
     table_rows = [
-        [outcome.label or outcome.circuit_name, _outcome_status(outcome)]
+        [outcome.label or outcome.circuit_name,
+         "ok" if outcome.feasible else "N/A"]
         for outcome in merged.outcomes
     ]
     print(format_table(
@@ -593,84 +448,6 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
         title=f"merged grid ({merged.num_shards} shard(s), "
               f"fingerprint {merged.plan_fingerprint[:12]})",
     ))
-    return 0
-
-
-def _cmd_shard_replan(args: argparse.Namespace) -> int:
-    """Emit a recovery plan covering exactly the gaps of a sharded run.
-
-    Classifies the given outcome files against the plan — readable files
-    with the right fingerprint account for their shard; missing,
-    truncated or foreign files leave theirs uncovered — then rebuilds the
-    grid from the config embedded in ``plan.json``, verifies the rebuilt
-    fingerprint matches (the registries/code must not have drifted since
-    planning), and writes fresh shard-input files for the gap shards
-    only.
-    """
-    metadata = _read_plan_metadata(args.plan)
-    num_shards = metadata["num_shards"]
-    present = {}
-    for path in args.shard_outputs:
-        try:
-            shard = sharding.read_outcome_shard(path)
-        except ExperimentError as exc:
-            print(f"unreadable shard output (its shard will be replanned): "
-                  f"{exc}", file=sys.stderr)
-            continue
-        if shard.plan_fingerprint != metadata["fingerprint"]:
-            print(f"foreign shard output {path!r} (fingerprint "
-                  f"{shard.plan_fingerprint[:12]}, plan is "
-                  f"{metadata['fingerprint'][:12]}); ignoring",
-                  file=sys.stderr)
-            continue
-        present.setdefault(shard.shard_index, path)
-    missing = [index for index in range(num_shards) if index not in present]
-    if not missing:
-        print(f"all {num_shards} shard(s) accounted for; nothing to replan")
-        return 0
-    config_data = metadata.get("config")
-    if config_data is None:
-        raise ExperimentError(
-            f"plan file {args.plan!r} embeds no run config, so the grid "
-            "cannot be rebuilt; replan needs a plan.json written by "
-            "'repro-place shard plan'"
-        )
-    config = RunConfig.from_dict(config_data)
-    plan = Session(config).shard_plan()
-    if plan.fingerprint != metadata["fingerprint"]:
-        raise ExperimentError(
-            f"rebuilt grid fingerprint {plan.fingerprint!r} does not match "
-            f"the plan's {metadata['fingerprint']!r}; the circuit or "
-            "environment definitions changed since planning, so recovered "
-            "shards would not merge with the existing outputs"
-        )
-    os.makedirs(args.out_dir, exist_ok=True)
-    shard_files = {}
-    for index in missing:
-        shard_file = f"shard-{index}.pkl"
-        sharding.write_shard(
-            plan.shard_input(index), os.path.join(args.out_dir, shard_file)
-        )
-        shard_files[index] = shard_file
-    recovery = dict(metadata)
-    recovery.pop("payload_sha256", None)
-    recovery["recovers"] = sorted(missing)
-    recovery["shard_files"] = [
-        shard_files.get(index) for index in range(num_shards)
-    ]
-    recovery_path = os.path.join(args.out_dir, PLAN_FILE)
-    atomic_write_text(recovery_path, dump_json(checksummed_payload(recovery)))
-    print(f"recovery plan: {len(missing)} of {num_shards} shard(s) to re-run "
-          f"(fingerprint {plan.fingerprint[:12]})")
-    for index in missing:
-        print(f"  repro-place shard run --shard-file "
-              f"{os.path.join(args.out_dir, shard_files[index])} "
-              f"--out {os.path.join(args.out_dir, f'out-{index}.json')}")
-    outputs = [present[index] for index in sorted(present)] + [
-        os.path.join(args.out_dir, f"out-{index}.json") for index in missing
-    ]
-    print("then merge the existing and recovered outputs:")
-    print("  repro-place shard merge --plan " + " ".join([args.plan] + outputs))
     return 0
 
 
@@ -730,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "or environment .json file")
     _add_config_option(place_parser)
     _add_common_options(place_parser)
-    _add_resilience_options(place_parser)
     _add_output_option(place_parser)
     place_parser.set_defaults(func=_cmd_place)
 
@@ -760,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="shard partitioning strategy (default: round-robin)")
     _add_config_option(sweep_parser)
     _add_common_options(sweep_parser)
-    _add_resilience_options(sweep_parser)
     _add_output_option(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep)
 
@@ -787,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="directory for plan.json and shard-<i>.pkl files")
     _add_config_option(plan_parser)
     _add_common_options(plan_parser)
-    _add_resilience_options(plan_parser)
     plan_parser.set_defaults(func=_cmd_shard, shard_func=_cmd_shard_plan)
 
     run_parser = shard_subparsers.add_parser(
@@ -805,13 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default=None,
                             help="override the runtime-evaluator backend for "
                                  "this shard (outputs are bit-identical)")
-    _add_resilience_options(run_parser)
-    run_parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                            help="journal completed cells to this file as "
-                                 "the shard runs (crash-safe progress)")
-    run_parser.add_argument("--resume", action="store_true",
-                            help="with --checkpoint: skip cells already "
-                                 "journaled and run only the missing ones")
     run_parser.set_defaults(func=_cmd_shard, shard_func=_cmd_shard_run)
 
     merge_parser = shard_subparsers.add_parser(
@@ -822,28 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     merge_parser.add_argument("--plan", default=None,
                               help="plan.json from 'shard plan'; enables the "
                                    "sweep-table rendering and extra verification")
-    merge_parser.add_argument("--allow-partial", action="store_true",
-                              help="merge whatever shards exist; missing or "
-                                   "unreadable shards become an explicit "
-                                   "missing-cell manifest instead of an error")
     _add_output_option(merge_parser)
     merge_parser.set_defaults(func=_cmd_shard, shard_func=_cmd_shard_merge)
-
-    replan_parser = shard_subparsers.add_parser(
-        "replan",
-        help="write recovery shard inputs covering exactly the missing or "
-             "corrupt outcome shards of a previous run",
-    )
-    replan_parser.add_argument("shard_outputs", nargs="*",
-                               help="the outcome-shard files that DO exist "
-                                    "(readable ones account for their shard; "
-                                    "everything else is replanned)")
-    replan_parser.add_argument("--plan", required=True,
-                               help="plan.json of the original 'shard plan'")
-    replan_parser.add_argument("--out-dir", required=True,
-                               help="directory for the recovery shard inputs "
-                                    "and recovery plan.json")
-    replan_parser.set_defaults(func=_cmd_shard, shard_func=_cmd_shard_replan)
 
     list_parser = subparsers.add_parser("list", help="list circuits and environments")
     list_parser.set_defaults(func=_cmd_list)

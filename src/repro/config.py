@@ -19,8 +19,6 @@ The JSON schema (see ``docs/api.md``)::
       "thresholds": [50, 100, 200] | null,
       "options": { ... PlacementOptions fields ... },
       "jobs": 1,
-      "retries": 0,
-      "cell_timeout": null,
       "shards": 1,
       "shard_index": null,
       "strategy": "round-robin",
@@ -30,7 +28,9 @@ The JSON schema (see ``docs/api.md``)::
 Unknown keys are rejected (a typo in a config file must not be silently
 ignored), and all values are validated on construction, so an invalid
 file fails with a one-line :class:`~repro.exceptions.ConfigError` before
-any work starts.
+any work starts.  Files written before the cell-retry layer was removed
+carry ``"retries": 0`` and ``"cell_timeout": null``; those no-op values
+are read and dropped, and any other value is refused (``docs/api.md``).
 """
 
 from __future__ import annotations
@@ -54,33 +54,38 @@ CONFIG_SCHEMA_VERSION = 1
 OUTPUT_FORMATS = ("text", "json")
 
 
-def check_execution(
-    jobs: object, retries: object, cell_timeout: object
-) -> Optional[float]:
-    """Validate a run's execution shape; return ``cell_timeout`` as a float.
+#: Keys of the removed cell-retry layer, with the no-op value every file
+#: written before its removal carries.
+_REMOVED_KEYS = (("retries", 0), ("cell_timeout", None))
 
-    The rules and messages of :class:`RunConfig`'s ``jobs``, ``retries``
-    and ``cell_timeout`` fields, shared with ``shard run``, whose flags
-    build no :class:`RunConfig`.  A bad value raises :class:`ConfigError`.
+
+def check_execution(jobs: object) -> None:
+    """Validate a run's worker count.
+
+    The rule and message of :class:`RunConfig`'s ``jobs`` field, shared
+    with ``shard run``, whose flags build no :class:`RunConfig`.  A bad
+    value raises :class:`ConfigError`.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
-    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
-        raise ConfigError(
-            f"retries must be a non-negative integer, got {retries!r}"
-        )
-    if cell_timeout is None:
-        return None
-    if (
-        isinstance(cell_timeout, bool)
-        or not isinstance(cell_timeout, (int, float))
-        or not cell_timeout > 0  # rejects NaN too
-    ):
-        raise ConfigError(
-            f"cell_timeout must be a positive number of seconds (or null), "
-            f"got {cell_timeout!r}"
-        )
-    return float(cell_timeout)
+
+
+def _drop_removed_keys(data: Dict[str, Any]) -> None:
+    """Remove the cell-retry keys from ``data`` if they hold no-op values.
+
+    Any other value asks for retries or a timeout, which no longer exist;
+    running without them would silently differ from what the file asks
+    for, so such a value raises :class:`ConfigError` instead.
+    """
+    for key, inert in _REMOVED_KEYS:
+        if key not in data:
+            continue
+        value = data.pop(key)
+        if value != inert or type(value) is not type(inert):
+            raise ConfigError(
+                f"run-config key {key!r} is {value!r}, but cell retries "
+                "and timeouts were removed; delete the key"
+            )
 
 
 def _options_to_dict(options: PlacementOptions) -> Dict[str, Any]:
@@ -123,15 +128,6 @@ class RunConfig:
         the single-placement ``threshold`` and ``scheduler_backend``).
     jobs:
         Local worker processes per grid execution.
-    retries:
-        Re-execution attempts per failed cell on top of the first try
-        (``0`` = fail fast, the default).  Together with ``cell_timeout``
-        this maps to a :class:`repro.analysis.resilience.RetryPolicy`
-        with ``max_attempts = retries + 1``.
-    cell_timeout:
-        Per-cell wall-clock budget in seconds (``None`` = unlimited).  A
-        cell exceeding it is killed and retried; retries and timeouts
-        never change feasible results, only whether failures recover.
     shards / shard_index / strategy:
         The deterministic grid partition: total shard count, the one
         shard this invocation executes (``None`` = whole grid), and the
@@ -146,8 +142,6 @@ class RunConfig:
     thresholds: Optional[Tuple[float, ...]] = None
     options: PlacementOptions = field(default_factory=PlacementOptions)
     jobs: int = 1
-    retries: int = 0
-    cell_timeout: Optional[float] = None
     shards: int = 1
     shard_index: Optional[int] = None
     strategy: str = "round-robin"
@@ -187,11 +181,7 @@ class RunConfig:
             raise ConfigError(
                 f"options must be PlacementOptions, got {type(self.options).__name__}"
             )
-        object.__setattr__(
-            self,
-            "cell_timeout",
-            check_execution(self.jobs, self.retries, self.cell_timeout),
-        )
+        check_execution(self.jobs)
         if isinstance(self.shards, bool) or not isinstance(self.shards, int) \
                 or self.shards < 1:
             raise ConfigError(f"shards must be a positive integer, got {self.shards!r}")
@@ -226,6 +216,13 @@ class RunConfig:
         """A copy with some fields changed (validated like a fresh config)."""
         return dataclasses.replace(self, **changes)
 
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Shard-input files pickle the plan's config; one written before
+        # the cell-retry layer was removed follows the same rule as a file.
+        state = dict(state)
+        _drop_removed_keys(state)
+        self.__dict__.update(state)
+
     # -- serialisation -------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -240,8 +237,6 @@ class RunConfig:
             ),
             "options": _options_to_dict(self.options),
             "jobs": self.jobs,
-            "retries": self.retries,
-            "cell_timeout": self.cell_timeout,
             "shards": self.shards,
             "shard_index": self.shard_index,
             "strategy": self.strategy,
@@ -261,6 +256,7 @@ class RunConfig:
                 f"got {declared_format!r})"
             )
         data.pop("schema_version", None)
+        _drop_removed_keys(data)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

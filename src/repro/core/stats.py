@@ -49,11 +49,6 @@ Counter names used by the engine
     no-op proposals are rejected unscored).
 ``scheduler.ops_replayed`` / ``scheduler.ops_skipped``
     Scheduled operations re-executed versus skipped by checkpoint restore.
-``cells_retried`` / ``cells_timed_out`` / ``cells_failed``
-    Fault-tolerance counters (:mod:`repro.analysis.resilience`): cell
-    attempts re-scheduled after a failure, attempts killed for exceeding
-    the per-cell timeout, and cells that exhausted every attempt and were
-    recorded as :class:`~repro.analysis.resilience.FailedOutcome` rows.
 """
 
 from __future__ import annotations

@@ -59,23 +59,14 @@ class ExperimentError(ReproError):
 
 
 class ShardFormatError(ExperimentError):
-    """Raised when a shard/plan/checkpoint file cannot be read back.
+    """Raised when a shard, plan or outcome-shard file cannot be read back.
 
     Wraps every low-level failure mode — missing file, truncated pickle or
-    JSON, foreign format tag, payload-checksum mismatch — in one exception
-    whose single-line message names the offending path and the cause, so
-    shard workers and the merge step fail with an actionable error instead
-    of a raw ``pickle``/``json``/``EOFError`` traceback.
-    """
-
-
-class InjectedFaultError(ReproError):
-    """Raised by the test-only fault injector (``repro.analysis.resilience``).
-
-    Deliberately *not* a :class:`ThresholdError`/:class:`PlacementError`
-    (which mark a cell as structurally infeasible): an injected fault must
-    look like an unexpected runtime failure so the retry machinery treats
-    it as transient and retries the cell.
+    JSON, foreign format tag, payload-checksum mismatch, a malformed or
+    unsupported row — in one exception whose single-line message names
+    the offending path and the cause, so shard workers and the merge step
+    fail with an actionable error instead of a raw
+    ``pickle``/``json``/``EOFError`` traceback.
     """
 
 

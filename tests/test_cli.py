@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.serialization import checksummed_payload, dump_json
 from repro.cli import build_parser, main
 from repro.circuits import qasm
 from repro.circuits.library import qec3_encoder
@@ -260,6 +261,92 @@ class TestShardPipeline:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_merge_of_corrupt_shard_fails_closed(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "shards")
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "2", "--out-dir", out_dir]) == 0
+        outputs = []
+        for index in range(2):
+            out_file = tmp_path / f"out-{index}.json"
+            assert main(["shard", "run",
+                         "--shard-file", f"{out_dir}/shard-{index}.pkl",
+                         "--out", str(out_file)]) == 0
+            outputs.append(str(out_file))
+        capsys.readouterr()
+        # Truncate shard 1's outcome file to half its bytes.
+        data = (tmp_path / "out-1.json").read_bytes()
+        (tmp_path / "out-1.json").write_bytes(data[: len(data) // 2])
+        assert main(["shard", "merge", "--plan", f"{out_dir}/plan.json"]
+                    + outputs) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "out-1.json" in captured.err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--jobs", "0"], "jobs must be a positive integer, got 0"),
+        (["--jobs", "-3"], "jobs must be a positive integer, got -3"),
+    ], ids=["jobs", "negative-jobs"])
+    def test_shard_run_bad_flag_value_is_a_usage_error(self, flags, message,
+                                                       tmp_path, capsys):
+        out_dir = str(tmp_path / "shards")
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "2", "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        out_file = tmp_path / "out.json"
+        code = main(["shard", "run", "--shard-file", f"{out_dir}/shard-0.pkl",
+                     "--out", str(out_file), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert not out_file.exists()
+
+    @staticmethod
+    def _assert_one_error_line(code, capsys, *fragments):
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in captured.err
+
+    def test_merge_without_a_shard_names_the_missing_one(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "shards")
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "2", "--out-dir", out_dir]) == 0
+        out_file = str(tmp_path / "out-0.json")
+        assert main(["shard", "run", "--shard-file", f"{out_dir}/shard-0.pkl",
+                     "--out", out_file]) == 0
+        capsys.readouterr()
+        code = main(["shard", "merge", "--plan", f"{out_dir}/plan.json",
+                     out_file])
+        self._assert_one_error_line(
+            code, capsys, "missing [1]", "run each missing shard"
+        )
+
+    def test_merge_of_a_missing_outcome_file_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        code = main(["shard", "merge", str(tmp_path / "out-7.json")])
+        self._assert_one_error_line(
+            code, capsys, "cannot read outcome-shard file", "out-7.json"
+        )
+
+    def test_run_of_a_truncated_shard_file_fails_closed(self, tmp_path, capsys):
+        out_dir = tmp_path / "shards"
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "2", "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        data = (out_dir / "shard-1.pkl").read_bytes()
+        (out_dir / "shard-1.pkl").write_bytes(data[: len(data) // 2])
+        out_file = tmp_path / "out-1.json"
+        code = main(["shard", "run", "--shard-file", str(out_dir / "shard-1.pkl"),
+                     "--out", str(out_file)])
+        self._assert_one_error_line(code, capsys, "shard-1.pkl")
+        assert not out_file.exists()
+
     def test_sweep_shards_without_index_is_a_usage_error(self, capsys):
         code = main(["sweep"] + SWEEP_ARGS + ["--shards", "2"])
         assert code == 2
@@ -290,6 +377,114 @@ class TestShardPipeline:
         err = capsys.readouterr().err
         assert "sweep cell 1/1" in err
         assert "cells/s" in err
+
+
+class TestPlanFileChecks:
+    """``shard merge --plan`` refuses a plan file that does not describe
+    the merged shards: exit 1, one ``error:`` line, no table."""
+
+    @pytest.fixture
+    def pipeline(self, tmp_path, capsys):
+        out_dir = tmp_path / "shards"
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "2", "--out-dir", str(out_dir)]) == 0
+        outputs = []
+        for index in range(2):
+            out_file = str(tmp_path / f"out-{index}.json")
+            assert main(["shard", "run",
+                         "--shard-file", str(out_dir / f"shard-{index}.pkl"),
+                         "--out", out_file]) == 0
+            outputs.append(out_file)
+        capsys.readouterr()
+        return out_dir / "plan.json", outputs
+
+    @staticmethod
+    def _edit_plan(plan_path, edit, rechecksum=True):
+        metadata = json.loads(plan_path.read_text())
+        edit(metadata)
+        if rechecksum:
+            metadata = checksummed_payload(metadata)
+        plan_path.write_text(dump_json(metadata))
+
+    @staticmethod
+    def _merge_refused(plan_path, outputs, capsys, fragment):
+        code = main(["shard", "merge", "--plan", str(plan_path)] + outputs)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert fragment in captured.err
+
+    def test_missing_plan_file(self, pipeline, tmp_path, capsys):
+        _, outputs = pipeline
+        self._merge_refused(tmp_path / "absent.json", outputs, capsys,
+                            "cannot read plan file")
+
+    def test_outcome_file_passed_as_plan(self, pipeline, capsys):
+        _, outputs = pipeline
+        self._merge_refused(outputs[0], outputs, capsys,
+                            "is not a shard-plan file")
+
+    def test_plan_missing_a_required_key(self, pipeline, capsys):
+        plan_path, outputs = pipeline
+        self._edit_plan(plan_path, lambda metadata: metadata.pop("cell_index"))
+        self._merge_refused(plan_path, outputs, capsys,
+                            "is missing ['cell_index']")
+
+    def test_plan_edited_after_writing_fails_its_checksum(self, pipeline, capsys):
+        plan_path, outputs = pipeline
+        self._edit_plan(plan_path,
+                        lambda metadata: metadata.update(circuit_name="qft6"),
+                        rechecksum=False)
+        self._merge_refused(plan_path, outputs, capsys,
+                            "payload checksum mismatch")
+
+    def test_plan_with_another_shard_count(self, pipeline, tmp_path, capsys):
+        # The same grid planned as one shard has the same fingerprint.
+        _, outputs = pipeline
+        other_dir = tmp_path / "whole"
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "1", "--out-dir", str(other_dir)]) == 0
+        capsys.readouterr()
+        self._merge_refused(other_dir / "plan.json", outputs, capsys,
+                            "declare 2 shard(s) but the plan has 1")
+
+    def test_plan_with_another_cell_count(self, pipeline, capsys):
+        plan_path, outputs = pipeline
+        self._edit_plan(plan_path,
+                        lambda metadata: metadata.update(total_cells=5))
+        self._merge_refused(plan_path, outputs, capsys,
+                            "merged grid has 2 cell(s) but the plan describes 5")
+
+    def test_plan_whose_cell_index_overruns_the_grid(self, pipeline, capsys):
+        plan_path, outputs = pipeline
+        self._edit_plan(plan_path,
+                        lambda metadata: metadata.update(cell_index=[0, 9, 1]))
+        self._merge_refused(plan_path, outputs, capsys,
+                            "does not describe the merged grid")
+
+
+class TestRemovedOptions:
+    """The options of the removed cell-retry, checkpoint, partial-merge
+    and replan features are unknown to the parser: a usage error naming
+    the option, never a run that silently ignores it."""
+
+    @pytest.mark.parametrize("argv,token", [
+        (["sweep", *SWEEP_ARGS, "--retries", "2"], "--retries"),
+        (["sweep", *SWEEP_ARGS, "--cell-timeout", "30"], "--cell-timeout"),
+        (["shard", "run", "--shard-file", "shard-0.pkl", "--out", "out-0.json",
+          "--checkpoint", "out-0.jsonl"], "--checkpoint"),
+        (["shard", "merge", "--allow-partial", "out-0.json"], "--allow-partial"),
+        (["shard", "replan", "--plan", "plan.json"], "'replan'"),
+    ], ids=["retries", "cell-timeout", "checkpoint", "allow-partial", "replan"])
+    def test_removed_option_is_a_usage_error(self, argv, token, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert token in captured.err
 
 
 class TestRunConfigFlag:
@@ -341,13 +536,12 @@ class TestRunConfigFlag:
         err = capsys.readouterr().err
         assert "jbos" in err
 
-    @pytest.mark.parametrize("command", [
-        ["place"], ["sweep", "--retries", "1"],
-    ], ids=["place", "sweep-retries"])
+    @pytest.mark.parametrize("command", [["place"], ["sweep"]],
+                             ids=["place", "sweep"])
     def test_mistyped_option_value_is_a_usage_error(self, command, tmp_path,
                                                     capsys):
         # 2.5 used to crash the placer (place) or fail open as N/A cells
-        # (sweep --retries).
+        # (sweep).
         data = RunConfig(circuit="qft:5",
                          environment="trans-crotonic-acid").to_dict()
         data["options"]["lookahead_width"] = 2.5
@@ -360,6 +554,28 @@ class TestRunConfigFlag:
         assert captured.err.startswith("error: ")
         assert "lookahead_width must be an integer, got 2.5" in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [
+        ("retries", 2), ("cell_timeout", 30.0),
+    ])
+    def test_config_file_with_removed_key_is_a_usage_error(
+        self, key, value, tmp_path, capsys
+    ):
+        # A file from before cell retries were removed may carry their
+        # no-op values; any other value is refused rather than ignored.
+        data = RunConfig(circuit="qft:5",
+                         environment="trans-crotonic-acid").to_dict()
+        data.update(retries=0, cell_timeout=None)
+        data[key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        code = main(["sweep", "--config", str(path), "--thresholds", "200"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"run-config key {key!r} is {value!r}" in captured.err
+        assert "removed" in captured.err
 
     def test_shard_plan_embeds_config(self, tmp_path, capsys):
         out_dir = str(tmp_path / "shards")
@@ -379,157 +595,11 @@ class TestRunConfigFlag:
         assert shard.config == embedded
 
 
-class TestFaultTolerantCli:
-    def _serial_table(self, capsys):
-        assert main(["sweep"] + SWEEP_ARGS) == 0
-        return capsys.readouterr().out
-
-    def test_faulted_sweep_with_retries_matches_serial(self, capsys, monkeypatch):
-        serial_table = self._serial_table(capsys)
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "0:raise;1:kill")
-        assert main(["sweep"] + SWEEP_ARGS + ["--retries", "2"]) == 0
-        assert capsys.readouterr().out == serial_table
-
-    def test_resume_without_checkpoint_is_a_usage_error(self, tmp_path, capsys):
-        out_dir = str(tmp_path / "shards")
-        assert main(["shard", "plan"] + SWEEP_ARGS
-                    + ["--shards", "2", "--out-dir", out_dir]) == 0
-        capsys.readouterr()
-        code = main(["shard", "run", "--shard-file", f"{out_dir}/shard-0.pkl",
-                     "--out", str(tmp_path / "out.json"), "--resume"])
-        assert code == 2
-        assert "--checkpoint" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags,message", [
-        (["--jobs", "0"], "jobs must be a positive integer, got 0"),
-        (["--retries", "-1"], "retries must be a non-negative integer, got -1"),
-        (["--cell-timeout", "0"], "cell_timeout must be a positive number "
-                                  "of seconds (or null), got 0.0"),
-        (["--cell-timeout", "nan"], "cell_timeout must be a positive number "
-                                    "of seconds (or null), got nan"),
-    ], ids=["jobs", "retries", "cell-timeout-zero", "cell-timeout-nan"])
-    def test_shard_run_bad_flag_value_is_a_usage_error(self, flags, message,
-                                                       tmp_path, capsys):
-        out_dir = str(tmp_path / "shards")
-        assert main(["shard", "plan"] + SWEEP_ARGS
-                    + ["--shards", "2", "--out-dir", out_dir]) == 0
-        capsys.readouterr()
-        out_file = tmp_path / "out.json"
-        code = main(["shard", "run", "--shard-file", f"{out_dir}/shard-0.pkl",
-                     "--out", str(out_file), *flags])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert not out_file.exists()
-
-    def test_checkpoint_resume_flow(self, tmp_path, capsys):
-        serial_table = self._serial_table(capsys)
-        out_dir = str(tmp_path / "shards")
-        assert main(["shard", "plan"] + SWEEP_ARGS
-                    + ["--shards", "2", "--out-dir", out_dir]) == 0
-        capsys.readouterr()
-        ckpt = tmp_path / "ckpt-0.jsonl"
-        out_0 = str(tmp_path / "out-0.json")
-        assert main(["shard", "run", "--shard-file", f"{out_dir}/shard-0.pkl",
-                     "--out", out_0, "--checkpoint", str(ckpt)]) == 0
-        capsys.readouterr()
-        # Simulate a crash that lost the output but kept a partial journal.
-        lines = ckpt.read_text().splitlines(keepends=True)
-        ckpt.write_text("".join(lines[:2]))
-        assert main(["shard", "run", "--shard-file", f"{out_dir}/shard-0.pkl",
-                     "--out", out_0, "--checkpoint", str(ckpt), "--resume"]) == 0
-        assert "resuming shard 0" in capsys.readouterr().out
-        out_1 = str(tmp_path / "out-1.json")
-        assert main(["shard", "run", "--shard-file", f"{out_dir}/shard-1.pkl",
-                     "--out", out_1]) == 0
-        capsys.readouterr()
-        assert main(["shard", "merge", "--plan", f"{out_dir}/plan.json",
-                     out_0, out_1]) == 0
-        assert capsys.readouterr().out == serial_table
-
-    def _plan_and_run_with_corrupt_shard(self, tmp_path, capsys, monkeypatch):
-        """Plan 2 shards, run both with shard 1's output corrupted on write."""
-        out_dir = str(tmp_path / "shards")
-        assert main(["shard", "plan"] + SWEEP_ARGS
-                    + ["--shards", "2", "--out-dir", out_dir]) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "out:1")
-        outputs = []
-        for index in range(2):
-            out_file = str(tmp_path / f"out-{index}.json")
-            assert main(["shard", "run",
-                         "--shard-file", f"{out_dir}/shard-{index}.pkl",
-                         "--out", out_file]) == 0
-            capsys.readouterr()
-            outputs.append(out_file)
-        monkeypatch.delenv("REPRO_FAULT_PLAN")
-        return out_dir, outputs
-
-    def test_merge_of_corrupt_shard_fails_closed(self, tmp_path, capsys,
-                                                 monkeypatch):
-        out_dir, outputs = self._plan_and_run_with_corrupt_shard(
-            tmp_path, capsys, monkeypatch
-        )
-        assert main(["shard", "merge", "--plan", f"{out_dir}/plan.json"]
-                    + outputs) == 1
-        assert "out-1.json" in capsys.readouterr().err
-
-    def test_allow_partial_merge_reports_gaps_and_suggests_replan(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        out_dir, outputs = self._plan_and_run_with_corrupt_shard(
-            tmp_path, capsys, monkeypatch
-        )
-        assert main(["shard", "merge", "--plan", f"{out_dir}/plan.json",
-                     "--allow-partial"] + outputs) == 0
-        captured = capsys.readouterr()
-        assert "partial merge" in captured.out
-        assert "missing shard(s): [1]" in captured.out
-        assert "shard replan" in captured.out
-        assert "MISSING" in captured.out
-
-    def test_replan_recovers_to_byte_identical_table(self, tmp_path, capsys,
-                                                     monkeypatch):
-        serial_table = self._serial_table(capsys)
-        out_dir, outputs = self._plan_and_run_with_corrupt_shard(
-            tmp_path, capsys, monkeypatch
-        )
-        recovery_dir = str(tmp_path / "recovery")
-        assert main(["shard", "replan", "--plan", f"{out_dir}/plan.json",
-                     "--out-dir", recovery_dir] + outputs) == 0
-        assert "1 of 2 shard(s)" in capsys.readouterr().out
-        recovered = str(tmp_path / "recovered-1.json")
-        assert main(["shard", "run",
-                     "--shard-file", f"{recovery_dir}/shard-1.pkl",
-                     "--out", recovered]) == 0
-        capsys.readouterr()
-        assert main(["shard", "merge", "--plan", f"{out_dir}/plan.json",
-                     outputs[0], recovered]) == 0
-        assert capsys.readouterr().out == serial_table
-
-    def test_replan_with_nothing_missing_is_a_no_op(self, tmp_path, capsys):
-        out_dir = str(tmp_path / "shards")
-        assert main(["shard", "plan"] + SWEEP_ARGS
-                    + ["--shards", "2", "--out-dir", out_dir]) == 0
-        capsys.readouterr()
-        outputs = []
-        for index in range(2):
-            out_file = str(tmp_path / f"out-{index}.json")
-            assert main(["shard", "run",
-                         "--shard-file", f"{out_dir}/shard-{index}.pkl",
-                         "--out", out_file]) == 0
-            capsys.readouterr()
-            outputs.append(out_file)
-        assert main(["shard", "replan", "--plan", f"{out_dir}/plan.json",
-                     "--out-dir", str(tmp_path / "recovery")] + outputs) == 0
-        assert "nothing to replan" in capsys.readouterr().out
-
-
 class TestUnknownSchedulerBackendFailsClosed:
     """``numpy`` names no scheduler backend.  Every stored form of it — the
-    environment variable, the flag, a ``--config`` file, a replanned
-    ``plan.json`` — is a usage error: exit 2, one ``error:`` line naming
-    ``auto``, and no cell runs (no table, no output file)."""
+    environment variable, the flag, a ``--config`` file — is a usage
+    error: exit 2, one ``error:`` line naming ``auto``, and no cell runs
+    (no table, no output file)."""
 
     @staticmethod
     def _assert_refused(code, capsys):
@@ -540,9 +610,8 @@ class TestUnknownSchedulerBackendFailsClosed:
         assert len(errors) == 1
         assert "'auto'" in errors[0]
 
-    @pytest.mark.parametrize("flags", [
-        [], ["--jobs", "2"], ["--retries", "2"], ["--cell-timeout", "30"],
-    ], ids=["serial", "jobs", "retries", "cell-timeout"])
+    @pytest.mark.parametrize("flags", [[], ["--jobs", "2"]],
+                             ids=["serial", "jobs"])
     def test_env_value_refuses_sweep(self, flags, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCHEDULER_BACKEND", "numpy")
         self._assert_refused(
@@ -582,23 +651,3 @@ class TestUnknownSchedulerBackendFailsClosed:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(data))
         self._assert_refused(main(["place", "--config", str(path)]), capsys)
-
-    def test_replanned_plan_value_is_a_usage_error(self, tmp_path, capsys):
-        from repro.analysis.serialization import checksummed_payload, dump_json
-
-        out_dir = tmp_path / "shards"
-        assert main(["shard", "plan"] + SWEEP_ARGS
-                    + ["--shards", "2", "--out-dir", str(out_dir)]) == 0
-        capsys.readouterr()
-        plan_path = out_dir / "plan.json"
-        metadata = json.loads(plan_path.read_text())
-        metadata.pop("payload_sha256")
-        metadata["config"]["options"]["scheduler_backend"] = "numpy"
-        plan_path.write_text(dump_json(checksummed_payload(metadata)))
-        recovery = tmp_path / "recovery"
-        self._assert_refused(
-            main(["shard", "replan", "--plan", str(plan_path),
-                  "--out-dir", str(recovery)]),
-            capsys,
-        )
-        assert not recovery.exists()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -62,10 +63,6 @@ def _config_strategy(draw):
         )),
         options=draw(_options_strategy),
         jobs=draw(st.integers(min_value=1, max_value=16)),
-        retries=draw(st.integers(min_value=0, max_value=5)),
-        cell_timeout=draw(st.one_of(
-            st.none(), st.floats(min_value=0.5, max_value=3600.0),
-        )),
         shards=shards,
         shard_index=shard_index,
         strategy=draw(st.sampled_from(["round-robin", "cost-balanced",
@@ -121,13 +118,6 @@ class TestValidation:
                            thresholds=[50, 100])
         assert config.thresholds == (50.0, 100.0)
 
-    def test_cell_timeout_coerced_to_float(self):
-        config = RunConfig(circuit="qft6", environment="histidine",
-                           retries=2, cell_timeout=30)
-        assert config.retries == 2
-        assert isinstance(config.cell_timeout, float)
-        assert config.cell_timeout == 30.0
-
     @pytest.mark.parametrize("changes,match", [
         (dict(circuit=""), "circuit"),
         (dict(environment=""), "environment"),
@@ -135,12 +125,12 @@ class TestValidation:
         (dict(thresholds=(0.0,)), "positive"),
         (dict(thresholds="abc"), "numbers"),
         (dict(jobs=0), "jobs"),
-        (dict(retries=-1), "retries"),
-        (dict(retries=1.5), "retries"),
-        (dict(retries=True), "retries"),
-        (dict(cell_timeout=0), "cell_timeout"),
-        (dict(cell_timeout=-3.0), "cell_timeout"),
-        (dict(cell_timeout=True), "cell_timeout"),
+        (dict(circuit=None), "circuit"),
+        (dict(environment=7), "environment"),
+        (dict(thresholds=(50.0, -1.0)), "positive"),
+        (dict(thresholds=(50.0, None)), "numbers"),
+        (dict(jobs=2.0), "jobs"),
+        (dict(jobs="4"), "jobs"),
         (dict(shards=0), "shards"),
         (dict(shard_index=-1), "out of range"),
         (dict(shards=2, shard_index=2), "out of range"),
@@ -152,6 +142,8 @@ class TestValidation:
         (dict(shards=True), "shards"),
         (dict(shard_index=False), "shard_index"),
         (dict(thresholds=(True, 100)), "numbers"),
+        (dict(jobs=-2), "jobs"),
+        (dict(shard_index="0"), "shard_index"),
     ])
     def test_invalid_values_rejected(self, changes, match):
         base = dict(circuit="qft6", environment="histidine")
@@ -209,3 +201,76 @@ class TestFromDict:
         data = RunConfig(circuit="qft6", environment="histidine").to_dict()
         for field in dataclasses.fields(RunConfig):
             assert field.name in data
+
+
+class TestRemovedRetryKeys:
+    """Files written before cell retries were removed carry ``retries``
+    and ``cell_timeout``: their no-op values are dropped, others refused."""
+
+    def _legacy_dict(self, **values):
+        data = RunConfig(circuit="qft6", environment="histidine").to_dict()
+        data.update(retries=0, cell_timeout=None)
+        data.update(values)
+        return data
+
+    def test_no_op_values_are_dropped(self):
+        config = RunConfig.from_dict(self._legacy_dict())
+        assert config == RunConfig(circuit="qft6", environment="histidine")
+        assert "retries" not in config.to_dict()
+        assert "cell_timeout" not in config.to_dict()
+
+    @pytest.mark.parametrize("key", ["retries", "cell_timeout"])
+    def test_either_key_alone_is_dropped(self, key):
+        data = RunConfig(circuit="qft6", environment="histidine").to_dict()
+        data[key] = dict(retries=0, cell_timeout=None)[key]
+        assert RunConfig.from_dict(data) == RunConfig(
+            circuit="qft6", environment="histidine"
+        )
+
+    @pytest.mark.parametrize("key,value", [
+        ("retries", 2), ("retries", False), ("retries", 0.0),
+        ("cell_timeout", 30.0), ("cell_timeout", 0),
+        ("retries", None), ("cell_timeout", False),
+    ])
+    def test_other_values_are_refused(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' is .*removed"):
+            RunConfig.from_dict(self._legacy_dict(**{key: value}))
+
+    def test_file_saved_before_the_removal_loads(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(self._legacy_dict(jobs=2)))
+        assert RunConfig.load(str(path)) == RunConfig(
+            circuit="qft6", environment="histidine", jobs=2
+        )
+
+    def test_refused_file_names_its_path(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(self._legacy_dict(retries=2)))
+        with pytest.raises(ConfigError) as info:
+            RunConfig.load(str(path))
+        message = str(info.value)
+        assert message.startswith(f"config file {str(path)!r}: ")
+        assert "run-config key 'retries' is 2" in message
+
+    @pytest.mark.parametrize("retries,readable", [(0, True), (3, False)])
+    def test_pickled_config_follows_the_same_rule(self, retries, readable):
+        # Shard-input files pickle the plan's config with its fields.
+        config = RunConfig(circuit="qft6", environment="histidine")
+        legacy = RunConfig(circuit="qft6", environment="histidine")
+        object.__setattr__(legacy, "retries", retries)
+        object.__setattr__(legacy, "cell_timeout", None)
+        blob = pickle.dumps(legacy)
+        if readable:
+            clone = pickle.loads(blob)
+            assert clone == config
+            assert not hasattr(clone, "retries")
+        else:
+            with pytest.raises(ConfigError, match="'retries' is 3"):
+                pickle.loads(blob)
+
+    def test_pickled_config_with_a_timeout_is_refused(self):
+        legacy = RunConfig(circuit="qft6", environment="histidine")
+        object.__setattr__(legacy, "retries", 0)
+        object.__setattr__(legacy, "cell_timeout", 5.0)
+        with pytest.raises(ConfigError, match="'cell_timeout' is 5.0"):
+            pickle.loads(pickle.dumps(legacy))

@@ -1,5 +1,6 @@
 """Tests of the experiment execution engine (``repro.analysis.runner``)."""
 
+import inspect
 import pickle
 
 import pytest
@@ -29,6 +30,11 @@ def _restricted_molecule(name, keep):
     from repro.hardware.molecules import molecule
 
     return molecule(name).restricted_to(keep)
+
+
+def _exploding_circuit():
+    """Module-level (picklable) circuit factory failing with a non-N/A error."""
+    raise RuntimeError("exploding circuit factory")
 
 
 def _grid_specs(keep_result=False):
@@ -198,6 +204,30 @@ class TestParallelRunner:
             ]
         )
         assert len(outcomes) == 1 and outcomes[0].feasible
+
+
+class TestExecutionPaths:
+    """``iter_outcomes`` runs a grid serially or on the process pool."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_iter_outcomes_is_a_lazy_generator(self, jobs):
+        before = STATS.snapshot()
+        stream = ExperimentRunner(jobs=jobs).iter_outcomes(_grid_specs())
+        assert inspect.isgenerator(stream)
+        assert STATS.delta_since(before) == {}  # no cell runs before next()
+        assert sorted(outcome.index for outcome in stream) == [0, 1, 2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exception_that_is_not_n_a_propagates(self, jobs):
+        specs = _grid_specs()[:1] + [
+            ExperimentSpec(
+                circuit_factory=_exploding_circuit,
+                environment_factory=acetyl_chloride,
+                label="exploding",
+            )
+        ]
+        with pytest.raises(RuntimeError, match="exploding circuit factory"):
+            ExperimentRunner(jobs=jobs).run(specs)
 
 
 class TestCountersMerge:

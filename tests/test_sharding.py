@@ -7,12 +7,16 @@ the QFT / trans-crotonic-acid sweep must reproduce the serial
 ``ExperimentRunner`` rows and work counters byte for byte.
 """
 
+import copy
+import hashlib
 import json
 import pickle
 from dataclasses import replace
 from functools import partial
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import sharding
 from repro.analysis.runner import (
@@ -23,6 +27,7 @@ from repro.analysis.runner import (
     run_experiments,
 )
 from repro.analysis.serialization import (
+    checksummed_payload,
     deterministic_rows,
     dump_json,
     outcome_from_dict,
@@ -32,6 +37,7 @@ from repro.analysis.serialization import (
 )
 from repro.analysis.sweep import build_sweep_specs, row_from_outcomes, sweep_circuit
 from repro.circuits.library import phaseest, qec3_encoder, qft6
+from repro.cli import main
 from repro.core.config import PlacementOptions
 from repro.core.stats import STATS, Counters
 from repro.exceptions import ExperimentError, ShardFormatError, ThresholdError
@@ -56,6 +62,11 @@ def _small_grid():
             label="phaseest",
         )
     ]
+
+
+def _exploding_circuit():
+    """A module-level (picklable) circuit factory failing with a non-N/A error."""
+    raise RuntimeError("exploding circuit factory")
 
 
 def _run_plan(plan, tmp_path=None):
@@ -296,6 +307,17 @@ class TestExecuteAndMerge:
         with pytest.raises(ExperimentError, match="every shard exactly"):
             sharding.merge_shards([shards[0], shards[0]])
 
+    def test_missing_shard_error_asks_for_its_outcome_file(self):
+        plan = sharding.ShardPlan.build(_small_grid(), 3)
+        shards = [sharding.execute_shard(plan.shard_input(i)) for i in (0, 2)]
+        with pytest.raises(ExperimentError) as info:
+            sharding.merge_shards(shards, plan=plan)
+        message = str(info.value)
+        assert "missing [1]" in message
+        assert "run each missing shard and pass its outcome file" in message
+        assert "replan" not in message
+        assert "partial" not in message
+
     def test_merge_rejects_tampered_outcome_indices(self):
         plan = sharding.ShardPlan.build(_small_grid(), 2)
         shards = _run_plan(plan)
@@ -306,6 +328,123 @@ class TestExecuteAndMerge:
     def test_merge_empty_input_rejected(self):
         with pytest.raises(ExperimentError, match="empty"):
             sharding.merge_shards([])
+
+
+class TestMergeVerification:
+    """Each merge-time check refuses shards that do not form the grid."""
+
+    @pytest.fixture
+    def shards(self):
+        return _run_plan(sharding.ShardPlan.build(_small_grid(), 2))
+
+    def test_shards_disagreeing_on_the_shard_count_are_refused(self, shards):
+        shards[1].num_shards = 3
+        with pytest.raises(ExperimentError,
+                           match=r"disagree on the shard count \(\[2, 3\]\)"):
+            sharding.merge_shards(shards)
+
+    def test_shard_count_must_match_the_plan(self):
+        # One grid planned twice: same fingerprint, different shard counts.
+        plan = sharding.ShardPlan.build(_small_grid(), 2)
+        whole = sharding.ShardPlan.build(_small_grid(), 1)
+        assert whole.fingerprint == plan.fingerprint
+        with pytest.raises(ExperimentError,
+                           match=r"declare 1 shard\(s\) but the plan has 2"):
+            sharding.merge_shards(_run_plan(whole), plan=plan)
+
+    def test_out_of_range_shard_index_is_refused(self, shards):
+        shards[1].shard_index = 5
+        with pytest.raises(ExperimentError,
+                           match=r"shard indices \[0, 5\] \(missing \[1\]\)"):
+            sharding.merge_shards(shards)
+
+    def test_outcome_count_must_match_the_cell_count(self, shards):
+        shards[0].outcomes.pop()
+        with pytest.raises(ExperimentError,
+                           match=r"shard 0 has 1 outcome\(s\) for 2 cell\(s\)"):
+            sharding.merge_shards(shards)
+
+    def test_cell_assignment_must_match_the_plan(self):
+        plan = sharding.ShardPlan.build(_small_grid(), 2)
+        other = sharding.ShardPlan.build(_small_grid(), 2, "cost-balanced")
+        assert other.assignments != plan.assignments
+        with pytest.raises(ExperimentError, match="does not match the plan's"):
+            sharding.merge_shards(_run_plan(other), plan=plan)
+
+    def test_overlapping_shards_are_refused(self, shards):
+        # Each shard is consistent on its own; only the coverage check
+        # sees that cell 0 is claimed twice and cell 1 by nobody.
+        shards[1].indices = (0, 3)
+        shards[1].outcomes[0].index = 0
+        with pytest.raises(
+            ExperimentError,
+            match=r"missing cells \[1\], duplicated cells \[0\]",
+        ):
+            sharding.merge_shards(shards)
+
+    def test_merge_is_independent_of_argument_order(self):
+        plan = sharding.ShardPlan.build(_small_grid(), 3)
+        shards = _run_plan(plan)
+        forward = sharding.merge_shards(shards, plan=plan)
+        backward = sharding.merge_shards(shards[::-1], plan=plan)
+        assert deterministic_rows(backward.outcomes) == deterministic_rows(
+            forward.outcomes
+        )
+        assert backward.counters == forward.counters
+
+
+class TestExecuteShard:
+    """``execute_shard`` streams a shard's cells through ``iter_outcomes``
+    and relabels each outcome with its global grid index."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("strategy", list(sharding.STRATEGIES))
+    def test_outcomes_carry_global_indices_in_shard_order(self, strategy, jobs):
+        plan = sharding.ShardPlan.build(_small_grid(), 2, strategy)
+        for shard_index in range(plan.num_shards):
+            shard = sharding.execute_shard(
+                plan.shard_input(shard_index), ExperimentRunner(jobs=jobs)
+            )
+            assert shard.indices == plan.assignments[shard_index]
+            assert [outcome.index for outcome in shard.outcomes] == list(
+                shard.indices
+            )
+            assert [outcome.label for outcome in shard.outcomes] == [
+                plan.specs[index].label for index in shard.indices
+            ]
+
+    def test_empty_shard_is_an_empty_mergeable_outcome_shard(self):
+        plan = sharding.ShardPlan.build(_small_grid()[:2], 4)
+        shards = [sharding.execute_shard(plan.shard_input(i)) for i in range(4)]
+        assert shards[3].indices == ()
+        assert shards[3].outcomes == []
+        assert shards[3].counters == {}
+        merged = sharding.merge_shards(shards, plan=plan)
+        assert [outcome.index for outcome in merged.outcomes] == [0, 1]
+
+    def test_cell_error_that_is_not_n_a_propagates(self):
+        specs = _small_grid()[:1] + [
+            ExperimentSpec(
+                circuit_factory=_exploding_circuit,
+                environment_factory=molecule_factory("acetyl-chloride"),
+                label="exploding",
+            )
+        ]
+        plan = sharding.ShardPlan.build(specs, 1)
+        with pytest.raises(RuntimeError, match="exploding circuit factory"):
+            sharding.execute_shard(plan.shard_input(0), ExperimentRunner(jobs=2))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shard_counters_hold_the_work_of_its_cells(self, jobs):
+        plan = sharding.ShardPlan.build(_small_grid(), 2)
+        shard = sharding.execute_shard(
+            plan.shard_input(0), ExperimentRunner(jobs=jobs)
+        )
+        per_cell = Counters()
+        for outcome in shard.outcomes:
+            per_cell.merge(outcome.counters)
+        assert work_counters(shard.counters)
+        assert work_counters(shard.counters) == work_counters(per_cell.snapshot())
 
 
 class TestCountersMergeAssociativity:
@@ -331,6 +470,40 @@ class TestCountersMergeAssociativity:
         assert fold([deltas[:2], deltas[2:]]) == flat
         assert fold([deltas[:1], deltas[1:]]) == flat
         assert fold([[delta] for delta in deltas]) == flat
+
+
+class TestCountersMergePartition:
+    """Counters.merge over any partition of the work equals the serial total."""
+
+    @given(
+        deltas=st.lists(
+            st.dictionaries(
+                st.sampled_from(
+                    ["monomorphism.searches", "scheduler.full_evals",
+                     "scheduler.incremental_evals"]
+                ),
+                st.integers(min_value=0, max_value=1_000),
+                max_size=3,
+            ),
+            max_size=8,
+        ),
+        cut_points=st.lists(st.integers(min_value=0, max_value=8), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_any_partition_matches_serial(self, deltas, cut_points):
+        serial = Counters()
+        for delta in deltas:
+            serial.merge(delta)
+
+        bounds = sorted({0, len(deltas), *[min(c, len(deltas)) for c in cut_points]})
+        merged = Counters()
+        for start, stop in zip(bounds, bounds[1:]):
+            shard = Counters()  # empty shards (start == stop) merge as no-ops
+            for delta in deltas[start:stop]:
+                shard.merge(delta)
+            merged.merge(shard.snapshot())
+        assert merged.snapshot() == serial.snapshot()
 
 
 class TestDegenerateLocalPath:
@@ -476,6 +649,119 @@ class TestCrashSafeFiles:
         clone = sharding.read_outcome_shard(path)
         assert deterministic_rows(clone.outcomes) == deterministic_rows(shard.outcomes)
 
+    @staticmethod
+    def _write_shard_payload(path, **changes):
+        """Write shard 0 of a 2-shard plan with its file payload changed."""
+        plan = sharding.ShardPlan.build(_small_grid(), 2)
+        sharding.write_shard(plan.shard_input(0), path)
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        payload.update(changes)
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+
+    def test_swapped_shard_input_blob_fails_the_checksum(self, tmp_path):
+        # A well-formed shard of the same plan under the wrong digest: only
+        # the checksum tells it apart.
+        path = str(tmp_path / "shard-0.pkl")
+        plan = sharding.ShardPlan.build(_small_grid(), 2)
+        self._write_shard_payload(
+            path, shard=pickle.dumps(plan.shard_input(1), protocol=4)
+        )
+        with pytest.raises(ShardFormatError,
+                           match="shard-0.pkl.*shard payload checksum mismatch"):
+            sharding.read_shard(path)
+
+    def test_pre_checksum_shard_input_still_reads(self, tmp_path):
+        # Before checksumming, the ShardInput was pickled directly under
+        # "shard", with no digest.
+        path = str(tmp_path / "shard-0.pkl")
+        plan = sharding.ShardPlan.build(_small_grid(), 2)
+        with open(path, "wb") as handle:
+            pickle.dump({"format": sharding.SHARD_INPUT_FORMAT,
+                         "schema_version": 1,
+                         "shard": plan.shard_input(0)}, handle)
+        clone = sharding.read_shard(path)
+        assert clone.indices == plan.assignments[0]
+        assert clone.plan_fingerprint == plan.fingerprint
+
+    def test_shard_input_blob_of_another_type_is_refused(self, tmp_path):
+        path = str(tmp_path / "shard-0.pkl")
+        blob = pickle.dumps({"indices": [0, 2]}, protocol=4)
+        self._write_shard_payload(
+            path, shard=blob, shard_sha256=hashlib.sha256(blob).hexdigest()
+        )
+        with pytest.raises(ShardFormatError, match="not a shard-input file"):
+            sharding.read_shard(path)
+
+    def test_empty_shard_input_file_is_a_clean_error(self, tmp_path):
+        path = tmp_path / "shard-0.pkl"
+        path.write_bytes(b"")
+        with pytest.raises(ShardFormatError, match="cannot read shard file"):
+            sharding.read_shard(str(path))
+
+    def test_outcome_file_holding_a_json_array_is_refused(self, tmp_path):
+        path = tmp_path / "out-0.json"
+        path.write_text("[]\n")
+        with pytest.raises(ShardFormatError,
+                           match="out-0.json' is not an outcome-shard file"):
+            sharding.read_outcome_shard(str(path))
+
+    def test_missing_outcome_file_is_a_clean_error(self, tmp_path):
+        with pytest.raises(ShardFormatError,
+                           match="cannot read outcome-shard file .*out-9.json"):
+            sharding.read_outcome_shard(str(tmp_path / "out-9.json"))
+
+    def test_foreign_outcome_file_names_its_path(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"format": "repro-run-config"}))
+        with pytest.raises(ShardFormatError,
+                           match="run.json'.*not an outcome-shard payload"):
+            sharding.read_outcome_shard(str(path))
+
+    @staticmethod
+    def _merge_edited_shard(tmp_path, capsys, edit):
+        """Merge a complete one-shard grid whose payload ``edit`` changed."""
+        plan = sharding.ShardPlan.build(_small_grid()[:1], 1)
+        payload = sharding.outcome_shard_to_payload(
+            sharding.execute_shard(plan.shard_input(0))
+        )
+        payload.pop("payload_sha256")
+        edit(payload)
+        path = tmp_path / "out-0.json"
+        path.write_text(dump_json(checksummed_payload(payload)))
+        code = main(["shard", "merge", str(path)])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("edit", [
+        lambda payload: payload.update(rows=["abc"]),
+        lambda payload: payload.update(counters=[]),
+    ], ids=["row", "counters"])
+    def test_non_object_row_or_counters_is_one_error_line(
+        self, edit, tmp_path, capsys
+    ):
+        code, captured = self._merge_edited_shard(tmp_path, capsys, edit)
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "out-0.json" in captured.err
+        assert "must be a JSON object" in captured.err
+
+    def test_failed_cell_row_is_refused(self, tmp_path, capsys):
+        # Rows of cells whose retries ran out carried "failure" and
+        # "attempts"; read as plain rows they would pass for "N/A" cells.
+        def edit(payload):
+            payload["rows"][0].update(failure="error", attempts=3)
+
+        code, captured = self._merge_edited_shard(tmp_path, capsys, edit)
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "out-0.json" in captured.err
+        assert "failure='error'" in captured.err
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         plan = sharding.ShardPlan.build(_small_grid(), 2)
         sharding.write_shard(plan.shard_input(0), str(tmp_path / "shard-0.pkl"))
@@ -487,113 +773,42 @@ class TestCrashSafeFiles:
         ]
 
 
-class TestCheckpointResume:
-    def _plan(self):
-        return sharding.ShardPlan.build(_small_grid(), 2)
+#: One edit per way an outcome-shard payload can be malformed, short of the
+#: non-object row and counters cases above.
+_MALFORMED_PAYLOAD_EDITS = {
+    "no-plan_fingerprint": lambda payload: payload.pop("plan_fingerprint"),
+    "no-shard_index": lambda payload: payload.pop("shard_index"),
+    "no-num_shards": lambda payload: payload.pop("num_shards"),
+    "no-indices": lambda payload: payload.pop("indices"),
+    "no-rows": lambda payload: payload.pop("rows"),
+    "text-shard_index": lambda payload: payload.update(shard_index="zero"),
+    "scalar-indices": lambda payload: payload.update(indices=7),
+    "text-index": lambda payload: payload.update(indices=["first"]),
+    "scalar-rows": lambda payload: payload.update(rows=7),
+    "row-without-feasible": lambda payload: payload["rows"][0].pop("feasible"),
+    "text-counter": lambda payload: payload.update(
+        counters={"monomorphism.searches": "many"}
+    ),
+    "text-row-counters": lambda payload: payload["rows"][0].update(counters="abc"),
+}
 
-    def test_fresh_run_journals_every_cell(self, tmp_path):
-        plan = self._plan()
-        shard_input = plan.shard_input(0)
-        ckpt = str(tmp_path / "ckpt.jsonl")
-        shard = sharding.execute_shard(shard_input, checkpoint_path=ckpt)
-        completed, header_valid = sharding.load_shard_checkpoint(ckpt, shard_input)
-        assert header_valid
-        assert sorted(completed) == list(shard_input.indices)
-        assert deterministic_rows(
-            [completed[g] for g in shard_input.indices]
-        ) == deterministic_rows(shard.outcomes)
 
-    def test_resume_skips_journaled_cells_and_matches_full_run(self, tmp_path):
-        plan = self._plan()
-        shard_input = plan.shard_input(0)
-        full = sharding.execute_shard(shard_input)
-        ckpt = tmp_path / "ckpt.jsonl"
-        sharding.execute_shard(shard_input, checkpoint_path=str(ckpt))
-        # Keep the header and the first journaled cell only (a crash).
-        lines = ckpt.read_text().splitlines(keepends=True)
-        ckpt.write_text("".join(lines[:2]))
-        resumed = sharding.execute_shard(shard_input, checkpoint_path=str(ckpt))
-        assert deterministic_rows(resumed.outcomes) == deterministic_rows(full.outcomes)
-        assert work_counters(resumed.counters) == work_counters(full.counters)
+class TestMalformedOutcomePayload:
+    """A payload missing a key or holding a value of the wrong type is a
+    ShardFormatError, never an uncaught KeyError/TypeError/ValueError."""
 
-    def test_torn_final_line_is_dropped(self, tmp_path):
-        plan = self._plan()
-        shard_input = plan.shard_input(0)
-        ckpt = tmp_path / "ckpt.jsonl"
-        sharding.execute_shard(shard_input, checkpoint_path=str(ckpt))
-        text = ckpt.read_text()
-        ckpt.write_text(text[: len(text) - 20])  # tear the last record
-        completed, header_valid = sharding.load_shard_checkpoint(
-            str(ckpt), shard_input
+    @pytest.fixture(scope="class")
+    def payload(self):
+        plan = sharding.ShardPlan.build(_small_grid()[:2], 1)
+        return sharding.outcome_shard_to_payload(
+            sharding.execute_shard(plan.shard_input(0))
         )
-        assert header_valid
-        assert len(completed) == len(shard_input.indices) - 1
 
-    def test_missing_or_empty_checkpoint_is_a_fresh_start(self, tmp_path):
-        shard_input = self._plan().shard_input(0)
-        missing = str(tmp_path / "nope.jsonl")
-        assert sharding.load_shard_checkpoint(missing, shard_input) == ({}, False)
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        assert sharding.load_shard_checkpoint(str(empty), shard_input) == ({}, False)
-
-    def test_foreign_checkpoint_rejected(self, tmp_path):
-        plan = self._plan()
-        ckpt = tmp_path / "ckpt.jsonl"
-        sharding.execute_shard(plan.shard_input(0), checkpoint_path=str(ckpt))
-        with pytest.raises(ShardFormatError):
-            sharding.load_shard_checkpoint(str(ckpt), plan.shard_input(1))
-
-    def test_interior_garbage_is_a_clean_error(self, tmp_path):
-        plan = self._plan()
-        shard_input = plan.shard_input(0)
-        ckpt = tmp_path / "ckpt.jsonl"
-        sharding.execute_shard(shard_input, checkpoint_path=str(ckpt))
-        lines = ckpt.read_text().splitlines(keepends=True)
-        lines.insert(1, "{not json}\n")
-        ckpt.write_text("".join(lines))
-        with pytest.raises(ShardFormatError, match="ckpt.jsonl"):
-            sharding.load_shard_checkpoint(str(ckpt), shard_input)
-
-
-class TestPartialMerge:
-    def _shards(self):
-        plan = sharding.ShardPlan.build(_small_grid(), 3)
-        return plan, [sharding.execute_shard(plan.shard_input(i)) for i in range(3)]
-
-    def test_missing_shard_without_allow_partial_suggests_recovery(self):
-        plan, shards = self._shards()
-        with pytest.raises(ExperimentError, match="allow_partial"):
-            sharding.merge_shards([shards[0], shards[2]], plan=plan)
-
-    def test_partial_merge_reports_missing_cells(self):
-        plan, shards = self._shards()
-        merged = sharding.merge_shards(
-            [shards[0], shards[2]], plan=plan, allow_partial=True
-        )
-        assert not merged.is_complete
-        assert merged.missing_shards == (1,)
-        assert merged.missing_cells == tuple(plan.shard_input(1).indices)
-        holes = [i for i, o in enumerate(merged.outcomes) if o is None]
-        assert tuple(holes) == merged.missing_cells
-        # Present cells are byte-identical to their full-merge values.
-        full = sharding.merge_shards(shards, plan=plan)
-        for index, outcome in enumerate(merged.outcomes):
-            if outcome is not None:
-                assert deterministic_rows([outcome]) == deterministic_rows(
-                    [full.outcomes[index]]
-                )
-
-    def test_complete_partial_merge_is_complete(self):
-        plan, shards = self._shards()
-        merged = sharding.merge_shards(shards, plan=plan, allow_partial=True)
-        assert merged.is_complete
-        assert merged.missing_shards == ()
-        assert merged.missing_cells == ()
-
-    def test_duplicates_rejected_even_with_allow_partial(self):
-        plan, shards = self._shards()
-        with pytest.raises(ExperimentError, match="exactly once"):
-            sharding.merge_shards(
-                [shards[0], shards[0]], plan=plan, allow_partial=True
-            )
+    @pytest.mark.parametrize("edit", list(_MALFORMED_PAYLOAD_EDITS.values()),
+                             ids=list(_MALFORMED_PAYLOAD_EDITS))
+    def test_malformed_payload_is_a_shard_format_error(self, payload, edit):
+        edited = copy.deepcopy(payload)
+        edit(edited)
+        with pytest.raises(ShardFormatError,
+                           match="malformed outcome-shard payload"):
+            sharding.outcome_shard_from_payload(edited)
