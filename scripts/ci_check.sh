@@ -6,12 +6,14 @@
 #      mypy typing tiers of mypy.ini when mypy is installed — fail-fast,
 #      before any test process is spawned (docs/static-analysis.md);
 #   1. the tier-1 test suite (`pytest -x -q`; bench-marked tests excluded
-#      via pytest.ini), then tests/test_routing_equivalence.py and
-#      tests/test_extraction_equivalence.py again under PYTHONHASHSEED=1
-#      and PYTHONHASHSEED=12345: sets of str and tuple labels iterate
-#      differently per hash seed, and the router, workspace extraction and
-#      placement completion (the stages that used to depend on it) must
-#      match their networkx references under each;
+#      via pytest.ini), then tests/test_routing_equivalence.py,
+#      tests/test_extraction_equivalence.py and
+#      tests/test_graph_equivalence.py again under PYTHONHASHSEED=1 and
+#      PYTHONHASHSEED=12345: sets of str and tuple labels iterate
+#      differently per hash seed, and the router, workspace extraction,
+#      placement completion, the in-house graph type and the environment's
+#      derived graphs (the stages that used to depend on it or on
+#      networkx) must match their networkx references under each;
 #   2. a 2-shard plan -> run -> merge round trip and a `sweep --jobs 2`
 #      run (its grid has 3 distinct cells, so the process pool runs)
 #      through the CLI, asserting both tables are byte-identical to the
@@ -66,9 +68,10 @@ echo "== 1/6 tier-1 test suite =="
 "$PYTHON" -m pytest -x -q
 for HASH_SEED in 1 12345; do
     PYTHONHASHSEED="$HASH_SEED" "$PYTHON" -m pytest -x -q \
-        tests/test_routing_equivalence.py tests/test_extraction_equivalence.py
+        tests/test_routing_equivalence.py tests/test_extraction_equivalence.py \
+        tests/test_graph_equivalence.py
 done
-echo "routing and extraction equivalence suites green under PYTHONHASHSEED=1 and 12345"
+echo "routing, extraction and graph equivalence suites green under PYTHONHASHSEED=1 and 12345"
 
 echo "== 2/6 sharded plan -> run -> merge round trip and --jobs 2 sweep =="
 WORK_DIR="$(mktemp -d)"

@@ -61,6 +61,7 @@ import hashlib
 import heapq
 import json
 import pickle
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -614,7 +615,7 @@ def merge_shards(
 
     seen_shards = [shard.shard_index for shard in shards]
     duplicate_shards = sorted(
-        {index for index in seen_shards if seen_shards.count(index) > 1}
+        index for index, count in Counter(seen_shards).items() if count > 1
     )
     out_of_range = [
         index for index in seen_shards if not 0 <= index < num_shards
@@ -651,7 +652,7 @@ def merge_shards(
     all_indices = [index for shard in shards for index in shard.indices]
     total = plan.total_cells if plan is not None else len(all_indices)
     duplicates = sorted(
-        {index for index in all_indices if all_indices.count(index) > 1}
+        index for index, count in Counter(all_indices).items() if count > 1
     )
     missing_cells = sorted(set(range(total)) - set(all_indices))
     if duplicates or missing_cells:

@@ -7,7 +7,8 @@ monomorphism) into the *adjacency graph* of fast physical interactions: if it
 does, every two-qubit gate of the subcircuit can be executed along a fast
 interaction without inserting SWAPs.
 
-Graphs are represented as :class:`networkx.Graph` with edge attributes:
+Graphs are represented as :class:`networkx.Graph` (networkx is imported on
+the first call) with edge attributes:
 
 ``count``
     How many two-qubit gates use the interaction.
@@ -19,12 +20,13 @@ Graphs are represented as :class:`networkx.Graph` with edge attributes:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate, Qubit
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def interaction_graph(
@@ -41,6 +43,8 @@ def interaction_graph(
         When a full circuit is given and this flag is set, qubits that never
         take part in a two-qubit gate are still added as isolated nodes.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     if isinstance(circuit_or_gates, QuantumCircuit):
         gates: Iterable[Gate] = circuit_or_gates.gates
@@ -109,6 +113,8 @@ def is_line_graph_circuit(circuit: QuantumCircuit) -> bool:
     the paper notes that realistic NMR circuits usually do *not* have this
     property (e.g. the QFT interaction graph is complete).
     """
+    import networkx as nx
+
     graph = interaction_graph(circuit)
     if graph.number_of_nodes() == 0:
         return True

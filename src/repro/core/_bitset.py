@@ -25,11 +25,12 @@ run — once per workspace-extraction step and once per workspace placement.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Hashable, Iterator, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from repro.core.stats import STATS
+
+if TYPE_CHECKING:
+    from repro.core.graph import AnyGraph
 
 Node = Hashable
 
@@ -82,7 +83,7 @@ class HostEncoding:
         "_size_signature",
     )
 
-    def __init__(self, host: nx.Graph) -> None:
+    def __init__(self, host: AnyGraph) -> None:
         self.nodes: List[Node] = canonical_order(host.nodes())
         self.index: Dict[Node, int] = {
             node: position for position, node in enumerate(self.nodes)
@@ -114,7 +115,7 @@ class HostEncoding:
         """The host's ``number_of_edges()`` when encoded."""
         return self._size_signature[1]
 
-    def matches(self, host: nx.Graph) -> bool:
+    def matches(self, host: AnyGraph) -> bool:
         """Cheap staleness check against in-place host mutation."""
         return self._size_signature == (
             host.number_of_nodes(),
@@ -122,7 +123,7 @@ class HostEncoding:
         )
 
 
-def adjacency_masks(graph: nx.Graph, index: Dict[Node, int]) -> List[int]:
+def adjacency_masks(graph: AnyGraph, index: Dict[Node, int]) -> List[int]:
     """One neighbour bitmask per node of ``graph``, numbered by ``index``.
 
     Self-loops carry no placement or routing meaning and are dropped.
@@ -145,12 +146,27 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-_ENCODING_CACHE: "weakref.WeakKeyDictionary[nx.Graph, HostEncoding]" = (
+def bfs_rings(adjacency: Sequence[int], source: int) -> Iterator[int]:
+    """Yield the BFS rings around bit ``source``: ring ``d`` masks the bits ``d`` hops away.
+
+    A bit in no ring lies in another component.
+    """
+    ring = seen = 1 << source
+    while ring:
+        yield ring
+        reach = 0
+        for bit in iter_bits(ring):
+            reach |= adjacency[bit]
+        ring = reach & ~seen
+        seen |= ring
+
+
+_ENCODING_CACHE: "weakref.WeakKeyDictionary[AnyGraph, HostEncoding]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def encode_host(host: nx.Graph) -> HostEncoding:
+def encode_host(host: AnyGraph) -> HostEncoding:
     """Return a (cached) :class:`HostEncoding` for ``host``.
 
     The cache is keyed by graph identity and validated against the graph's

@@ -35,19 +35,20 @@ is therefore exactly the one the original scan-based enumerator produced
 from __future__ import annotations
 
 import operator
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.core._bitset import HostEncoding, encode_host, iter_bits, node_index_table
 from repro.core.stats import STATS
 from repro.exceptions import MonomorphismError
 
+if TYPE_CHECKING:
+    from repro.core.graph import AnyGraph
+
 Node = Hashable
 Mapping_ = Dict[Node, Node]
 
 
-def _pattern_order(pattern: nx.Graph) -> List[Node]:
+def _pattern_order(pattern: AnyGraph) -> List[Node]:
     """Order pattern nodes: highest degree first, then keep the frontier connected.
 
     Each step takes the unplaced node with the most placed neighbours, then
@@ -60,7 +61,7 @@ def _pattern_order(pattern: nx.Graph) -> List[Node]:
     # [placed neighbours, degree, canonical index, node]: the index is
     # unique, so max() decides before it would compare two nodes.
     keys = {
-        node: [0, degree[node], position, node]
+        node: [0, degree(node), position, node]
         for node, position in node_index_table(pattern.nodes()).items()
     }
     remaining = list(keys.values())
@@ -76,7 +77,7 @@ def _pattern_order(pattern: nx.Graph) -> List[Node]:
 
 
 def _candidate_domains(
-    pattern: nx.Graph,
+    pattern: AnyGraph,
     order: List[Node],
     host: HostEncoding,
 ) -> List[int]:
@@ -93,7 +94,7 @@ def _candidate_domains(
     tested once per distinct pattern profile and its member mask admitted
     whole.
     """
-    degree = dict(pattern.degree())
+    degree = {node: pattern.degree(node) for node in order}
     profiles = host.profiles.items()
     masks: Dict[Tuple[int, ...], int] = {}
     domains: List[int] = []
@@ -116,8 +117,8 @@ def _candidate_domains(
 
 
 def iter_monomorphisms(
-    pattern: nx.Graph,
-    host: nx.Graph,
+    pattern: AnyGraph,
+    host: AnyGraph,
     max_count: Optional[int] = None,
     host_encoding: Optional[HostEncoding] = None,
 ) -> Iterator[Mapping_]:
@@ -137,12 +138,12 @@ def iter_monomorphisms(
         extraction, candidate placement) pass it to skip the per-call cache
         lookup entirely.
     """
-    loops = list(nx.nodes_with_selfloops(pattern))
-    if loops:
-        raise MonomorphismError(
-            f"pattern node {loops[0]!r} has a self-loop; a pattern must be a "
-            "simple graph"
-        )
+    for node, neighbours in pattern.adj.items():
+        if node in neighbours:
+            raise MonomorphismError(
+                f"pattern node {node!r} has a self-loop; a pattern must be a "
+                "simple graph"
+            )
     if max_count is not None and max_count <= 0:
         return
     if pattern.number_of_nodes() > host.number_of_nodes():
@@ -214,8 +215,8 @@ def iter_monomorphisms(
 
 
 def find_monomorphisms(
-    pattern: nx.Graph,
-    host: nx.Graph,
+    pattern: AnyGraph,
+    host: AnyGraph,
     max_count: int = 100,
     host_encoding: Optional[HostEncoding] = None,
 ) -> List[Mapping_]:
@@ -228,8 +229,8 @@ def find_monomorphisms(
 
 
 def has_monomorphism(
-    pattern: nx.Graph,
-    host: nx.Graph,
+    pattern: AnyGraph,
+    host: AnyGraph,
     host_encoding: Optional[HostEncoding] = None,
 ) -> bool:
     """Whether at least one monomorphism exists."""
@@ -240,7 +241,7 @@ def has_monomorphism(
     return pattern.number_of_nodes() == 0
 
 
-def first_monomorphism(pattern: nx.Graph, host: nx.Graph) -> Mapping_:
+def first_monomorphism(pattern: AnyGraph, host: AnyGraph) -> Mapping_:
     """The first monomorphism in enumeration order; raises if none exists."""
     for mapping in iter_monomorphisms(pattern, host, max_count=1):
         return mapping
@@ -253,8 +254,8 @@ def first_monomorphism(pattern: nx.Graph, host: nx.Graph) -> Mapping_:
 
 
 def count_monomorphisms(
-    pattern: nx.Graph,
-    host: nx.Graph,
+    pattern: AnyGraph,
+    host: AnyGraph,
     limit: Optional[int] = None,
 ) -> int:
     """Number of monomorphisms, optionally stopping at ``limit``."""
@@ -264,7 +265,7 @@ def count_monomorphisms(
     return count
 
 
-def verify_monomorphism(pattern: nx.Graph, host: nx.Graph, mapping: Mapping_) -> bool:
+def verify_monomorphism(pattern: AnyGraph, host: AnyGraph, mapping: Mapping_) -> bool:
     """Check that ``mapping`` really is an injective edge-preserving map."""
     if set(mapping.keys()) != set(pattern.nodes()):
         return False

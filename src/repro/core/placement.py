@@ -29,13 +29,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Qubit
-from repro.core._bitset import HostEncoding, encode_host, iter_bits
+from repro.core._bitset import HostEncoding, bfs_rings, encode_host
 from repro.core.config import DEFAULT_OPTIONS, PlacementOptions
 from repro.core.fine_tuning import fine_tune_workspace_placement
+from repro.core.graph import Graph
 from repro.core.monomorphism import find_monomorphisms
 from repro.core.result import PlacementResult, StagePlacement, SwapStage
 from repro.core.workspace import Workspace, extract_workspaces
@@ -58,7 +57,7 @@ class _GraphContext:
 
     Built once per :func:`place_circuit` run and threaded through the
     helpers so that the hot loops never sort nodes by ``repr`` or launch a
-    breadth-first search over networkx: the host encoding's node index
+    breadth-first search over the graph: the host encoding's node index
     replaces every ``sorted(..., key=repr)`` tie-break, hop distances come
     from per-source BFS rings over its neighbour masks, computed at most
     once per source, and each workspace's monomorphisms are enumerated at
@@ -66,7 +65,7 @@ class _GraphContext:
     placement one iteration later).
     """
 
-    def __init__(self, graph: nx.Graph, circuit: QuantumCircuit) -> None:
+    def __init__(self, graph: Graph, circuit: QuantumCircuit) -> None:
         self.graph = graph
         self.host_encoding: HostEncoding = encode_host(graph)
         self.node_order: Dict[Node, int] = self.host_encoding.index
@@ -75,23 +74,12 @@ class _GraphContext:
         self._rings: Dict[int, List[int]] = {}
 
     def rings(self, source: int) -> List[int]:
-        """BFS rings around bit ``source``: ring ``d`` masks the bits ``d`` hops away.
-
-        Cached per source.  A bit in no ring lies in another component.
-        """
+        """:func:`~repro.core._bitset.bfs_rings` around bit ``source``, cached per source."""
         rings = self._rings.get(source)
         if rings is None:
-            adjacency = self.host_encoding.adjacency
-            ring = seen = 1 << source
-            rings = []
-            while ring:
-                rings.append(ring)
-                reach = 0
-                for bit in iter_bits(ring):
-                    reach |= adjacency[bit]
-                ring = reach & ~seen
-                seen |= ring
-            self._rings[source] = rings
+            rings = self._rings[source] = list(
+                bfs_rings(self.host_encoding.adjacency, source)
+            )
         return rings
 
     def placement_key(self, placement: Placement) -> Tuple[int, ...]:
@@ -134,9 +122,9 @@ def _working_graph(
     environment: PhysicalEnvironment,
     options: PlacementOptions,
     threshold: float,
-) -> nx.Graph:
+) -> Graph:
     """Adjacency graph (or its largest component) the placer works inside."""
-    adjacency = environment.adjacency_graph(threshold)
+    adjacency = environment.threshold_graph(threshold)
     if adjacency.number_of_edges() == 0 and circuit.num_two_qubit_gates > 0:
         raise ThresholdError(
             f"threshold {threshold:g} disallows every interaction of "
@@ -151,7 +139,7 @@ def _working_graph(
         return adjacency
     if not options.restrict_to_largest_component:
         return adjacency
-    largest = environment.largest_component_graph(threshold)
+    largest = environment.threshold_component(threshold)
     if largest.number_of_nodes() < circuit.num_qubits:
         raise ThresholdError(
             f"threshold {threshold:g} leaves only {largest.number_of_nodes()} connected "
@@ -161,7 +149,7 @@ def _working_graph(
     return largest
 
 
-def _median_edge_delay(graph: nx.Graph) -> float:
+def _median_edge_delay(graph: Graph) -> float:
     delays = sorted(data.get("delay", 1.0) for _, _, data in graph.edges(data=True))
     if not delays:
         return 1.0

@@ -25,15 +25,17 @@ any node it added, which keeps the graph's insertion order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate, Qubit
 from repro.core._bitset import HostEncoding, canonical_order, encode_host, iter_bits
+from repro.core.graph import Graph, is_bipartite
 from repro.core.monomorphism import find_monomorphisms
 from repro.exceptions import PlacementError
+
+if TYPE_CHECKING:
+    from repro.core.graph import AnyGraph
 
 Node = Hashable
 
@@ -51,14 +53,15 @@ class Workspace:
     gates:
         The gates of the slice, in order (single- and two-qubit).
     interaction_graph:
-        Interaction graph of the slice's two-qubit gates.
+        Interaction graph of the slice's two-qubit gates, a
+        :class:`~repro.core.graph.Graph` (``.to_networkx()`` converts it).
     """
 
     index: int
     start: int
     stop: int
     gates: Tuple[Gate, ...]
-    interaction_graph: nx.Graph
+    interaction_graph: Graph
 
     @property
     def num_gates(self) -> int:
@@ -123,21 +126,21 @@ def _extend_witness(
 
 
 def _first_embedding(
-    graph: nx.Graph,
-    host: nx.Graph,
+    graph: Graph,
+    host: AnyGraph,
     host_encoding: HostEncoding,
     host_bipartite: bool,
 ) -> Optional[Dict[Qubit, Node]]:
     """The first monomorphism of ``graph`` into ``host``, cheap refutations first.
 
-    The size checks read the encoding: networkx counts a graph's edges by
-    summing every node's degree, O(n) per probe on a large host.
+    The size checks read the encoding: a graph counts its edges by summing
+    every node's degree, O(n) per probe on a large host.
     """
     if graph.number_of_nodes() > host_encoding.num_nodes:
         return None
     if graph.number_of_edges() > host_encoding.num_edges:
         return None
-    if host_bipartite and not nx.is_bipartite(graph):
+    if host_bipartite and not is_bipartite(graph):
         # Subgraphs of a bipartite host are bipartite, so a pattern with an
         # odd cycle can be refuted in O(V+E).  Proving non-embeddability by
         # search instead is the worst case of the enumerator — on a
@@ -153,7 +156,7 @@ def _first_embedding(
 
 def extract_workspaces(
     circuit: QuantumCircuit,
-    adjacency_graph: nx.Graph,
+    adjacency_graph: AnyGraph,
     max_two_qubit_gates: Optional[int] = None,
 ) -> List[Workspace]:
     """Split ``circuit`` into maximal workspaces embeddable in ``adjacency_graph``.
@@ -184,11 +187,11 @@ def extract_workspaces(
     # the greedy scan (one probe per distinct two-qubit interaction).
     host_encoding = encode_host(adjacency_graph)
     host_bipartite = (
-        adjacency_graph.number_of_edges() > 0 and nx.is_bipartite(adjacency_graph)
+        adjacency_graph.number_of_edges() > 0 and is_bipartite(adjacency_graph)
     )
 
     workspaces: List[Workspace] = []
-    current_graph = nx.Graph()
+    current_graph = Graph()
     current_start = 0
     current_two_qubit_count = 0
     index = 0
@@ -213,7 +216,7 @@ def extract_workspaces(
         )
         index += 1
         current_start = stop
-        current_graph = nx.Graph()
+        current_graph = Graph()
         current_two_qubit_count = 0
         witness = {}
         used = 0
@@ -279,7 +282,7 @@ def extract_workspaces(
                 start=0,
                 stop=len(gates),
                 gates=tuple(gates),
-                interaction_graph=nx.Graph(),
+                interaction_graph=Graph(),
             )
         )
     return workspaces

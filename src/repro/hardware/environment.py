@@ -20,12 +20,25 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
-import networkx as nx
-
+from repro.core.graph import Graph, connected_components
 from repro.core.stats import STATS
 from repro.exceptions import EnvironmentError_
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Node = Hashable
 Pair = Tuple[Node, Node]
@@ -69,7 +82,8 @@ class PhysicalEnvironment:
     name:
         Human-readable environment name used in reports.
     time_unit_seconds:
-        Physical duration of one delay unit (``1e-4`` s for the NMR data).
+        Physical duration of one delay unit (``1e-4`` s for the NMR data);
+        a positive finite number.
     """
 
     def __init__(
@@ -84,6 +98,11 @@ class PhysicalEnvironment:
             raise EnvironmentError_("an environment needs at least one node")
         self.name = str(name)
         self.time_unit_seconds = float(time_unit_seconds)
+        if not 0.0 < self.time_unit_seconds < math.inf:
+            raise EnvironmentError_(
+                "time_unit_seconds must be a positive finite number, "
+                f"got {time_unit_seconds!r}"
+            )
         self._nodes: Tuple[Node, ...] = tuple(single_qubit_delays.keys())
         self._node_set: FrozenSet[Node] = frozenset(self._nodes)
         if len(self._node_set) != len(self._nodes):
@@ -115,11 +134,12 @@ class PhysicalEnvironment:
         # Derived-graph caches, keyed by threshold *signature* — the largest
         # pair delay at or below the threshold — so that two thresholds
         # admitting the same edge set share one cached graph (see
-        # ``invalidate_caches``).
+        # ``invalidate_caches``); networkx copies are made on request.
         _SigKey = Tuple[Optional[float], bool]
-        self._adjacency_cache: Dict[_SigKey, nx.Graph] = {}
-        self._component_cache: Dict[_SigKey, nx.Graph] = {}
+        self._adjacency_cache: Dict[_SigKey, Graph] = {}
+        self._component_cache: Dict[_SigKey, Graph] = {}
         self._connectivity_cache: Dict[_SigKey, bool] = {}
+        self._networkx_cache: Dict[Graph, nx.Graph] = {}
         self._pair_matrix_cache: Dict[Tuple[Node, ...], array] = {}
         self._minimal_threshold: Optional[float] = None
         self._delay_values: Optional[List[float]] = None
@@ -130,13 +150,14 @@ class PhysicalEnvironment:
 
         The caches are exact and rebuilt on demand, so dropping them keeps
         worker-bound pickles small (an experiment spec ships the delay
-        tables, not hundreds of cached ``nx.Graph`` objects) and guarantees
-        a freshly unpickled environment re-derives its graphs locally.
+        tables, not hundreds of cached graphs) and guarantees a freshly
+        unpickled environment re-derives its graphs locally.
         """
         state = self.__dict__.copy()
         state["_adjacency_cache"] = {}
         state["_component_cache"] = {}
         state["_connectivity_cache"] = {}
+        state["_networkx_cache"] = {}
         state["_pair_matrix_cache"] = {}
         state["_minimal_threshold"] = None
         state["_delay_values"] = None
@@ -234,25 +255,34 @@ class PhysicalEnvironment:
 
     # -- derived graphs --------------------------------------------------------
 
-    def _delay_graph(self, name: str, limit: float) -> nx.Graph:
+    def _delay_graph(self, name: str, limit: float) -> Graph:
         """All nodes, plus an edge for every pair with ``delay <= limit``."""
-        graph = nx.Graph(name=name)
+        graph = Graph(name=name)
         for node in self._nodes:
             graph.add_node(node, delay=self._single[node])
         for a, b, delay in self._pairs_within(limit):
             graph.add_edge(a, b, delay=delay)
         return graph
 
+    def _networkx(self, graph: Graph) -> nx.Graph:
+        """The cached :class:`networkx.Graph` copy of a cached graph."""
+        copy = self._networkx_cache.get(graph)
+        if copy is None:
+            copy = self._networkx_cache[graph] = graph.to_networkx()
+        return copy
+
     def to_networkx(self, include_infinite: bool = False) -> nx.Graph:
         """Full environment graph with ``delay`` edge and node attributes."""
         limit = math.inf if include_infinite else sys.float_info.max
-        return self._delay_graph(self.name, limit)
+        return self._delay_graph(self.name, limit).to_networkx()
 
-    def adjacency_graph(self, threshold: float) -> nx.Graph:
+    def threshold_graph(self, threshold: float) -> Graph:
         """Graph of "fast" interactions: pairs whose delay is at most ``threshold``.
 
         Nodes are always all physical qubits (a node may end up isolated).
-        Edges carry the ``delay`` attribute.
+        Nodes and edges carry the ``delay`` attribute.  This is the
+        :class:`~repro.core.graph.Graph` the placement pipeline works on;
+        :meth:`adjacency_graph` is its networkx copy.
 
         The graph is built once per distinct threshold and cached: a
         threshold sweep placing many circuits at the same thresholds reuses
@@ -271,6 +301,14 @@ class PhysicalEnvironment:
         graph = self._delay_graph(f"{self.name}@{threshold:g}", threshold)
         self._adjacency_cache[key] = graph
         return graph
+
+    def adjacency_graph(self, threshold: float) -> nx.Graph:
+        """:meth:`threshold_graph` as a :class:`networkx.Graph` (same read-only contract).
+
+        Built from the cached graph on the first request and cached with
+        it, so repeated calls return one object.
+        """
+        return self._networkx(self.threshold_graph(threshold))
 
     def threshold_signature(self, threshold: float) -> Tuple[Optional[float], bool]:
         """Canonical cache key for a threshold: the edge set it admits.
@@ -301,22 +339,21 @@ class PhysicalEnvironment:
         cached = self._connectivity_cache.get(key)
         if cached is not None:
             return cached
-        graph = self.adjacency_graph(threshold)
-        connected = graph.number_of_nodes() > 0 and nx.is_connected(graph)
+        graph = self.threshold_graph(threshold)
+        connected = len(next(connected_components(graph))) == graph.number_of_nodes()
         self._connectivity_cache[key] = connected
         return connected
 
-    def largest_component_graph(self, threshold: float) -> nx.Graph:
-        """The adjacency graph restricted to its largest connected component.
+    def threshold_component(self, threshold: float) -> Graph:
+        """:meth:`threshold_graph` restricted to its largest connected component.
 
-        Cached per threshold like :meth:`adjacency_graph` (same read-only
+        Cached per threshold like :meth:`threshold_graph` (same read-only
         contract).  When the graph is connected this *is* the cached
-        adjacency graph; otherwise it is a one-time copy over the largest
-        component (ties broken by discovery order, matching
-        ``nx.connected_components``), rebuilt with nodes and edges in the
-        environment's declaration order — a ``graph.subgraph(set).copy()``
-        would freeze the *set*'s hash order into the copy and leak
-        ``PYTHONHASHSEED`` into every downstream traversal.
+        threshold graph; otherwise it is a one-time copy over the largest
+        component (ties go to the component found first, i.e. the one
+        holding the earliest declared node, as with
+        ``nx.connected_components``), with nodes and edges in the
+        environment's declaration order.
         """
         key = self.threshold_signature(threshold)
         cached = self._component_cache.get(key)
@@ -324,25 +361,21 @@ class PhysicalEnvironment:
             STATS.increment("environment.component_cache_hits")
             return cached
         STATS.increment("environment.component_cache_misses")
-        graph = self.adjacency_graph(threshold)
+        graph = self.threshold_graph(threshold)
         if self.is_connected_at(threshold):
             component = graph
         else:
-            components = sorted(
-                nx.connected_components(graph), key=len, reverse=True
-            )
-            members = set(components[0])
-            component = nx.Graph(**graph.graph)
-            component.add_nodes_from(
-                (node, graph.nodes[node]) for node in graph.nodes() if node in members
-            )
-            component.add_edges_from(
-                (a, b, data)
-                for a, b, data in graph.edges(data=True)
-                if a in members and b in members
-            )
+            component = graph.induced(max(connected_components(graph), key=len))
         self._component_cache[key] = component
         return component
+
+    def largest_component_graph(self, threshold: float) -> nx.Graph:
+        """:meth:`threshold_component` as a :class:`networkx.Graph`.
+
+        Cached like :meth:`adjacency_graph`; when the graph is connected
+        this is the :meth:`adjacency_graph` object itself.
+        """
+        return self._networkx(self.threshold_component(threshold))
 
     def pair_delay_table(self) -> array:
         """Flat row-major ``n x n`` pair-delay matrix over :attr:`nodes`, cached.
@@ -394,6 +427,7 @@ class PhysicalEnvironment:
         self._adjacency_cache.clear()
         self._component_cache.clear()
         self._connectivity_cache.clear()
+        self._networkx_cache.clear()
         self._pair_matrix_cache.clear()
         self._minimal_threshold = None
         self._delay_values = None
@@ -441,17 +475,35 @@ class PhysicalEnvironment:
         This is the paper's suggested default for ``Threshold``: "the minimal
         value such that the graph associated with fastest interactions is
         connected".  Computed as the bottleneck (minimax) edge of a minimum
-        spanning tree over finite pair delays.  Raises if even the full
+        spanning tree over finite pair delays, grown by Kruskal's rule over
+        the pair walk as ``nx.minimum_spanning_tree`` grows it, so even the
+        sign of a zero bottleneck is networkx's.  Raises if even the full
         finite graph is disconnected.
         """
         if self._minimal_threshold is not None:
             return self._minimal_threshold
-        graph = self.to_networkx(include_infinite=False)
-        if graph.number_of_edges() == 0 or not nx.is_connected(graph):
+        tree = Graph()
+        for node in self._nodes:
+            tree.add_node(node)
+        root = {node: node for node in self._nodes}
+
+        def find(node: Node) -> Node:
+            while root[node] != node:
+                root[node] = node = root[root[node]]
+            return node
+
+        pairs = sorted(self._pairs_within(sys.float_info.max), key=lambda pair: pair[2])
+        for a, b, delay in pairs:
+            top_a, top_b = find(a), find(b)
+            if top_a != top_b:
+                root[top_a] = top_b
+                tree.add_edge(a, b, delay=delay)
+        # A spanning tree has n - 1 edges; a one-node host has no finite pair.
+        edges = tree.number_of_edges()
+        if edges == 0 or edges < len(self._nodes) - 1:
             raise EnvironmentError_(
                 f"environment {self.name!r} has no connected finite-delay graph"
             )
-        tree = nx.minimum_spanning_tree(graph, weight="delay")
         self._minimal_threshold = max(
             data["delay"] for _, _, data in tree.edges(data=True)
         )

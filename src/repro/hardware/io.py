@@ -84,9 +84,16 @@ def from_dict(data: Dict[str, Any]) -> PhysicalEnvironment:
     # delay, a scalar pair entry) all mean a malformed file; the
     # constructor's own EnvironmentError_ checks stay outside the try.
     try:
-        single = {
-            parse_node_key(key): float(delay) for key, delay in raw_nodes.items()
-        }
+        single: Dict[Node, float] = {}
+        keys: Dict[Node, str] = {}
+        for key, delay in raw_nodes.items():
+            node = parse_node_key(key)
+            if node in keys:
+                raise SerializationError(
+                    f"node keys {keys[node]!r} and {key!r} both name node {node!r}"
+                )
+            keys[node] = key
+            single[node] = float(delay)
 
         pairs = {}
         for entry in raw_pairs:

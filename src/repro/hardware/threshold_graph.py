@@ -14,13 +14,15 @@ sweep helper used by the Table 3 experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.core._bitset import canonical_order
+from repro.core.graph import connected_components
 from repro.exceptions import ThresholdError
 from repro.hardware.environment import PhysicalEnvironment
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: The threshold values swept in Table 3 of the paper.
 PAPER_THRESHOLDS: Tuple[float, ...] = (50.0, 100.0, 200.0, 500.0, 1000.0, 10000.0)
@@ -50,6 +52,8 @@ def adjacency_graph(environment: PhysicalEnvironment, threshold: float) -> nx.Gr
 
 def summarize(environment: PhysicalEnvironment, threshold: float) -> AdjacencySummary:
     """Compute :class:`AdjacencySummary` for one threshold value."""
+    import networkx as nx
+
     graph = environment.adjacency_graph(threshold)
     num_components = nx.number_connected_components(graph) if graph.number_of_nodes() else 0
     degrees = [d for _, d in graph.degree()]
@@ -77,13 +81,13 @@ def largest_connected_nodes(
     trans-crotonic acid at threshold 50), placement can still proceed inside
     the largest component as long as it holds enough physical qubits.
     """
-    graph = environment.adjacency_graph(threshold)
+    graph = environment.threshold_graph(threshold)
     if graph.number_of_edges() == 0:
         raise ThresholdError(
             f"threshold {threshold:g} disallows every interaction of "
             f"{environment.name!r}"
         )
-    return canonical_order(environment.largest_component_graph(threshold))
+    return canonical_order(environment.threshold_component(threshold).nodes())
 
 
 def sweep_summaries(
@@ -102,10 +106,10 @@ def usable_thresholds(
     """Thresholds whose largest component has at least ``min_component_size`` nodes."""
     result = []
     for threshold in thresholds:
-        graph = environment.adjacency_graph(threshold)
+        graph = environment.threshold_graph(threshold)
         if graph.number_of_edges() == 0:
             continue
-        largest = max(len(c) for c in nx.connected_components(graph))
+        largest = max(map(len, connected_components(graph)))
         if largest >= min_component_size:
             result.append(float(threshold))
     return result

@@ -48,9 +48,7 @@ iterated below the entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core._bitset import HostEncoding, iter_bits
 from repro.exceptions import RoutingError
@@ -65,6 +63,9 @@ from repro.routing.separators import (
     component_masks,
     crossing_edges,
 )
+
+if TYPE_CHECKING:
+    from repro.core.graph import AnyGraph
 
 Node = Hashable
 Swap = Tuple[Node, Node]
@@ -100,7 +101,7 @@ class RoutingResult:
 
 
 def _as_full_permutation(
-    graph: nx.Graph,
+    graph: AnyGraph,
     permutation: Union[Permutation, Mapping[Node, Node]],
 ) -> Permutation:
     """Normalise the input to a full permutation over the graph's nodes."""
@@ -111,7 +112,7 @@ def _as_full_permutation(
     return complete_partial_permutation(graph, dict(permutation))
 
 
-def _verify_layers(graph: nx.Graph, layers: Sequence[Layer]) -> None:
+def _verify_layers(graph: AnyGraph, layers: Sequence[Layer]) -> None:
     """Internal consistency check: swaps are graph edges and layer-disjoint."""
     for layer in layers:
         used: Set[Node] = set()
@@ -124,7 +125,7 @@ def _verify_layers(graph: nx.Graph, layers: Sequence[Layer]) -> None:
 
 
 def route_permutation(
-    graph: nx.Graph,
+    graph: AnyGraph,
     permutation: Union[Permutation, Mapping[Node, Node]],
     leaf_override: bool = True,
     validate: bool = True,
@@ -227,7 +228,7 @@ def _leaf_override_pass(
     neighbour, swap it in (one layer can serve many leaves in parallel) and
     freeze the leaf.  Frozen leaves are excluded from the rest of the
     routing, shrinking the instance.  A node with a self-loop is never a
-    leaf: like networkx's ``degree``, the loop counts twice.
+    leaf: as in a graph's ``degree``, the loop counts twice.
     """
     adjacency, nodes = encoding.adjacency, encoding.nodes
     active = encoding.full_mask
@@ -361,7 +362,7 @@ def _separate_sides(
 
 
 def route_between_placements(
-    graph: nx.Graph,
+    graph: AnyGraph,
     placement_from: Mapping[Hashable, Node],
     placement_to: Mapping[Hashable, Node],
     leaf_override: bool = True,

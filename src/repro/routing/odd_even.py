@@ -15,14 +15,15 @@ benchmark and is exposed for users who target genuinely linear devices.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Sequence, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Sequence, Union
 
 from repro.core._bitset import canonical_min
 from repro.exceptions import RoutingError
 from repro.routing.bubble import Layer, RoutingResult, Swap, _as_full_permutation
 from repro.routing.permutation import Permutation
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Node = Hashable
 
@@ -33,6 +34,8 @@ def chain_order_from_graph(graph: nx.Graph) -> List[Node]:
     Raises :class:`~repro.exceptions.RoutingError` when the graph is not a
     simple path (that is the only topology this router supports).
     """
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return []
     if graph.number_of_nodes() == 1:

@@ -13,12 +13,13 @@ adjacency graph while keeping don't-care tokens as close to home as possible.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
-from repro.core._bitset import node_index_table
+from repro.core._bitset import adjacency_masks, bfs_rings, node_index_table
 from repro.exceptions import RoutingError
+
+if TYPE_CHECKING:
+    from repro.core.graph import AnyGraph
 
 Node = Hashable
 
@@ -166,7 +167,7 @@ def required_permutation(
 
 
 def complete_partial_permutation(
-    graph: nx.Graph,
+    graph: AnyGraph,
     partial: Mapping[Node, Node],
 ) -> Permutation:
     """Extend a partial node permutation to a full one over ``graph``'s nodes.
@@ -174,8 +175,9 @@ def complete_partial_permutation(
     Don't-care tokens (tokens on nodes without an entry in ``partial``) are
     assigned to the remaining free destination nodes.  The completion keeps a
     don't-care token in place whenever its own node is free, and otherwise
-    sends it to the nearest free node (by unweighted graph distance), which
-    keeps the extra routing work small.
+    sends it to the nearest free node (by unweighted graph distance, ties to
+    the first in node order; a token with no free node in reach takes the
+    first free node), which keeps the extra routing work small.
     """
     nodes = list(graph.nodes())
     node_set = set(nodes)
@@ -201,24 +203,27 @@ def complete_partial_permutation(
         else:
             remaining_sources.append(source)
 
-    # Second pass: nearest free node by BFS distance.
-    node_order = node_index_table(nodes)
-    for source in remaining_sources:
-        if not free_target_set:
-            raise RoutingError("ran out of free destination nodes")  # pragma: no cover
-        distances = nx.single_source_shortest_path_length(graph, source)
-        best = min(
-            free_target_set,
-            key=lambda target: (distances.get(target, float("inf")), node_order[target]),
-        )
-        mapping[source] = best
-        free_target_set.remove(best)
+    # Second pass: the lowest free bit of the first BFS ring around the
+    # source (over one neighbour mask per node, in node order) that has one.
+    if remaining_sources:
+        index = node_index_table(nodes)
+        order = list(index)
+        adjacency = adjacency_masks(graph, index)
+        free = sum(1 << index[node] for node in free_target_set)
+        for source in remaining_sources:
+            nearest = next(
+                (ring & free for ring in bfs_rings(adjacency, index[source]) if ring & free),
+                free,
+            )
+            target = nearest & -nearest
+            mapping[source] = order[target.bit_length() - 1]
+            free ^= target
 
     return Permutation(mapping)
 
 
 def permutation_between_placements(
-    graph: nx.Graph,
+    graph: AnyGraph,
     placement_from: Mapping[Hashable, Node],
     placement_to: Mapping[Hashable, Node],
 ) -> Permutation:

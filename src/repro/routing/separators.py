@@ -25,12 +25,13 @@ own encoding, so its recursion builds no subgraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core._bitset import adjacency_masks, iter_bits, node_index_table
 from repro.exceptions import RoutingError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Node = Hashable
 

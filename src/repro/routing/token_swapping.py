@@ -23,14 +23,15 @@ has no linear-depth guarantee; the ablation benchmark
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Set, Tuple, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Set, Tuple, Union
 
 from repro.core._bitset import node_index_table
 from repro.exceptions import RoutingError
 from repro.routing.bubble import Layer, RoutingResult, Swap, _as_full_permutation
 from repro.routing.permutation import Permutation
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Node = Hashable
 
@@ -66,6 +67,8 @@ def _fix_component(
     swaps: List[Swap],
 ) -> None:
     """Deliver every token of one connected component."""
+    import networkx as nx
+
     for node in component:
         target = token_target[node]
         if target not in component:
@@ -113,6 +116,8 @@ def greedy_token_swapping(
     Every swap is a graph edge; the list is guaranteed to deliver every
     token (see the module docstring for the termination argument).
     """
+    import networkx as nx
+
     full = _as_full_permutation(graph, permutation)
     token_target: Dict[Node, Node] = full.as_dict()
     distances = {

@@ -159,6 +159,27 @@ class TestJsonOutput:
         assert payload["rows"][0]["feasible"] is False
         assert payload["rows"][0]["error_type"]
 
+    @pytest.mark.parametrize(
+        "unit, message",
+        [
+            ("-1", "time_unit_seconds must be a positive finite number, got -1.0"),
+            ("0", "time_unit_seconds must be a positive finite number, got 0.0"),
+            ("NaN", "time_unit_seconds must be a positive finite number, got nan"),
+            ("Infinity", "time_unit_seconds must be a positive finite number, got inf"),
+        ],
+    )
+    def test_place_json_refuses_a_bad_time_unit(self, tmp_path, capsys, unit, message):
+        env_path = tmp_path / "env.json"
+        env_path.write_text(
+            '{"nodes": {"a": 1.0, "b": 1.0}, "default_pair_delay": 10.0, '
+            f'"time_unit_seconds": {unit}}}'
+        )
+        code = main(["place", "qft:2", str(env_path), "--output", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_sweep_json_cells_match_text_table(self, capsys):
         assert main(["sweep"] + SWEEP_ARGS + ["--output", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

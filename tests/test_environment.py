@@ -60,6 +60,15 @@ class TestConstruction:
         with pytest.raises(EnvironmentError_, match="non-negative number"):
             PhysicalEnvironment(nodes, pairs, default_pair_delay=default)
 
+    @pytest.mark.parametrize(
+        "unit", [-1.0, 0.0, math.nan, math.inf], ids=["negative", "zero", "nan", "inf"]
+    )
+    def test_non_positive_or_non_finite_time_unit_rejected(self, unit):
+        with pytest.raises(
+            EnvironmentError_, match="time_unit_seconds must be a positive finite"
+        ):
+            PhysicalEnvironment({"a": 1.0}, {}, time_unit_seconds=unit)
+
 
 class TestQueries:
     def test_nodes_and_membership(self, triangle):

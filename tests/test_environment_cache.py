@@ -53,6 +53,18 @@ class TestAdjacencyCache:
         delta = STATS.delta_since(before)
         assert delta.get("environment.adjacency_cache_misses", 0) <= 1
 
+    def test_networkx_copy_is_built_once_from_the_cached_graph(self, crotonic):
+        graph = crotonic.threshold_graph(100.0)
+        assert not isinstance(graph, nx.Graph)
+        assert crotonic.threshold_graph(200.0) is graph
+        assert crotonic.threshold_component(100.0) is graph  # connected at 100
+        copy = crotonic.adjacency_graph(100.0)
+        assert isinstance(copy, nx.Graph)
+        assert crotonic.adjacency_graph(500.0) is copy
+        assert crotonic.largest_component_graph(200.0) is copy
+        crotonic.invalidate_caches()
+        assert crotonic.adjacency_graph(100.0) is not copy
+
     def test_cached_graph_content_matches_uncached_build(self, crotonic):
         cached = crotonic.adjacency_graph(100.0)
         fresh = trans_crotonic_acid().adjacency_graph(100.0)

@@ -79,3 +79,21 @@ class TestErrors:
     def test_nan_default_is_an_environment_error(self):
         with pytest.raises(EnvironmentError_, match="default_pair_delay"):
             hio.loads('{"nodes": {"a": 1.0}, "default_pair_delay": NaN}')
+
+    @pytest.mark.parametrize("unit", ["-1", "0", "NaN", "Infinity"])
+    def test_bad_time_unit_is_an_environment_error(self, unit):
+        with pytest.raises(EnvironmentError_, match="time_unit_seconds"):
+            hio.loads(f'{{"nodes": {{"a": 1.0}}, "time_unit_seconds": {unit}}}')
+
+    @pytest.mark.parametrize(
+        "nodes, first, second, node",
+        [
+            ({"1": 1.0, "01": 2.0, "b": 1.0}, "1", "01", 1),
+            ({"0": 1.0, "-0": 2.0}, "0", "-0", 0),
+            ({"-2": 1.0, "a": 1.0, "-02": 1.0}, "-2", "-02", -2),
+        ],
+    )
+    def test_node_keys_naming_one_node_are_refused(self, nodes, first, second, node):
+        message = f"node keys '{first}' and '{second}' both name node {node}$"
+        with pytest.raises(SerializationError, match=message):
+            hio.from_dict({"nodes": nodes})

@@ -382,6 +382,24 @@ class TestMergeVerification:
         ):
             sharding.merge_shards(shards)
 
+    def test_a_cell_claimed_by_three_shards_is_listed_once(self):
+        # Cells (0, 3), (1,) and (2,): shards 1 and 2 also claim cell 0.
+        shards = _run_plan(sharding.ShardPlan.build(_small_grid(), 3))
+        for shard in shards[1:]:
+            shard.indices = (0,)
+            shard.outcomes[0].index = 0
+        with pytest.raises(
+            ExperimentError,
+            match=r"\(missing cells \[1, 2\], duplicated cells \[0\]\)$",
+        ):
+            sharding.merge_shards(shards)
+
+    def test_a_shard_passed_three_times_is_refused(self, shards):
+        with pytest.raises(
+            ExperimentError, match=r"got shard indices \[0, 0, 0\] \(missing \[1\]\)"
+        ):
+            sharding.merge_shards([shards[0]] * 3)
+
     def test_merge_is_independent_of_argument_order(self):
         plan = sharding.ShardPlan.build(_small_grid(), 3)
         shards = _run_plan(plan)
