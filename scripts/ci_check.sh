@@ -26,12 +26,16 @@
 #      API's config contract (docs/api.md);
 #   4. a heuristic-placer smoke: the same `--placer anneal:SEEDxITERS`
 #      sweep run twice in separate processes must be byte-identical —
-#      the seeded annealer's determinism contract (docs/placers.md);
-#   5. the scheduler-facing tier-1 subset — including fine tuning and the
-#      backend parity tests in tests/test_replay_backends.py — once per
-#      scheduler backend: under REPRO_SCHEDULER_BACKEND=native (build the
-#      compiled replay kernel on demand, whose climbs then run as one
-#      kernel call per workspace; skipped, with a log line, on hosts
+#      the seeded annealer's determinism contract (docs/placers.md) — and
+#      once more under REPRO_SCHEDULER_BACKEND=python, the Python anneal
+#      loop, must match the native kernel's run byte for byte (the native
+#      side is skipped, with a log line, on hosts without a C compiler);
+#   5. the scheduler-facing tier-1 subset — including fine tuning, the
+#      backend parity tests in tests/test_replay_backends.py and the
+#      native-anneal parity suite in tests/test_anneal_parity.py — once
+#      per scheduler backend: under REPRO_SCHEDULER_BACKEND=native (build
+#      the compiled replay kernel on demand, whose climbs and anneals then
+#      run as one kernel call each; skipped, with a log line, on hosts
 #      without a C compiler) and under REPRO_SCHEDULER_BACKEND=python,
 #      the reference loop and the only fallback `auto` has where the
 #      kernel does not build — both sides of the bit-identity contract
@@ -156,6 +160,21 @@ if flags != config:
 print("config round trip: deterministic fields identical")
 PYEOF
 
+# Whether the native kernel builds here (steps 4 and 5 run it when it does).
+if "$PYTHON" - <<'PYEOF'
+from repro.timing import _native
+
+if _native.available():
+    raise SystemExit(0)
+print(f"native kernel unavailable: {_native.unavailable_reason()}")
+raise SystemExit(1)
+PYEOF
+then
+    NATIVE=1
+else
+    NATIVE=0
+fi
+
 echo "== 4/6 heuristic-placer determinism smoke =="
 ANNEAL_ARGS=(sweep random:8x20x5 grid:4x4 --thresholds 10 20
              --placer anneal:7x150)
@@ -166,20 +185,25 @@ if ! diff "$WORK_DIR/anneal-a.txt" "$WORK_DIR/anneal-b.txt"; then
     exit 1
 fi
 echo "anneal sweep byte-identical across processes"
+REPRO_SCHEDULER_BACKEND=python "$PYTHON" -m repro.cli "${ANNEAL_ARGS[@]}" \
+    > "$WORK_DIR/anneal-python.txt"
+if [ "$NATIVE" = 1 ]; then
+    REPRO_SCHEDULER_BACKEND=native "$PYTHON" -m repro.cli "${ANNEAL_ARGS[@]}" \
+        > "$WORK_DIR/anneal-native.txt"
+    if ! diff "$WORK_DIR/anneal-python.txt" "$WORK_DIR/anneal-native.txt"; then
+        echo "FAIL: the native anneal differs from the python anneal loop" >&2
+        exit 1
+    fi
+    echo "anneal sweep byte-identical under the native and python backends"
+else
+    echo "skipping the native anneal diff (no C toolchain on this host)"
+fi
 
 echo "== 5/6 scheduler backend subsets =="
 SCHEDULER_TESTS=(tests/test_replay_backends.py tests/test_scheduler.py
                  tests/test_incremental_scheduler.py tests/test_fine_tuning.py
-                 tests/test_placers.py)
-if "$PYTHON" - <<'PYEOF'
-from repro.timing import _native
-
-if _native.available():
-    raise SystemExit(0)
-print(f"native kernel unavailable: {_native.unavailable_reason()}")
-raise SystemExit(1)
-PYEOF
-then
+                 tests/test_placers.py tests/test_anneal_parity.py)
+if [ "$NATIVE" = 1 ]; then
     REPRO_SCHEDULER_BACKEND=native "$PYTHON" -m pytest -x -q \
         "${SCHEDULER_TESTS[@]}"
     echo "scheduler-facing tier-1 subset green under the native backend"

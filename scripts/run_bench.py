@@ -13,6 +13,8 @@ Usage::
     python scripts/run_bench.py --check         # compare against the committed
                                                 # baseline; exit 1 on >20% regression
     python scripts/run_bench.py --check --update  # check, then refresh the baseline
+    python scripts/run_bench.py --check --output /tmp/now.json
+                                                # check, and keep the full report
     python scripts/run_bench.py --repeats 5 --output /tmp/bench.json
     python scripts/run_bench.py --backend python  # force a scheduler backend for
                                                   # every 'auto' evaluator
@@ -87,8 +89,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=DEFAULT_BASELINE,
-        help="where to write the report (default: BENCH_placement.json)",
+        default=None,
+        help="where to write the report (default: BENCH_placement.json); "
+        "with --check, a path other than the baseline receives the full "
+        "report whether the gate passes or fails",
     )
     parser.add_argument(
         "--baseline",
@@ -135,6 +139,15 @@ def main(argv=None) -> int:
         help="with --check: rewrite the baseline after reporting",
     )
     args = parser.parse_args(argv)
+    # With --check only an explicitly named report file is written (the
+    # baseline itself only with --update); without it the report goes to
+    # --output, by default the baseline.
+    report_path = args.output
+    if args.check and report_path is not None:
+        if report_path.resolve() == args.baseline.resolve():
+            report_path = None
+    elif not args.check and report_path is None:
+        report_path = DEFAULT_BASELINE
 
     if args.update and args.scenarios is not None:
         print(
@@ -146,7 +159,7 @@ def main(argv=None) -> int:
     if (
         args.scenarios is not None
         and not args.check
-        and args.output.resolve() == DEFAULT_BASELINE.resolve()
+        and report_path.resolve() == DEFAULT_BASELINE.resolve()
     ):
         print(
             "error: --scenarios without --check would overwrite the full "
@@ -156,7 +169,7 @@ def main(argv=None) -> int:
         return 2
 
     writes_baseline = args.update or (
-        not args.check and args.output.resolve() == DEFAULT_BASELINE.resolve()
+        not args.check and report_path.resolve() == DEFAULT_BASELINE.resolve()
     )
     if writes_baseline:
         reason = _lint_dirty_reason()
@@ -173,6 +186,10 @@ def main(argv=None) -> int:
         os.environ[BACKEND_ENV_VAR] = args.backend
 
     report = build_report(args.repeats, names=args.scenarios)
+    text = json.dumps(report, indent=1, sort_keys=False) + "\n"
+    if args.check and report_path is not None:
+        atomic_write_text(report_path, text)
+        print(f"wrote {report_path}")
     scenarios = report["scenarios"]
     width = max(len(name) for name in scenarios)
     for name, data in scenarios.items():
@@ -236,12 +253,12 @@ def main(argv=None) -> int:
             return 1
         print(f"\nOK: no benchmark regressed more than {args.tolerance:.0%}")
         if args.update:
-            atomic_write_text(args.output, json.dumps(report, indent=1, sort_keys=False) + "\n")
-            print(f"baseline updated: {args.output}")
+            atomic_write_text(args.baseline, text)
+            print(f"baseline updated: {args.baseline}")
         return 0
 
-    atomic_write_text(args.output, json.dumps(report, indent=1, sort_keys=False) + "\n")
-    print(f"\nwrote {args.output}")
+    atomic_write_text(report_path, text)
+    print(f"\nwrote {report_path}")
     return 0
 
 

@@ -25,7 +25,17 @@ run — once per workspace-extraction step and once per workspace placement.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.stats import STATS
 
@@ -121,6 +131,54 @@ class HostEncoding:
             host.number_of_nodes(),
             host.number_of_edges(),
         )
+
+
+class NeighbourTable:
+    """The annealer's move targets on one host graph.
+
+    Built once per working graph and shared by every workspace and
+    restart.  :meth:`neighbours` lists a node's host neighbours in node
+    order -- ``sorted(graph.neighbors(node), key=index.__getitem__)`` --
+    and :attr:`graph_nodes` the graph's nodes in insertion order, the
+    annealer's local- and global-move targets.  :attr:`rows` packs every
+    neighbour list for the native annealer: one little-endian bit row of
+    :attr:`row_words` 64-bit words per node, in node order, built on first
+    use from the encoding's masks (``int.to_bytes`` per node, far cheaper
+    than iterating their bits in Python).
+    """
+
+    __slots__ = ("nodes", "index", "graph_nodes", "_adjacency", "_lists", "_rows")
+
+    def __init__(self, encoding: HostEncoding, graph_nodes: Iterable[Node]) -> None:
+        self.nodes: List[Node] = encoding.nodes
+        self.index: Dict[Node, int] = encoding.index
+        self.graph_nodes: List[Node] = list(graph_nodes)
+        self._adjacency = encoding.adjacency
+        self._lists: Dict[Node, List[Node]] = {}
+        self._rows: Optional[bytes] = None
+
+    @property
+    def row_words(self) -> int:
+        return (len(self.nodes) + 63) // 64
+
+    @property
+    def rows(self) -> bytes:
+        if self._rows is None:
+            width = 8 * self.row_words
+            self._rows = b"".join(
+                mask.to_bytes(width, "little") for mask in self._adjacency
+            )
+        return self._rows
+
+    def neighbours(self, node: Node) -> List[Node]:
+        """``node``'s host neighbours in node order (cached per node)."""
+        listed = self._lists.get(node)
+        if listed is None:
+            nodes = self.nodes
+            listed = self._lists[node] = [
+                nodes[bit] for bit in iter_bits(self._adjacency[self.index[node]])
+            ]
+        return listed
 
 
 def adjacency_masks(graph: AnyGraph, index: Dict[Node, int]) -> List[int]:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Qubit
-from repro.core._bitset import HostEncoding, bfs_rings, encode_host
+from repro.core._bitset import HostEncoding, NeighbourTable, bfs_rings, encode_host
 from repro.core.config import DEFAULT_OPTIONS, PlacementOptions
 from repro.core.fine_tuning import fine_tune_workspace_placement
 from repro.core.graph import Graph
@@ -60,9 +60,10 @@ class _GraphContext:
     breadth-first search over the graph: the host encoding's node index
     replaces every ``sorted(..., key=repr)`` tie-break, hop distances come
     from per-source BFS rings over its neighbour masks, computed at most
-    once per source, and each workspace's monomorphisms are enumerated at
+    once per source, each workspace's monomorphisms are enumerated at
     most once (the lookahead's enumeration serves the workspace's own
-    placement one iteration later).
+    placement one iteration later), and the annealer's neighbour table is
+    built at most once.
     """
 
     def __init__(self, graph: Graph, circuit: QuantumCircuit) -> None:
@@ -72,6 +73,16 @@ class _GraphContext:
         self.qubits: Tuple[Qubit, ...] = tuple(circuit.qubits)
         self.monomorphisms: Dict[int, List[Dict[Qubit, Node]]] = {}
         self._rings: Dict[int, List[int]] = {}
+        self._neighbour_table: Optional[NeighbourTable] = None
+
+    @property
+    def neighbour_table(self) -> NeighbourTable:
+        """The graph's :class:`~repro.core._bitset.NeighbourTable`, built on first use."""
+        if self._neighbour_table is None:
+            self._neighbour_table = NeighbourTable(
+                self.host_encoding, self.graph.nodes()
+            )
+        return self._neighbour_table
 
     def rings(self, source: int) -> List[int]:
         """:func:`~repro.core._bitset.bfs_rings` around bit ``source``, cached per source."""

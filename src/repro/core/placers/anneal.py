@@ -21,6 +21,15 @@ fixed-budget simulated annealer in the style of Enola's
 * **best-ever tracking** seeded with the greedy placement, so the
   annealer is never worse than its seed by construction.
 
+On the native scheduler backend each restart runs in one kernel call
+(:meth:`~repro.timing.scheduler.RuntimeEvaluator.anneal`), draw for draw
+and byte for byte the same as :func:`anneal_loop`, the Python loop that
+stays the reference and runs on the python backend, with
+``full_recompute`` and under ``sequential_levels``.  Local-move targets
+come from the working graph's
+:class:`~repro.core._bitset.NeighbourTable`, shared by every workspace
+and restart.
+
 Determinism: the RNG is a private :class:`random.Random` seeded from
 SHA-256 of ``(spec seed, workspace index)`` — never the ``random``
 module's global state — and every tie-break is value-ordered, so the
@@ -39,9 +48,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core._bitset import canonical_order
+from repro.core._bitset import NeighbourTable, canonical_order
 from repro.core.placers.base import Placement, WorkspacePlacer
 from repro.core.placers.greedy import greedy_candidate
 from repro.core.stats import STATS
@@ -125,111 +134,150 @@ class AnnealPlacer(WorkspacePlacer):
         movable,
         evaluator,
     ) -> Tuple[Placement, float]:
-        from repro.core.placement import _stage_runtime
-
         rng = random.Random(_derive_seed(self.seed, workspace.index))
         pattern = workspace.interaction_graph
-        node_order = context.node_order
-        allowed = list(context.graph.nodes())
         partners = {
             qubit: canonical_order(pattern.neighbors(qubit))
             for qubit in movable
             if qubit in pattern
         }
-        neighbour_cache: Dict = {}
+        table = context.neighbour_table
+        if (
+            evaluator is not None
+            and evaluator.backend == "native"
+            and not evaluator.full_recompute
+        ):
+            t0, alpha = _schedule(seed_runtime, self.iterations)
+            best, best_cost, counts = evaluator.anneal(
+                rng, seed_placement, seed_runtime, movable, partners, table,
+                iterations=self.iterations,
+                t0=t0,
+                alpha=alpha,
+                local_fraction=_LOCAL_MOVE_FRACTION,
+                limit_temperatures=_LIMIT_TEMPERATURES,
+            )
+        else:
+            from repro.core.placement import _stage_runtime
 
-        def host_neighbours(node):
-            cached = neighbour_cache.get(node)
-            if cached is None:
-                cached = sorted(
-                    context.graph.neighbors(node), key=node_order.__getitem__
-                )
-                neighbour_cache[node] = cached
-            return cached
-
-        current = dict(seed_placement)
-        current_cost = seed_runtime
-        best = dict(seed_placement)
-        best_cost = seed_runtime
-        node_to_qubit = {node: q for q, node in current.items()}
-        if evaluator is not None:
-            evaluator.set_base(current)
-
-        t0 = 0.25 * seed_runtime
-        t_end = t0 * 1e-3
-        alpha = (
-            (t_end / t0) ** (1.0 / (self.iterations - 1))
-            if self.iterations > 1
-            else 1.0
-        )
-        temperature = t0
-        accepted = rejected = delta_evals = 0
-
-        for _ in range(self.iterations):
-            qubit = movable[rng.randrange(len(movable))]
-            current_node = current[qubit]
-            qubit_partners = partners.get(qubit)
-            target = None
-            if qubit_partners and rng.random() < _LOCAL_MOVE_FRACTION:
-                anchor = current[
-                    qubit_partners[rng.randrange(len(qubit_partners))]
-                ]
-                neighbours = host_neighbours(anchor)
-                if neighbours:
-                    target = neighbours[rng.randrange(len(neighbours))]
-            if target is None:
-                target = allowed[rng.randrange(len(allowed))]
-            if target == current_node:
-                rejected += 1
-                temperature *= alpha
-                continue
-            occupant = node_to_qubit.get(target)
-            if occupant is None:
-                overrides = {qubit: target}
-            else:
-                overrides = {qubit: target, occupant: current_node}
-            delta_evals += 1
-            if evaluator is not None:
-                value = evaluator.runtime_with(
-                    overrides,
-                    limit=current_cost + _LIMIT_TEMPERATURES * temperature,
-                )
-            else:
-                candidate = dict(current)
-                candidate.update(overrides)
-                value = _stage_runtime(
+            best, best_cost, counts = anneal_loop(
+                rng, seed_placement, seed_runtime, movable, partners, table,
+                self.iterations, evaluator,
+                lambda candidate: _stage_runtime(
                     subcircuit, candidate, environment, options, None
-                )
-            accept = value <= current_cost
-            if not accept and math.isfinite(value):
-                accept = rng.random() < math.exp(
-                    -(value - current_cost) / temperature
-                )
-            if accept:
-                current.update(overrides)
-                node_to_qubit[target] = qubit
-                if occupant is None:
-                    del node_to_qubit[current_node]
-                else:
-                    node_to_qubit[current_node] = occupant
-                current_cost = value
-                if evaluator is not None:
-                    evaluator.set_base(current)
-                if value < best_cost:
-                    best = dict(current)
-                    best_cost = value
-                accepted += 1
-            else:
-                rejected += 1
-            temperature *= alpha
-
-        if evaluator is not None:
-            evaluator.flush_stats()
+                ),
+            )
+        accepted, rejected, delta_evals = counts
         STATS.increment("placer.anneal_steps", self.iterations)
         STATS.increment("placer.moves_accepted", accepted)
         STATS.increment("placer.moves_rejected", rejected)
         STATS.increment("placer.delta_evals", delta_evals)
         return best, best_cost
+
+
+def _schedule(start_cost: float, iterations: int) -> Tuple[float, float]:
+    """``(T0, alpha)``: the geometric schedule from ``T0`` to ``T0 / 1000``."""
+    t0 = 0.25 * start_cost
+    t_end = t0 * 1e-3
+    alpha = (t_end / t0) ** (1.0 / (iterations - 1)) if iterations > 1 else 1.0
+    return t0, alpha
+
+
+def anneal_loop(
+    rng: random.Random,
+    start: Placement,
+    start_cost: float,
+    movable: Sequence,
+    partners: Mapping,
+    table: NeighbourTable,
+    iterations: int,
+    evaluator=None,
+    full_cost: Optional[Callable[[Placement], float]] = None,
+) -> Tuple[Placement, float, Tuple[int, int, int]]:
+    """One annealing restart in Python: the reference of the native kernel.
+
+    Anneals ``start`` (cost ``start_cost``) for ``iterations`` proposals
+    drawn from ``rng``: a movable qubit, then, for a qubit with
+    ``partners``, a local move to a host neighbour (``table``) of a
+    partner's node with probability :data:`_LOCAL_MOVE_FRACTION`, else a
+    global move to any node of ``table.graph_nodes``.  Moves are scored
+    through ``evaluator.runtime_with`` (re-based on every accepted move)
+    or, without an evaluator, by ``full_cost`` of the whole candidate.
+    Returns the best placement (``start``'s key order), its cost and the
+    accepted, rejected and scored move counts.
+    :meth:`~repro.timing.scheduler.RuntimeEvaluator.anneal` runs this loop
+    in one native call, draw for draw.
+    """
+    allowed = table.graph_nodes
+    current = dict(start)
+    current_cost = start_cost
+    best = dict(start)
+    best_cost = start_cost
+    node_to_qubit = {node: q for q, node in current.items()}
+    if evaluator is not None:
+        evaluator.set_base(current)
+
+    temperature, alpha = _schedule(start_cost, iterations)
+    accepted = rejected = delta_evals = 0
+
+    for _ in range(iterations):
+        qubit = movable[rng.randrange(len(movable))]
+        current_node = current[qubit]
+        qubit_partners = partners.get(qubit)
+        target = None
+        if qubit_partners and rng.random() < _LOCAL_MOVE_FRACTION:
+            anchor = current[
+                qubit_partners[rng.randrange(len(qubit_partners))]
+            ]
+            neighbours = table.neighbours(anchor)
+            if neighbours:
+                target = neighbours[rng.randrange(len(neighbours))]
+        if target is None:
+            target = allowed[rng.randrange(len(allowed))]
+        if target == current_node:
+            rejected += 1
+            temperature *= alpha
+            continue
+        occupant = node_to_qubit.get(target)
+        if occupant is None:
+            overrides = {qubit: target}
+        else:
+            overrides = {qubit: target, occupant: current_node}
+        delta_evals += 1
+        if evaluator is not None:
+            value = evaluator.runtime_with(
+                overrides,
+                limit=current_cost + _LIMIT_TEMPERATURES * temperature,
+            )
+        else:
+            candidate = dict(current)
+            candidate.update(overrides)
+            value = full_cost(candidate)
+        accept = value <= current_cost
+        if not accept and math.isfinite(value):
+            accept = rng.random() < math.exp(
+                -(value - current_cost) / temperature
+            )
+        if accept:
+            current.update(overrides)
+            node_to_qubit[target] = qubit
+            if occupant is None:
+                del node_to_qubit[current_node]
+            else:
+                node_to_qubit[current_node] = occupant
+            current_cost = value
+            if evaluator is not None:
+                evaluator.set_base(current)
+            if value < best_cost:
+                best = dict(current)
+                best_cost = value
+            accepted += 1
+        else:
+            rejected += 1
+        temperature *= alpha
+
+    if evaluator is not None:
+        evaluator.flush_stats()
+    return best, best_cost, (accepted, rejected, delta_evals)
 
 
 class MultiRestartAnnealPlacer(WorkspacePlacer):

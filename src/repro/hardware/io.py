@@ -11,14 +11,18 @@ The on-disk format is a single JSON object::
     }
 
 Node labels are stored as strings; integer-looking labels are converted back
-to integers on load so that synthetic architectures round-trip.
+to integers on load so that synthetic architectures round-trip.  Pair
+labels follow the same rule, so ``["1", "2", 5.0]`` and ``[1, 2, 5.0]``
+both name nodes 1 and 2 (no string label ``"1"`` survives loading).  A key
+repeated in any object of the file is refused rather than letting the last
+one win.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.core._bitset import node_index_table
 from repro.exceptions import SerializationError
@@ -36,9 +40,11 @@ def _label_to_json(node: Node) -> Union[str, int]:
 
 def _label_from_json(value: Any) -> Node:
     """Parse a node label back, converting integer-looking strings to ints."""
-    if isinstance(value, int):
-        return value
     if isinstance(value, str):
+        if value.isdigit() or (value.startswith("-") and value[1:].isdigit()):
+            return int(value)
+        return value
+    if isinstance(value, int):
         return value
     raise SerializationError(f"unsupported node label {value!r} in environment file")
 
@@ -73,13 +79,6 @@ def from_dict(data: Dict[str, Any]) -> PhysicalEnvironment:
     except (TypeError, KeyError) as exc:
         raise SerializationError(f"malformed environment data: {exc}") from exc
 
-    def parse_node_key(key: str) -> Node:
-        # Node keys in the "nodes" mapping are always strings in JSON;
-        # convert integer-looking keys back to integers.
-        if isinstance(key, str) and (key.isdigit() or (key.startswith("-") and key[1:].isdigit())):
-            return int(key)
-        return _label_from_json(key)
-
     # Conversion errors (a list where a mapping belongs, a non-numeric
     # delay, a scalar pair entry) all mean a malformed file; the
     # constructor's own EnvironmentError_ checks stay outside the try.
@@ -87,7 +86,7 @@ def from_dict(data: Dict[str, Any]) -> PhysicalEnvironment:
         single: Dict[Node, float] = {}
         keys: Dict[Node, str] = {}
         for key, delay in raw_nodes.items():
-            node = parse_node_key(key)
+            node = _label_from_json(key)
             if node in keys:
                 raise SerializationError(
                     f"node keys {keys[node]!r} and {key!r} both name node {node!r}"
@@ -128,10 +127,22 @@ def dumps(environment: PhysicalEnvironment, indent: int = 2) -> str:
     return json.dumps(to_dict(environment), indent=indent, sort_keys=True)
 
 
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    """``object_pairs_hook`` refusing a key repeated within one object."""
+    data: Dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise SerializationError(
+                f"repeated key {key!r} in one object of the environment JSON"
+            )
+        data[key] = value
+    return data
+
+
 def loads(text: str) -> PhysicalEnvironment:
     """Parse an environment from a JSON string."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"invalid environment JSON: {exc}") from exc
     return from_dict(data)

@@ -52,6 +52,10 @@ CACHE_DIR_ENV_VAR = "REPRO_NATIVE_CACHE"
 #: IEEE double arithmetic on SSE2.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
+#: Libraries linked after the source: the annealer calls libm's ``exp``,
+#: the function ``math.exp`` calls.
+LDLIBS = ("-lm",)
+
 _SOURCE_PATH = Path(__file__).with_name("_native_kernel.c")
 
 # Memoised probe state: None = not yet probed; (kernel, None) on success;
@@ -88,7 +92,7 @@ def _artifact_path(source: bytes, compiler: str) -> Path:
     digest = hashlib.sha256()
     digest.update(source)
     digest.update(compiler.encode())
-    digest.update(" ".join(CFLAGS).encode())
+    digest.update(" ".join(CFLAGS + LDLIBS).encode())
     digest.update(f"{sys.platform}-{os.uname().machine}".encode())
     return cache_dir() / f"replay_{digest.hexdigest()[:16]}.so"
 
@@ -162,6 +166,33 @@ class _Kernel:
             ctypes.POINTER(ctypes.c_double),  # costs_out[num_starts]
             ctypes.POINTER(ctypes.c_int64),   # counts_out[4]
         ]
+        int64_p = ctypes.POINTER(ctypes.c_int64)
+        self.anneal = lib.repro_anneal
+        self.anneal.restype = ctypes.c_double
+        self.anneal.argtypes = [
+            ctx_p,              # ctx
+            ctypes.POINTER(ctypes.c_uint32),  # mt[625] (in and out)
+            int32_p,            # nodes (start row in, best row out)
+            int32_p,            # movable
+            ctypes.c_int64,     # num_movable
+            int64_p,            # partner_start[num_movable + 1]
+            int32_p,            # partners
+            ctypes.c_char_p,    # rows (neighbour bit rows, node order)
+            ctypes.c_int64,     # row_words
+            int32_p,            # canon_node
+            ctypes.c_int64,     # num_canon
+            int32_p,            # node_canon (scratch)
+            int32_p,            # allowed
+            ctypes.c_int64,     # num_allowed
+            ctypes.c_int64,     # iterations
+            ctypes.c_double,    # start_cost
+            ctypes.c_double,    # t0
+            ctypes.c_double,    # alpha
+            ctypes.c_double,    # local_fraction
+            ctypes.c_double,    # limit_temperatures
+            ctypes.POINTER(ctypes.c_double),  # base_runtime_out
+            int64_p,            # counts_out[6]
+        ]
 
 
 def _first_line(text: str) -> str:
@@ -190,7 +221,9 @@ def _build_and_load() -> Tuple[Optional[_Kernel], Optional[str]]:
                 suffix=".so", prefix="replay_build_", dir=str(artifact.parent)
             )
             os.close(fd)
-            command = [compiler, *CFLAGS, "-o", tmp_name, str(_SOURCE_PATH)]
+            command = [
+                compiler, *CFLAGS, "-o", tmp_name, str(_SOURCE_PATH), *LDLIBS
+            ]
             completed = subprocess.run(
                 command, capture_output=True, text=True, timeout=120
             )
@@ -265,8 +298,8 @@ class NativeReplay:
     owning :class:`~repro.timing.scheduler.RuntimeEvaluator` keeps all
     public bookkeeping (STATS counters, checkpoint arithmetic, cutoff
     semantics) so both backends stay operation-for-operation comparable; only
-    :meth:`hill_climb` does that arithmetic in C, and it reports its counts
-    back for the evaluator to book.
+    :meth:`hill_climb` and :meth:`anneal` do that arithmetic in C, and they
+    report their counts back for the evaluator to book.
     """
 
     __slots__ = (
@@ -360,8 +393,8 @@ class NativeReplay:
         self._first_touch_p = (ctypes.c_int64 * num_qubits).from_buffer(
             self._first_touch
         )
-        # The climb's occupant table is allocated by the first hill_climb(),
-        # so evaluators that never climb (the annealer's) never build it.
+        # The occupant table is allocated by the first hill_climb() or
+        # anneal(), so evaluators that do neither never build it.
         self._occupant: Optional[array] = None
         self._occupant_p: Optional["ctypes.Array[ctypes.c_int32]"] = None
         # The context struct binds every constant operand once; the view
@@ -412,6 +445,10 @@ class NativeReplay:
             return 0.0
         return self._kernel.ctx_full(self._ctx_ref, 1)
 
+    def base_nodes(self) -> List[int]:
+        """The recorded base placement (one node index per qubit)."""
+        return self._base_nodes.tolist()
+
     # -- incremental tail replay ---------------------------------------------
 
     def replay_tail(
@@ -443,6 +480,15 @@ class NativeReplay:
                 flags[index] = 0
         return result, self._ctx.stop_index
 
+    def _ensure_occupant(self) -> None:
+        """Allocate the node -> qubit scratch of the climb and the anneal."""
+        if self._occupant is None:
+            self._occupant = array("i", bytes(4 * self.num_env_nodes))
+            self._occupant_p = _int32_view(self._occupant)
+            self._ctx.occupant = ctypes.cast(
+                self._occupant_p, ctypes.POINTER(ctypes.c_int32)
+            )
+
     # -- whole hill climb ----------------------------------------------------
 
     def hill_climb(
@@ -472,12 +518,7 @@ class NativeReplay:
                 f"hill_climb() needs {num_starts} rows of {self.num_qubits} "
                 f"entries, got {len(starts)} starts and {len(keys)} keys"
             )
-        if self._occupant is None:
-            self._occupant = array("i", bytes(4 * self.num_env_nodes))
-            self._occupant_p = _int32_view(self._occupant)
-            self._ctx.occupant = ctypes.cast(
-                self._occupant_p, ctypes.POINTER(ctypes.c_int32)
-            )
+        self._ensure_occupant()
         movable_array = array("i", movable)
         allowed_array = array("i", allowed)
         costs = array("d", bytes(8 * num_starts))
@@ -501,3 +542,72 @@ class NativeReplay:
             base_runtime,
             (counts[0], counts[1], counts[2], counts[3]),
         )
+
+    # -- whole anneal --------------------------------------------------------
+
+    def anneal(
+        self,
+        state: Sequence[int],
+        nodes: array,
+        movable: array,
+        partner_start: array,
+        partners: array,
+        rows: bytes,
+        row_words: int,
+        canon_node: array,
+        allowed: array,
+        iterations: int,
+        scalars: Tuple[float, float, float, float, float],
+    ) -> Tuple[float, float, Tuple[int, ...], Tuple[int, ...]]:
+        """Run one annealing restart in C (``repro_anneal``).
+
+        ``state`` is the generator state, ``random.Random.getstate()[1]``
+        (624 words and a position); ``nodes`` the start row, overwritten
+        with the best row; ``scalars`` is ``(start_cost, t0, alpha,
+        local_fraction, limit_temperatures)``.  The recorded base is left
+        on the final placement.  Returns ``(best_cost, base_runtime,
+        counts, state)``: the six counts of the kernel's ``counts_out`` and
+        the advanced generator state.
+        """
+        # The kernel reads 625 state words, num_qubits start entries, one
+        # offset per movable qubit and one more, and row_words words per
+        # host node.
+        if len(state) != 625:
+            raise ValueError(f"anneal() needs 625 state words, got {len(state)}")
+        if len(nodes) != self.num_qubits or len(partner_start) != len(movable) + 1:
+            raise ValueError(
+                f"anneal() needs a row of {self.num_qubits} nodes and "
+                f"{len(movable) + 1} partner offsets, got {len(nodes)} and "
+                f"{len(partner_start)}"
+            )
+        if len(rows) != 8 * row_words * len(canon_node):
+            raise ValueError(
+                f"anneal() needs {len(canon_node)} rows of {row_words} words, "
+                f"got {len(rows)} bytes"
+            )
+        self._ensure_occupant()
+        words = (ctypes.c_uint32 * 625)(*state)
+        node_canon = array("i", bytes(4 * self.num_env_nodes))
+        base_runtime = ctypes.c_double()
+        counts = (ctypes.c_int64 * 6)()
+        best_cost = self._kernel.anneal(
+            self._ctx_ref,
+            words,
+            _int32_view(nodes),
+            _int32_view(movable),
+            len(movable),
+            (ctypes.c_int64 * len(partner_start)).from_buffer(partner_start),
+            _int32_view(partners),
+            rows,
+            row_words,
+            _int32_view(canon_node),
+            len(canon_node),
+            _int32_view(node_canon),
+            _int32_view(allowed),
+            len(allowed),
+            iterations,
+            *scalars,
+            ctypes.byref(base_runtime),
+            counts,
+        )
+        return best_cost, base_runtime.value, tuple(counts), tuple(words)

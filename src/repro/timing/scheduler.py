@@ -17,9 +17,10 @@ Sequential levels
 
 from __future__ import annotations
 
+import random
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate, Qubit
@@ -34,6 +35,9 @@ from repro.timing.gate_times import (
     gate_operating_time,
     validate_placement,
 )
+
+if TYPE_CHECKING:
+    from repro.core._bitset import NeighbourTable
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,8 @@ class RuntimeEvaluator:
         identical to the python backend — the same IEEE-754 operations on
         the same operands in the same order — so backend choice never
         changes any output.  The kernel also runs every hill climb of a
-        workspace in one call (:meth:`hill_climb`).  Requires a C compiler
+        workspace in one call (:meth:`hill_climb`) and every annealing
+        restart in one call (:meth:`anneal`).  Requires a C compiler
         at first use; an explicit request fails with a one-line error when
         the build is unavailable.
     ``"auto"`` (default)
@@ -305,6 +310,10 @@ class RuntimeEvaluator:
                 checkpoint_interval,
                 self._first_touch,
             )
+
+        # The last anneal()'s neighbour table, with its node order and
+        # graph order in this evaluator's node indices.
+        self._anneal_maps: Optional[Tuple["NeighbourTable", array, array]] = None
 
         # Base-placement state (populated by set_base).
         self._base_nodes: Optional[List[int]] = None
@@ -633,6 +642,106 @@ class RuntimeEvaluator:
             }
             results.append((climbed, costs[row]))
         return results
+
+    # -- whole anneal -------------------------------------------------------
+
+    def anneal(
+        self,
+        rng: random.Random,
+        start: Placement,
+        start_cost: float,
+        movable_qubits: Sequence[Qubit],
+        partners: Mapping[Qubit, Sequence[Qubit]],
+        table: "NeighbourTable",
+        *,
+        iterations: int,
+        t0: float,
+        alpha: float,
+        local_fraction: float,
+        limit_temperatures: float,
+    ) -> Tuple[Placement, float, Tuple[int, int, int]]:
+        """Run one annealing restart in one kernel call.
+
+        Native backend only; the reference is
+        :func:`~repro.core.placers.anneal.anneal_loop` with this evaluator.
+        The kernel draws from a bit-exact C mirror of ``rng`` (a plain
+        :class:`random.Random`, handed over with ``getstate()`` and given
+        back with ``setstate()``, so it ends where the loop leaves it),
+        proposes the loop's moves over ``table`` (local moves among the
+        neighbours of a partner's node, global ones over its graph order),
+        scores each like :meth:`runtime_with` with the loop's cutoff,
+        applies the same acceptance rule and re-bases on every accepted
+        move.  The best placement (``start``'s key order), its cost, the
+        scheduler counters and the final base all equal the loop's.  No
+        move is cross-checked against a full evaluation, so
+        ``full_recompute`` callers keep the loop.  ``start`` must place
+        every evaluator qubit on a distinct node of ``table``; every qubit
+        and node is translated before the kernel runs, so a bad one raises
+        and leaves the evaluator and ``rng`` untouched.  Returns ``(best,
+        best_cost, (accepted, rejected, scored))``.
+        """
+        native = self._native
+        if native is None:
+            raise RuntimeError(
+                f"anneal() needs the native backend, not {self.backend!r}"
+            )
+        if type(rng) is not random.Random:
+            raise TypeError(
+                f"anneal() mirrors random.Random exactly, not {type(rng).__name__}"
+            )
+        if not 0 <= iterations < 2**63:
+            raise ValueError(f"anneal() cannot run {iterations} iterations")
+        self._check_environment_fresh()
+        qubit_index = self._qubit_index
+        node_index = self._node_index
+        maps = self._anneal_maps
+        if maps is None or maps[0] is not table:
+            maps = self._anneal_maps = (
+                table,
+                array("i", [node_index[node] for node in table.nodes]),
+                array("i", [node_index[node] for node in table.graph_nodes]),
+            )
+        _, canon_node, allowed = maps
+        in_table = table.index
+        nodes = array("i")
+        for qubit in self._qubits:
+            node = start[qubit]
+            if node not in in_table:
+                raise KeyError(node)
+            nodes.append(node_index[node])
+        if len(set(nodes)) != len(nodes) or len(start) != len(nodes):
+            raise ValueError("anneal() needs one distinct node per evaluator qubit")
+        movable = array("i", [qubit_index[qubit] for qubit in movable_qubits])
+        if iterations and not movable:
+            raise ValueError("anneal() needs a movable qubit to propose moves")
+        partner_start = array("q", [0])
+        partner_list = array("i")
+        for qubit in movable_qubits:
+            partner_list.extend(
+                [qubit_index[partner] for partner in partners.get(qubit) or ()]
+            )
+            partner_start.append(len(partner_list))
+        version, state, gauss_next = rng.getstate()
+        best_cost, self.base_runtime, counts, state = native.anneal(
+            state, nodes, movable, partner_start, partner_list, table.rows,
+            table.row_words, canon_node, allowed, iterations,
+            (start_cost, t0, alpha, local_fraction, limit_temperatures),
+        )
+        rng.setstate((version, state, gauss_next))
+        self._base_nodes = native.base_nodes()
+        accepted, rejected, scored, evals, skipped, replayed = counts
+        # The start's recording plus one re-base per accepted move, as
+        # set_base books them.
+        STATS.increment("scheduler.full_evals", 1 + accepted)
+        self._pending_incremental += evals
+        self._pending_skipped += skipped
+        self._pending_replayed += replayed
+        self.flush_stats()
+        env_nodes = self._nodes
+        best = {
+            qubit: env_nodes[nodes[qubit_index[qubit]]] for qubit in start
+        }
+        return best, best_cost, (accepted, rejected, scored)
 
     def _assert_full_recompute_parity(
         self,

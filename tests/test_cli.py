@@ -180,6 +180,19 @@ class TestJsonOutput:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_place_refuses_a_repeated_node_key(self, tmp_path, capsys):
+        env_path = tmp_path / "env.json"
+        env_path.write_text(
+            '{"nodes": {"a": 1.0, "a": 2.0, "b": 1.0}, "default_pair_delay": 10.0}'
+        )
+        code = main(["place", "qft:2", str(env_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: repeated key 'a' in one object of the environment JSON\n"
+        )
+
     def test_sweep_json_cells_match_text_table(self, capsys):
         assert main(["sweep"] + SWEEP_ARGS + ["--output", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -11,9 +11,10 @@ hash-seed-dependent stage) must produce byte-identical experiment outputs
   serial one exactly.
 
 The fingerprint below covers a threshold sweep (Table 3 machinery), a full
-placement with every SWAP layer spelled out (the router), the Table 2
-reconstruction and a Table 4 scalability point, excluding only wall-clock
-fields.
+placement with every SWAP layer spelled out (the router), a multi-restart
+simulated-annealing placement (the annealer, which the native backend
+runs in one kernel call per restart), the Table 2 reconstruction and a
+Table 4 scalability point, excluding only wall-clock fields.
 """
 
 import json
@@ -37,6 +38,7 @@ from repro.circuits.library import phaseest, qft6
 from repro.core.config import PlacementOptions
 from repro.core.placement import place_circuit
 from repro.hardware.molecules import trans_crotonic_acid
+from repro.registry import load_circuit, load_environment
 
 jobs = int(sys.argv[1])
 
@@ -68,6 +70,19 @@ fingerprint["placement"] = {
         for swap in result.swap_stages
     ],
     "swap_runtimes": [swap.runtime for swap in result.swap_stages],
+}
+
+annealed = place_circuit(
+    load_circuit("random-chain:12x36x1"),
+    load_environment("grid:8x8"),
+    PlacementOptions(threshold=10.0, placer="anneal:3,5x300"),
+)
+fingerprint["anneal"] = {
+    "total_runtime": annealed.total_runtime,
+    "stages": [
+        [(repr(q), repr(n)) for q, n in stage.placement.items()]
+        for stage in annealed.stages
+    ],
 }
 
 fingerprint["table2"] = [
@@ -112,6 +127,7 @@ class TestHashSeedDeterminism:
         decoded = json.loads(reference)
         assert any(decoded["placement"]["swap_layers"])
         assert decoded["sweep"][1][1] is not None
+        assert decoded["anneal"]["stages"]
 
         for hash_seed in ("1", "12345"):
             assert _fingerprint(hash_seed, jobs=1) == reference, (

@@ -97,3 +97,33 @@ class TestErrors:
         message = f"node keys '{first}' and '{second}' both name node {node}$"
         with pytest.raises(SerializationError, match=message):
             hio.from_dict({"nodes": nodes})
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"nodes": {"a": 1.0, "a": 2.0, "b": 1.0}}', "a"),
+            ('{"nodes": {"a": 1.0}, "name": "x", "name": "y"}', "name"),
+            ('{"nodes": {"1": 1.0, "1": 1.0}}', "1"),
+        ],
+    )
+    def test_repeated_keys_are_refused(self, text, key):
+        message = f"^repeated key '{key}' in one object of the environment JSON$"
+        with pytest.raises(SerializationError, match=message):
+            hio.loads(text)
+
+
+class TestPairLabels:
+    def test_integer_looking_pair_labels_name_integer_nodes(self):
+        env = hio.loads(
+            '{"nodes": {"1": 1.0, "2": 1.0, "-3": 1.0}, '
+            '"pairs": [["1", "2", 5.0], [2, "-3", 7.0]]}'
+        )
+        assert env.pair_delay(1, 2) == 5.0
+        assert env.pair_delay(2, -3) == 7.0
+        assert hio.loads(hio.dumps(env)).explicit_pairs() == env.explicit_pairs()
+
+    def test_string_pair_labels_stay_strings(self):
+        env = hio.from_dict(
+            {"nodes": {"a1": 1.0, "b": 1.0}, "pairs": [["a1", "b", 3.0]]}
+        )
+        assert env.pair_delay("a1", "b") == 3.0
