@@ -14,12 +14,14 @@
 #      placement completion, the in-house graph type and the environment's
 #      derived graphs (the stages that used to depend on it or on
 #      networkx) must match their networkx references under each;
-#   2. a 2-shard plan -> run -> merge round trip and a `sweep --jobs 2`
-#      run (its grid has 3 distinct cells, so the process pool runs)
-#      through the CLI, asserting both tables are byte-identical to the
-#      serial `sweep` output — the sharded pipeline's and the worker
-#      pool's end-to-end contract — and that merging a half-length copy
-#      of one outcome shard fails closed with an error naming the file;
+#   2. a 2-shard plan -> run -> merge round trip, with shard 1 run under
+#      REPRO_SCHEDULER_BACKEND=python so the merge crosses backends, and
+#      a `sweep --jobs 2` run (its grid has 3 distinct cells, so the
+#      process pool runs) through the CLI, asserting both tables are
+#      byte-identical to the serial `sweep` output — the sharded
+#      pipeline's, the backends' and the worker pool's end-to-end
+#      contract — and that merging a half-length copy of one outcome
+#      shard fails closed with an error naming the file;
 #   3. a RunConfig round-trip smoke: a flag-based `place --output json` run
 #      re-described as a repro.config.RunConfig and re-run via `--config`
 #      must produce identical deterministic fields — the unified workload
@@ -87,15 +89,15 @@ SWEEP_ARGS=(error-correction-encoding acetyl-chloride --thresholds 50 100 200 10
     --shards 2 --out-dir "$WORK_DIR/shards"
 "$PYTHON" -m repro.cli shard run --shard-file "$WORK_DIR/shards/shard-0.pkl" \
     --out "$WORK_DIR/outcomes-0.json"
-"$PYTHON" -m repro.cli shard run --shard-file "$WORK_DIR/shards/shard-1.pkl" \
-    --out "$WORK_DIR/outcomes-1.json"
+REPRO_SCHEDULER_BACKEND=python "$PYTHON" -m repro.cli shard run \
+    --shard-file "$WORK_DIR/shards/shard-1.pkl" --out "$WORK_DIR/outcomes-1.json"
 "$PYTHON" -m repro.cli shard merge --plan "$WORK_DIR/shards/plan.json" \
     "$WORK_DIR/outcomes-0.json" "$WORK_DIR/outcomes-1.json" > "$WORK_DIR/merged.txt"
 if ! diff "$WORK_DIR/serial.txt" "$WORK_DIR/merged.txt"; then
     echo "FAIL: merged shard output differs from the serial sweep" >&2
     exit 1
 fi
-echo "merged output byte-identical to serial sweep"
+echo "merged output (shard 1 on the python backend) byte-identical to serial sweep"
 # A truncated outcome shard must fail the merge closed, naming the file.
 TRUNCATED="$WORK_DIR/truncated-1.json"
 head -c "$(( $(wc -c < "$WORK_DIR/outcomes-1.json") / 2 ))" \

@@ -16,8 +16,9 @@ Usage::
     python scripts/run_bench.py --check --output /tmp/now.json
                                                 # check, and keep the full report
     python scripts/run_bench.py --repeats 5 --output /tmp/bench.json
-    python scripts/run_bench.py --backend python  # force a scheduler backend for
-                                                  # every 'auto' evaluator
+    REPRO_SCHEDULER_BACKEND=python python scripts/run_bench.py
+                                                # every 'auto' evaluator on the
+                                                # python reference loop
     python scripts/run_bench.py --check --scenarios monomorphism_micro \
         place_qec5_boc                            # gate a fast subset (CI)
 
@@ -44,7 +45,6 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "perf"))
 import bench_harness  # noqa: E402  (path set up above)
 
 from repro.analysis.serialization import atomic_write_text  # noqa: E402
-from repro.timing._replay import BACKEND_CHOICES, BACKEND_ENV_VAR  # noqa: E402
 
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_placement.json"
 
@@ -52,23 +52,15 @@ DEFAULT_BASELINE = REPO_ROOT / "BENCH_placement.json"
 def _lint_dirty_reason():
     """Why the tree fails the static-analysis gate, or ``None`` when clean.
 
-    Re-baselining performance numbers while the lint gate is red would let
-    the two ratchets drift apart — a perf baseline recorded on top of known
-    determinism violations is not a baseline worth committing.
+    Re-baselining performance numbers while the lint gate is red would
+    record a perf baseline on top of known determinism violations, which
+    is not a baseline worth committing.
     """
-    from repro.lint import (
-        BASELINE_FILENAME,
-        compare_to_baseline,
-        lint_tree,
-        load_baseline,
-    )
+    from repro.lint import lint_tree
 
-    baseline = load_baseline(str(REPO_ROOT / BASELINE_FILENAME))
-    fresh, stale = compare_to_baseline(lint_tree(str(REPO_ROOT)), baseline)
-    if fresh:
-        return f"{len(fresh)} new lint finding(s), e.g. {fresh[0].format()}"
-    if stale:
-        return f"stale lint baseline entries: {', '.join(stale)}"
+    findings = lint_tree(str(REPO_ROOT))
+    if findings:
+        return f"{len(findings)} lint finding(s), e.g. {findings[0].format()}"
     return None
 
 
@@ -108,14 +100,6 @@ def main(argv=None) -> int:
         type=float,
         default=float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.20")),
         help="allowed relative regression before --check fails (default 0.20)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_CHOICES),
-        default=None,
-        help="force the scheduler evaluation backend for the whole run by "
-        "setting REPRO_SCHEDULER_BACKEND (the explicit-backend replay_* "
-        "scenarios are unaffected); outputs are bit-identical either way",
     )
     parser.add_argument(
         "--scenarios",
@@ -181,9 +165,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-
-    if args.backend is not None:
-        os.environ[BACKEND_ENV_VAR] = args.backend
 
     report = build_report(args.repeats, names=args.scenarios)
     text = json.dumps(report, indent=1, sort_keys=False) + "\n"

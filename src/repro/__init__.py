@@ -66,7 +66,6 @@ from repro.registry import (
     CIRCUITS,
     ENVIRONMENTS,
     PLACERS,
-    SCHEDULER_BACKENDS,
     SHARD_STRATEGIES,
     load_circuit,
     load_environment,
@@ -89,7 +88,6 @@ __all__ = [
     "CIRCUITS",
     "ENVIRONMENTS",
     "PLACERS",
-    "SCHEDULER_BACKENDS",
     "SHARD_STRATEGIES",
     "load_circuit",
     "load_environment",

@@ -41,13 +41,10 @@ and :meth:`ExperimentRunner.run` collects that stream in spec order.  The
 sharding layer (:mod:`repro.analysis.sharding`) streams each shard's
 cells through the same :meth:`~ExperimentRunner.iter_outcomes`.
 
-The scheduler's evaluation backend is likewise an execution detail: cells
-carry it in their :class:`~repro.core.config.PlacementOptions`
-(``scheduler_backend``), worker processes inherit the
-``REPRO_SCHEDULER_BACKEND`` environment variable for cells left on
-``"auto"``, and :class:`ExperimentRunner` can force one backend for a whole
-grid (``scheduler_backend=...``).  Backends are bit-identical (see
-``docs/performance.md``), so none of these choices changes any outcome.
+The scheduler's evaluation backend is likewise an execution detail and a
+property of the process: worker processes inherit the parent's
+``REPRO_SCHEDULER_BACKEND`` environment variable.  Backends are
+bit-identical (see ``docs/performance.md``), so it changes no outcome.
 
 A cell that raises :class:`~repro.exceptions.ThresholdError` or
 :class:`~repro.exceptions.PlacementError` is an infeasible ("N/A")
@@ -56,7 +53,6 @@ outcome; any other exception propagates out of the grid.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -73,7 +69,7 @@ from repro.core.stats import STATS
 from repro.exceptions import ExperimentError, PlacementError, ThresholdError
 from repro.hardware.environment import PhysicalEnvironment
 from repro.hardware.molecules import molecule
-from repro.timing._replay import BACKEND_CHOICES, backend_from_env
+from repro.timing._replay import backend_from_env
 
 #: Signature of the progress callback: ``(completed, total, outcome)``.
 ProgressCallback = Callable[[int, int, "ExperimentOutcome"], None]
@@ -285,35 +281,24 @@ class ExperimentRunner:
         ``(completed_count, total, outcome)``.  In parallel runs it fires
         in completion order (which is nondeterministic); the *returned*
         outcome list is always in spec order.
-    scheduler_backend:
-        When set (``"auto"``/``"python"``/``"native"``), override every
-        cell's ``options.scheduler_backend`` for this run — the
-        whole-grid equivalent of the CLI's ``--scheduler-backend``.
-        Outcomes are bit-identical across backends, so this only affects
-        wall time.  The ``REPRO_SCHEDULER_BACKEND`` environment variable
-        that cells left on ``"auto"`` inherit is validated here too, so
-        an invalid value is refused before any cell runs.
+
+    The ``REPRO_SCHEDULER_BACKEND`` environment variable, which every
+    cell's evaluator reads, is validated here, so an invalid value is
+    refused before any cell runs.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         progress: Optional[ProgressCallback] = None,
-        scheduler_backend: Optional[str] = None,
     ) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be at least 1, got {jobs}")
-        if scheduler_backend is not None and scheduler_backend not in BACKEND_CHOICES:
-            raise ExperimentError(
-                f"scheduler_backend must be one of {BACKEND_CHOICES}, "
-                f"got {scheduler_backend!r}"
-            )
-        # Cells left on "auto" read the variable only once they run; an
-        # invalid value must fail here, not inside every cell.
+        # Cells read the variable only once they run; an invalid value
+        # must fail here, not inside every cell.
         backend_from_env()
         self.jobs = int(jobs)
         self.progress = progress
-        self.scheduler_backend = scheduler_backend
 
     def run(
         self,
@@ -353,16 +338,6 @@ class ExperimentRunner:
         specs = list(specs)
         if not specs:
             return
-        if self.scheduler_backend is not None:
-            specs = [
-                dataclasses.replace(
-                    spec,
-                    options=(spec.options or PlacementOptions()).replace(
-                        scheduler_backend=self.scheduler_backend
-                    ),
-                )
-                for spec in specs
-            ]
         if self.jobs == 1 or len(specs) == 1:
             yield from self._iter_serial(specs)
         else:

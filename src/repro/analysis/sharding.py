@@ -433,7 +433,7 @@ def execute_shard(
     """Run one shard's cells and package the outcome shard.
 
     ``runner`` controls *how* the shard's own cells execute (serially or
-    over local worker processes, progress callbacks, backend override);
+    over local worker processes, progress callbacks);
     defaults to a serial runner.  The cells stream through
     :meth:`ExperimentRunner.iter_outcomes` exactly as they would inside a
     whole-grid run — same per-cell work, same counters — and each

@@ -190,13 +190,7 @@ class SweepResult:
 
 @dataclass
 class SweepGrid:
-    """The flattened sweep grid of one config, before execution.
-
-    The specs stay on the ``"auto"`` scheduler backend, so that plans (and
-    their fingerprints) are identical whatever backend an invocation
-    selects — backends are bit-identical by contract; the config's backend
-    reaches the cells as :meth:`Session.runner`'s whole-grid override.
-    """
+    """The flattened sweep grid of one config, before execution."""
 
     environment: PhysicalEnvironment
     thresholds: List[float]
@@ -264,18 +258,9 @@ class Session:
         """The picklable environment factory of this run's environment spec."""
         return partial(load_environment, self.config.environment)
 
-    def backend_override(self) -> Optional[str]:
-        """The whole-grid scheduler-backend override (``None`` for auto)."""
-        backend = self.config.options.scheduler_backend
-        return None if backend == "auto" else backend
-
     def runner(self) -> ExperimentRunner:
         """An :class:`ExperimentRunner` shaped by this config."""
-        return ExperimentRunner(
-            jobs=self.config.jobs,
-            progress=self.progress,
-            scheduler_backend=self.backend_override(),
-        )
+        return ExperimentRunner(jobs=self.config.jobs, progress=self.progress)
 
     def run(
         self, specs: Sequence[ExperimentSpec], fingerprint: bool = False
@@ -322,15 +307,13 @@ class Session:
 
         Factories are module-level loader partials, so specs — and
         therefore the plan fingerprint — serialise identically in any
-        process; the scheduler backend is kept *out* of the specs (they
-        stay on ``"auto"``) and applied by :meth:`runner`.
+        process.
         """
         environment = load_environment(self.config.environment)
         thresholds = [
             float(value)
             for value in (self.config.thresholds or list(PAPER_THRESHOLDS))
         ]
-        options = self.config.options.replace(scheduler_backend="auto")
         circuit_factory = self.circuit_factory()
         circuit_name = circuit_factory().name
         specs, cell_index = build_sweep_specs(
@@ -338,7 +321,7 @@ class Session:
             environment,
             self.environment_factory(),
             thresholds,
-            options,
+            self.config.options,
             circuit_name=circuit_name,
         )
         return SweepGrid(
@@ -376,9 +359,7 @@ class Session:
         """Partition this config's sweep grid into its deterministic shards.
 
         The returned plan embeds the config, so shard input files written
-        from it are self-describing.  The config's ``scheduler_backend``
-        is deliberately *not* part of the planned grid (see
-        :class:`SweepGrid`).
+        from it are self-describing.
         """
         grid = grid or self.sweep_grid()
         return sharding.ShardPlan.build(

@@ -17,12 +17,17 @@ Grammar per non-comment line:
 
 * ``qubits <label> <label> ...`` — declares the qubit labels (required,
   first non-comment line);
-* ``<Name>(<angle>) <q> [<q2>]`` — a gate with an explicit angle, whose
-  duration is derived from the gate name and angle via the constructors in
-  :mod:`repro.circuits.gates`;
+* ``<Name>(<angle>) <q> [<q2>]`` — a gate with an explicit angle (any
+  finite float literal: ``90``, ``-0.5``, ``8.58e-05``), whose duration is
+  derived from the gate name and angle via the constructors in
+  :mod:`repro.circuits.gates`; the names are RX/RY/RZ/ZZ/CPHASE;
 * ``<Name> <q> [<q2>] [duration=<t>]`` — a named gate without an angle;
   CNOT/CZ/SWAP/H/X/Y/Z map to their constructors, any other name becomes a
   generic gate with the given (default 1.0) duration.
+
+:func:`dumps` writes every angle and duration so that it parses back to
+the same float (``90`` stays ``90``), so ``loads(dumps(c))`` rebuilds the
+gates of ``c`` exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.exceptions import SerializationError
 
-_GATE_WITH_ANGLE = re.compile(r"^(?P<name>[A-Za-z_][\w]*)\((?P<angle>-?\d+(?:\.\d+)?)\)$")
+_GATE_WITH_ANGLE = re.compile(r"^(?P<name>[A-Za-z_][\w]*)\((?P<angle>.*)\)$")
 
 _ANGLE_CONSTRUCTORS: Dict[str, Callable[..., Gate]] = {
     "RX": lambda qubits, angle: g.rx(qubits[0], angle),
@@ -92,6 +97,19 @@ def loads(text: str, name: str = "circuit") -> QuantumCircuit:
         raise SerializationError(f"invalid circuit: {exc}") from exc
 
 
+def _finite(text: str, what: str, line_number: int) -> float:
+    """Parse a float literal, refusing text that is not a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SerializationError(
+            f"line {line_number}: {what} must be a finite number, got {text!r}"
+        )
+    return value
+
+
 def _parse_gate_line(tokens: List[str], line_number: int) -> Gate:
     """Parse one gate line that has already been split into tokens."""
     head = tokens[0]
@@ -99,28 +117,19 @@ def _parse_gate_line(tokens: List[str], line_number: int) -> Gate:
     operands = []
     for token in tokens[1:]:
         if token.startswith("duration="):
-            text = token.split("=", 1)[1]
-            try:
-                duration = float(text)
-            except ValueError:
-                duration = math.nan
-            if not math.isfinite(duration):
-                raise SerializationError(
-                    f"line {line_number}: duration must be a finite number, "
-                    f"got {text!r}"
-                )
+            duration = _finite(token.split("=", 1)[1], "duration", line_number)
         else:
             operands.append(token)
 
     match = _GATE_WITH_ANGLE.match(head)
     if match:
         gate_name = match.group("name").upper()
-        angle = float(match.group("angle"))
         constructor = _ANGLE_CONSTRUCTORS.get(gate_name)
         if constructor is None:
             raise SerializationError(
                 f"line {line_number}: unknown parametrised gate {gate_name!r}"
             )
+        angle = _finite(match.group("angle"), f"{gate_name} angle", line_number)
         expected = 2 if gate_name in {"ZZ", "CPHASE"} else 1
         if len(operands) != expected:
             raise SerializationError(
@@ -152,17 +161,25 @@ def _parse_gate_line(tokens: List[str], line_number: int) -> Gate:
     )
 
 
+def _number(value: float) -> str:
+    """``value`` as the short ``:g`` text when that parses back exactly."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def dumps(circuit: QuantumCircuit) -> str:
     """Serialize a circuit to the text format accepted by :func:`loads`."""
     lines = [f"# {circuit.name}", "qubits " + " ".join(str(q) for q in circuit.qubits)]
     for gate in circuit:
         operands = " ".join(str(q) for q in gate.qubits)
         if gate.angle is not None and gate.name.upper() in _ANGLE_CONSTRUCTORS:
-            lines.append(f"{gate.name}({gate.angle:g}) {operands}")
+            lines.append(f"{gate.name}({_number(gate.angle)}) {operands}")
         elif gate.name.upper() in _PLAIN_CONSTRUCTORS:
             lines.append(f"{gate.name} {operands}")
         else:
-            lines.append(f"{gate.name} {operands} duration={gate.duration:g}")
+            lines.append(
+                f"{gate.name} {operands} duration={_number(gate.duration)}"
+            )
     return "\n".join(lines) + "\n"
 
 

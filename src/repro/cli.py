@@ -78,14 +78,7 @@ from repro.exceptions import (
     ReproError,
     UnknownSpecError,
 )
-from repro.registry import (
-    CIRCUITS,
-    ENVIRONMENTS,
-    PLACERS,
-    SCHEDULER_BACKENDS,
-    SHARD_STRATEGIES,
-)
-from repro.timing._replay import BACKEND_CHOICES
+from repro.registry import CIRCUITS, ENVIRONMENTS, PLACERS, SHARD_STRATEGIES
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +105,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                         help="disable the depth-2 lookahead")
     parser.add_argument("--no-leaf-override", action="store_true",
                         help="disable the leaf-target override routing heuristic")
-    parser.add_argument("--scheduler-backend", choices=list(BACKEND_CHOICES),
-                        default=None,
-                        help="runtime-evaluator backend (bit-identical outputs; "
-                             "default 'auto' defers to REPRO_SCHEDULER_BACKEND, "
-                             "then picks native when its kernel builds, else "
-                             "python)")
     parser.add_argument("--placer", default=None, metavar="SPEC",
                         help="placement engine spec: exact (default), greedy, "
                              "or anneal[:SEED[xITERS]] (multi-restart: "
@@ -148,8 +135,6 @@ def _merged_options(base: PlacementOptions, args: argparse.Namespace) -> Placeme
         changes["lookahead"] = False
     if getattr(args, "no_leaf_override", False):
         changes["leaf_override"] = False
-    if getattr(args, "scheduler_backend", None) is not None:
-        changes["scheduler_backend"] = args.scheduler_backend
     if getattr(args, "placer", None) is not None:
         changes["placer"] = args.placer
     try:
@@ -301,9 +286,6 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
             "shard plan needs --shards N (or a --config file supplying "
             "'shards'); a shard count is the point of planning"
         )
-    # The backend override never becomes part of the planned grid's
-    # identity: it is a per-worker execution detail ('shard run
-    # --scheduler-backend'), and Session.sweep_grid keeps specs on "auto".
     config = _config_from_args(args)
     session = Session(config)
     grid = session.sweep_grid()
@@ -347,7 +329,6 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
             stderr_progress(f"shard {shard.shard_index} cell")
             if args.progress else None
         ),
-        scheduler_backend=args.scheduler_backend,
     )
     outcome_shard = sharding.execute_shard(shard, runner)
     sharding.write_outcome_shard(outcome_shard, args.out)
@@ -485,9 +466,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
         if entry.name == "anneal":
             form = "anneal[:SEED[,SEED...][xITERS]]"
         print(f"  {form:28s} {entry.description}")
-    print("scheduler backends:")
-    for entry in SCHEDULER_BACKENDS.entries():
-        print(f"  {entry.name:28s} {entry.description}")
     return 0
 
 
@@ -575,10 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="local worker processes for this shard's cells")
     run_parser.add_argument("--progress", action="store_true",
                             help="print one line per completed cell to stderr")
-    run_parser.add_argument("--scheduler-backend", choices=list(BACKEND_CHOICES),
-                            default=None,
-                            help="override the runtime-evaluator backend for "
-                                 "this shard (outputs are bit-identical)")
     run_parser.set_defaults(func=_cmd_shard, shard_func=_cmd_shard_run)
 
     merge_parser = shard_subparsers.add_parser(

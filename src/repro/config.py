@@ -29,8 +29,10 @@ Unknown keys are rejected (a typo in a config file must not be silently
 ignored), and all values are validated on construction, so an invalid
 file fails with a one-line :class:`~repro.exceptions.ConfigError` before
 any work starts.  Files written before the cell-retry layer was removed
-carry ``"retries": 0`` and ``"cell_timeout": null``; those no-op values
-are read and dropped, and any other value is refused (``docs/api.md``).
+carry ``"retries": 0`` and ``"cell_timeout": null``, and options objects
+written before the scheduler backend became a property of the process
+carry ``"auto"`` as their backend; those no-op values are read and
+dropped, and any other value is refused (``docs/api.md``).
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.config import PlacementOptions
+from repro.core.config import REMOVED_BACKEND_OPTION, PlacementOptions
 from repro.exceptions import ConfigError, ReproError
 from repro.registry import SHARD_STRATEGIES
+from repro.timing._replay import BACKEND_ENV_VAR
 
 #: Format tag written into (and checked in) serialised configs.
 CONFIG_FORMAT = "repro-run-config"
@@ -54,9 +57,15 @@ CONFIG_SCHEMA_VERSION = 1
 OUTPUT_FORMATS = ("text", "json")
 
 
-#: Keys of the removed cell-retry layer, with the no-op value every file
-#: written before its removal carries.
-_REMOVED_KEYS = (("retries", 0), ("cell_timeout", None))
+#: Keys removed from the run config, and from its options object: each
+#: with the no-op value files written before the removal carry, and why
+#: any other value is refused.
+_NO_RETRIES = "cell retries and timeouts were removed"
+_REMOVED_KEYS = (("retries", 0, _NO_RETRIES), ("cell_timeout", None, _NO_RETRIES))
+_REMOVED_OPTIONS = (
+    (REMOVED_BACKEND_OPTION, "auto",
+     f"the scheduler backend is chosen per process by {BACKEND_ENV_VAR}"),
+)
 
 
 def check_execution(jobs: object) -> None:
@@ -70,21 +79,24 @@ def check_execution(jobs: object) -> None:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
 
 
-def _drop_removed_keys(data: Dict[str, Any]) -> None:
-    """Remove the cell-retry keys from ``data`` if they hold no-op values.
+def _drop_removed_keys(
+    data: Dict[str, Any], removed: Tuple[Tuple[str, Any, str], ...], kind: str
+) -> None:
+    """Remove the ``removed`` keys from ``data`` if they hold no-op values.
 
-    Any other value asks for retries or a timeout, which no longer exist;
-    running without them would silently differ from what the file asks
-    for, so such a value raises :class:`ConfigError` instead.
+    Any other value asks for something this program no longer does per
+    run (retries, a timeout, one scheduler backend); running without it
+    would silently differ from what the file asks for, so such a value
+    raises :class:`ConfigError` instead.
     """
-    for key, inert in _REMOVED_KEYS:
+    for key, inert, reason in removed:
         if key not in data:
             continue
         value = data.pop(key)
         if value != inert or type(value) is not type(inert):
             raise ConfigError(
-                f"run-config key {key!r} is {value!r}, but cell retries "
-                "and timeouts were removed; delete the key"
+                f"{kind} key {key!r} is {value!r}, but {reason}; "
+                "delete the key"
             )
 
 
@@ -93,6 +105,8 @@ def _options_to_dict(options: PlacementOptions) -> Dict[str, Any]:
 
 
 def _options_from_dict(data: Mapping[str, Any]) -> PlacementOptions:
+    data = dict(data)
+    _drop_removed_keys(data, _REMOVED_OPTIONS, "placement-option")
     known = {f.name for f in dataclasses.fields(PlacementOptions)}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -101,7 +115,7 @@ def _options_from_dict(data: Mapping[str, Any]) -> PlacementOptions:
             + ", ".join(sorted(known))
         )
     try:
-        return PlacementOptions(**dict(data))
+        return PlacementOptions(**data)
     except ReproError as exc:
         raise ConfigError(f"invalid placement options: {exc}") from exc
     except TypeError as exc:
@@ -125,7 +139,7 @@ class RunConfig:
         (:data:`repro.hardware.threshold_graph.PAPER_THRESHOLDS`).
     options:
         The full :class:`~repro.core.config.PlacementOptions` (including
-        the single-placement ``threshold`` and ``scheduler_backend``).
+        the single-placement ``threshold``).
     jobs:
         Local worker processes per grid execution.
     shards / shard_index / strategy:
@@ -220,7 +234,7 @@ class RunConfig:
         # Shard-input files pickle the plan's config; one written before
         # the cell-retry layer was removed follows the same rule as a file.
         state = dict(state)
-        _drop_removed_keys(state)
+        _drop_removed_keys(state, _REMOVED_KEYS, "run-config")
         self.__dict__.update(state)
 
     # -- serialisation -------------------------------------------------------
@@ -256,7 +270,7 @@ class RunConfig:
                 f"got {declared_format!r})"
             )
         data.pop("schema_version", None)
-        _drop_removed_keys(data)
+        _drop_removed_keys(data, _REMOVED_KEYS, "run-config")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.exceptions import PlacementError
-from repro.timing._replay import BACKEND_CHOICES
 
 #: Option fields that must be ``bool`` and those that must be ``int``
 #: (never ``bool``): a config file's ``"no"`` or ``2.5`` fails here, not
@@ -22,6 +21,12 @@ _BOOL_FIELDS = (
     "debug_full_recompute",
 )
 _INT_FIELDS = ("max_monomorphisms", "fine_tuning_max_rounds", "lookahead_width")
+
+
+#: The per-run backend option that options objects carried before the
+#: scheduler backend became a property of the process
+#: (``REPRO_SCHEDULER_BACKEND``); old files and pickles may still hold it.
+REMOVED_BACKEND_OPTION = "scheduler_backend"
 
 
 def _is_int(value: object) -> bool:
@@ -81,15 +86,6 @@ class PlacementOptions:
         cross-checks every full evaluation against the pure Python
         reference).  Slows fine tuning down to (worse than) the
         non-incremental speed; useful when auditing scheduler changes.
-    scheduler_backend:
-        Evaluation backend of the scheduler's
-        :class:`~repro.timing.scheduler.RuntimeEvaluator`: ``"python"``
-        (the reference loop), ``"native"`` (the C kernel compiled on
-        demand; requires a C compiler at first use) or ``"auto"`` (the
-        default — defer to the ``REPRO_SCHEDULER_BACKEND`` environment
-        variable, then pick native whenever its kernel builds, else
-        python).  Backends are bit-identical, so this knob never changes
-        any placement output.
     placer:
         Placement engine, as a :data:`repro.registry.PLACERS` spec:
         ``"exact"`` (the default — the paper's exhaustive monomorphism
@@ -115,7 +111,6 @@ class PlacementOptions:
     reorder_commuting_gates: bool = False
     max_workspace_two_qubit_gates: Optional[int] = None
     debug_full_recompute: bool = False
-    scheduler_backend: str = "auto"
     placer: str = "exact"
 
     def __post_init__(self) -> None:
@@ -154,11 +149,6 @@ class PlacementOptions:
             from repro.registry import PLACERS
 
             PLACERS.validate(self.placer)
-        if self.scheduler_backend not in BACKEND_CHOICES:
-            raise PlacementError(
-                f"scheduler_backend must be one of {BACKEND_CHOICES}, "
-                f"got {self.scheduler_backend!r}"
-            )
         if self.max_monomorphisms < 1:
             raise PlacementError("max_monomorphisms must be at least 1")
         if self.lookahead_width < 1:
@@ -175,6 +165,15 @@ class PlacementOptions:
             and self.max_workspace_two_qubit_gates < 1
         ):
             raise PlacementError("max_workspace_two_qubit_gates must be at least 1")
+
+    def __setstate__(self, state: dict) -> None:
+        # Shard-input files planned before the backend option was removed
+        # pickle it.  It never chose a backend there (specs were planned
+        # on "auto" and ``shard run`` took its own flag), so it is dropped
+        # whatever it holds.
+        state = dict(state)
+        state.pop(REMOVED_BACKEND_OPTION, None)
+        self.__dict__.update(state)
 
     def replace(self, **changes) -> "PlacementOptions":
         """Return a copy with some fields changed."""

@@ -168,7 +168,6 @@ def fine_tune_workspace_placement(
     max_rounds: int = 10,
     evaluator: Optional[RuntimeEvaluator] = None,
     full_recompute: bool = False,
-    backend: str = "auto",
 ) -> List[Tuple[Placement, float]]:
     """Fine tune every start placement of a workspace with the runtime cost.
 
@@ -179,11 +178,10 @@ def fine_tune_workspace_placement(
 
     ``evaluator`` lets the placer share one compiled
     :class:`~repro.timing.scheduler.RuntimeEvaluator` across a workspace's
-    candidate sets (its backend wins over the ``backend`` argument, which
-    only configures the one locally built evaluator); ``full_recompute``
-    turns on the evaluator's parity assertion (every incremental cost is
-    checked against a from-scratch evaluation — a debugging aid, not a
-    production mode) and keeps the python loop.
+    candidate sets (without one, one is built on the process's backend);
+    ``full_recompute`` turns on the evaluator's parity assertion (every
+    incremental cost is checked against a from-scratch evaluation — a
+    debugging aid, not a production mode) and keeps the python loop.
     """
     movable: List[Qubit] = canonical_order(
         {q for gate in subcircuit if gate.is_two_qubit for q in gate.qubits}
@@ -197,7 +195,6 @@ def fine_tune_workspace_placement(
             environment,
             apply_interaction_cap=apply_interaction_cap,
             full_recompute=full_recompute,
-            backend=backend,
         )
     elif full_recompute:
         evaluator.full_recompute = True

@@ -328,7 +328,6 @@ def _candidate_placements(
             max_rounds=options.fine_tuning_max_rounds,
             evaluator=evaluator,
             full_recompute=options.debug_full_recompute,
-            backend=options.scheduler_backend,
         )
     else:
         scored = [
@@ -446,7 +445,6 @@ def run_pipeline(
                 environment,
                 apply_interaction_cap=options.apply_interaction_cap,
                 full_recompute=options.debug_full_recompute,
-                backend=options.scheduler_backend,
             )
         return evaluators[index]
 

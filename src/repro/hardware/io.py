@@ -14,8 +14,8 @@ Node labels are stored as strings; integer-looking labels are converted back
 to integers on load so that synthetic architectures round-trip.  Pair
 labels follow the same rule, so ``["1", "2", 5.0]`` and ``[1, 2, 5.0]``
 both name nodes 1 and 2 (no string label ``"1"`` survives loading).  A key
-repeated in any object of the file is refused rather than letting the last
-one win.
+repeated in any object of the file, and a pair listed twice in either
+spelling, are refused rather than letting the last one win.
 """
 
 from __future__ import annotations
@@ -99,7 +99,10 @@ def from_dict(data: Dict[str, Any]) -> PhysicalEnvironment:
             if len(entry) != 3:
                 raise SerializationError(f"malformed pair entry {entry!r}")
             a, b, delay = entry
-            pairs[(_label_from_json(a), _label_from_json(b))] = float(delay)
+            pair = (_label_from_json(a), _label_from_json(b))
+            if pair in pairs:
+                raise SerializationError(f"pair {pair!r} is listed twice")
+            pairs[pair] = float(delay)
 
         default = data.get("default_pair_delay", "inf")
         if isinstance(default, str):

@@ -28,25 +28,15 @@ the one module sanctioned to contain its pattern.  Rule families (see
 
 Diagnostics carry file, line, column and rule code; a deliberate
 violation is acknowledged inline with ``# repro: allow[CODE]`` anywhere
-in the flagged statement's span, and legacy debt is frozen in
-``lint_baseline.json`` — a ratchet: ``--check`` fails on any finding
-*above* the baseline and on any stale baseline entry, so the count only
-moves down.
+in the flagged statement's span, the only way to suppress a finding —
+``--check`` fails on any other.
 
-Entry points: ``python -m repro.lint [--check | --baseline]
-[--format json|text]`` (:mod:`repro.lint.cli`) and the programmatic
+Entry points: ``python -m repro.lint [--check] [--format json|text]``
+(:mod:`repro.lint.cli`) and the programmatic
 :func:`lint_tree` / :func:`lint_source` used by the test gate
 (``pytest -m lint``).
 """
 
-from repro.lint.baseline import (
-    BASELINE_FILENAME,
-    baseline_key,
-    compare_to_baseline,
-    load_baseline,
-    render_baseline,
-    write_baseline,
-)
 from repro.lint.engine import (
     Diagnostic,
     default_targets,
@@ -61,22 +51,16 @@ from repro.lint.engine import (
 from repro.lint.rules import RULES, Rule, rules_by_code
 
 __all__ = [
-    "BASELINE_FILENAME",
     "Diagnostic",
     "RULES",
     "Rule",
-    "baseline_key",
-    "compare_to_baseline",
     "default_targets",
     "lint_file",
     "lint_paths",
     "lint_source",
     "lint_tree",
-    "load_baseline",
     "module_name_for",
-    "render_baseline",
     "rules_by_code",
     "suppressed_lines",
     "suppression_covers",
-    "write_baseline",
 ]

@@ -1,8 +1,8 @@
 """Named registries with parameterised string specs.
 
 Every workload ingredient in this package — benchmark circuits, molecule
-and synthetic-architecture environments, scheduler backends, shard
-partition strategies — is addressable by a short string *spec*, so one
+and synthetic-architecture environments, placers, shard partition
+strategies — is addressable by a short string *spec*, so one
 canonical description of a run (:class:`repro.config.RunConfig`) works
 identically from Python, the CLI, a config file and a shard payload.
 
@@ -37,9 +37,6 @@ Registries
     (:mod:`repro.hardware.molecules`) plus the synthetic architectures
     (:mod:`repro.hardware.architectures`: ``chain:N``, ``ring:N``,
     ``grid:RxC``, ``complete:N``, ``star:N``, ``heavy-hex:D``).
-:data:`SCHEDULER_BACKENDS`
-    Runtime-evaluator backends (:mod:`repro.timing._replay`); entries
-    resolve to the backend name accepted by ``PlacementOptions``.
 :data:`SHARD_STRATEGIES`
     Shard partition strategies (:mod:`repro.analysis.sharding`); entries
     are the bucket-assignment functions used by ``ShardPlan.build``.
@@ -356,11 +353,6 @@ CIRCUITS = Registry("circuit", providers=("repro.circuits.library",))
 ENVIRONMENTS = Registry(
     "environment",
     providers=("repro.hardware.molecules", "repro.hardware.architectures"),
-)
-
-#: Runtime-evaluator backends; building an entry returns the backend name.
-SCHEDULER_BACKENDS = Registry(
-    "scheduler backend", providers=("repro.timing._replay",)
 )
 
 #: Shard partition strategies; entries are bucket-assignment functions.

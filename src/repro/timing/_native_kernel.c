@@ -1,8 +1,8 @@
 /* Native kernel for the scheduler's busy-time recurrence.
  *
  * Compiled on demand by repro/timing/_native.py (cc -O2 -fPIC -shared
- * -ffp-contract=off) and loaded via ctypes as the "native" entry of
- * SCHEDULER_BACKENDS.  The contract is *bit-identical* results with the
+ * -ffp-contract=off) and loaded via ctypes as the "native" scheduler
+ * backend.  The contract is *bit-identical* results with the
  * pure Python reference loop in repro/timing/scheduler.py: every duration
  * is the same IEEE-754 double multiply of the same operands, the
  * recurrence applies the same compare/add sequence in the same order, and

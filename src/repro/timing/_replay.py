@@ -6,9 +6,12 @@ times during hill-climbing fine tuning.  Two backends run that replay
 under a *bit-identical* contract: ``python``, the always-available
 reference loop in :mod:`repro.timing.scheduler`, and ``native``, a small
 C kernel compiled on demand (its build shim and array plumbing live in
-:mod:`repro.timing._native`).  This module resolves a backend request —
-an explicit name, the ``REPRO_SCHEDULER_BACKEND`` environment variable,
-or ``auto`` — and registers the names in ``SCHEDULER_BACKENDS``.
+:mod:`repro.timing._native`).  Which one runs is a property of the
+process: ``auto`` picks native when the kernel builds and python
+otherwise, and only the ``REPRO_SCHEDULER_BACKEND`` environment variable
+overrides that (pool workers and CLI subprocesses inherit it).  This
+module resolves a backend request — ``auto`` or, for the parity tests
+and benchmarks that run the reference, an explicit name.
 """
 
 from __future__ import annotations
@@ -75,26 +78,3 @@ def resolve_backend(requested: str = "auto") -> str:
             "use backend='auto' to fall back silently"
         )
     return requested
-
-
-# String-addressable backend registry (see repro.registry): building an
-# entry resolves the request to a concrete backend name, so e.g.
-# SCHEDULER_BACKENDS.build("auto") returns "native" or "python".
-from functools import partial as _partial
-
-from repro.registry import SCHEDULER_BACKENDS
-
-SCHEDULER_BACKENDS.add(
-    "auto", resolve_backend,
-    description="defer to REPRO_SCHEDULER_BACKEND, then pick native when "
-                "its kernel builds, else python",
-)
-SCHEDULER_BACKENDS.add(
-    "python", _partial(resolve_backend, "python"),
-    description="pure-Python reference evaluation loop",
-)
-SCHEDULER_BACKENDS.add(
-    "native", _partial(resolve_backend, "native"),
-    description="compiled C replay kernel (built on demand, needs a C "
-                "compiler at first use)",
-)

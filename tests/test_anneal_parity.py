@@ -32,7 +32,7 @@ from repro.core.stats import STATS
 from repro.core.workspace import extract_workspaces
 from repro.exceptions import PlacementError
 from repro.registry import load_circuit, load_environment
-from repro.timing import _native
+from repro.timing import _native, _replay
 from repro.timing.scheduler import RuntimeEvaluator
 
 pytestmark = pytest.mark.skipif(
@@ -256,13 +256,13 @@ PLACEMENTS = (
 )
 
 
-def _placement(circuit, host, threshold, spec, backend):
+def _placement(monkeypatch, circuit, host, threshold, spec, backend):
+    monkeypatch.setenv(_replay.BACKEND_ENV_VAR, backend)
     before = STATS.snapshot()
     result = place_circuit(
         load_circuit(circuit),
         load_environment(host),
-        PlacementOptions(threshold=threshold, placer=spec,
-                         scheduler_backend=backend),
+        PlacementOptions(threshold=threshold, placer=spec),
     )
     after = STATS.snapshot()
     # Every placer counter and the scheduler's work counters; the native
@@ -280,9 +280,10 @@ def _placement(circuit, host, threshold, spec, backend):
 class TestAnnealPlacerBackends:
     @pytest.mark.parametrize("circuit,host,threshold,spec", PLACEMENTS)
     def test_placements_and_counters_identical(self, circuit, host, threshold,
-                                               spec):
-        native = _placement(circuit, host, threshold, spec, "native")
-        assert native == _placement(circuit, host, threshold, spec, "python")
+                                               spec, monkeypatch):
+        case = (monkeypatch, circuit, host, threshold, spec)
+        native = _placement(*case, "native")
+        assert native == _placement(*case, "python")
         assert native[2]["placer.delta_evals"] > 0
 
     def test_one_kernel_call_per_restart(self, monkeypatch):
@@ -295,7 +296,7 @@ class TestAnnealPlacerBackends:
 
         monkeypatch.setattr(_native.NativeReplay, "anneal", counted)
         before = STATS.get("placer.anneal_restarts")
-        _placement(*PLACEMENTS[0], "native")
+        _placement(monkeypatch, *PLACEMENTS[0], "native")
         assert len(calls) == STATS.get("placer.anneal_restarts") - before > 0
 
     def test_full_recompute_keeps_the_python_loop(self, monkeypatch):
@@ -304,18 +305,16 @@ class TestAnnealPlacerBackends:
 
         monkeypatch.setattr(_native.NativeReplay, "anneal", forbidden)
         circuit, host, threshold, spec = PLACEMENTS[1]
-        options = PlacementOptions(threshold=threshold, placer=spec,
-                                   scheduler_backend="native")
+        options = PlacementOptions(threshold=threshold, placer=spec)
+        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
         with pytest.raises(AssertionError, match="native anneal"):
             place_circuit(load_circuit(circuit), load_environment(host), options)
-        results = [
-            place_circuit(
+        results = []
+        for backend in ("python", "native"):
+            monkeypatch.setenv(_replay.BACKEND_ENV_VAR, backend)
+            results.append(place_circuit(
                 load_circuit(circuit),
                 load_environment(host),
-                PlacementOptions(threshold=threshold, placer=spec,
-                                 scheduler_backend=backend,
-                                 debug_full_recompute=True),
-            ).total_runtime
-            for backend in ("python", "native")
-        ]
+                options.replace(debug_full_recompute=True),
+            ).total_runtime)
         assert results[0] == results[1]

@@ -42,13 +42,6 @@ class TestSessionConstruction:
         with pytest.raises(ConfigError):
             Session.from_config(42)
 
-    def test_backend_override_extraction(self):
-        assert Session(QFT_CONFIG).backend_override() is None
-        explicit = QFT_CONFIG.replace(
-            options=PlacementOptions(scheduler_backend="python")
-        )
-        assert Session(explicit).backend_override() == "python"
-
 
 class TestPlace:
     def test_place_matches_direct_place_circuit(self):
@@ -138,16 +131,6 @@ class TestShardPaths:
     def test_sweep_shard_requires_an_index(self):
         with pytest.raises(ConfigError, match="shard index"):
             Session(QFT_CONFIG).sweep_shard()
-
-    def test_backend_stays_out_of_the_plan(self):
-        # Two configs differing only in scheduler backend plan the same grid.
-        auto = Session(QFT_CONFIG.replace(shards=2)).shard_plan()
-        python_backend = Session(
-            QFT_CONFIG.replace(
-                shards=2, options=PlacementOptions(scheduler_backend="python")
-            )
-        ).shard_plan()
-        assert auto.fingerprint == python_backend.fingerprint
 
 
 class TestGridAndHarnessDelegates:

@@ -1,9 +1,11 @@
 """Tests of the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.analysis import sharding
 from repro.analysis.serialization import checksummed_payload, dump_json
 from repro.cli import build_parser, main
 from repro.circuits import qasm
@@ -270,15 +272,15 @@ class TestShardPipeline:
         assert "different grid" in capsys.readouterr().err
 
     def test_shard_invocations_merge_across_scheduler_backends(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
-        # Backends are bit-identical, so shards run with different
-        # --scheduler-backend flags must share a plan fingerprint and merge.
+        # Backends are bit-identical, so shards run by processes on
+        # different backends must share a plan fingerprint and merge.
         outputs = []
         for index, backend in enumerate(["python", "auto"]):
+            monkeypatch.setenv("REPRO_SCHEDULER_BACKEND", backend)
             assert main(["sweep"] + SWEEP_ARGS
                         + ["--shards", "2", "--shard-index", str(index),
-                           "--scheduler-backend", backend,
                            "--output", "json"]) == 0
             path = tmp_path / f"shard-{index}.json"
             path.write_text(capsys.readouterr().out)
@@ -286,6 +288,54 @@ class TestShardPipeline:
         assert main(["shard", "merge", "--output", "json"] + outputs) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [row["index"] for row in payload["rows"]] == [0, 1]
+
+    def test_shard_file_planned_with_the_backend_option_runs_and_merges(
+        self, tmp_path, capsys
+    ):
+        # Shard files planned while options had a per-run backend pickle
+        # it: "auto" on every spec, and whatever the planner's flags said
+        # in the embedded config.  Such a file still runs and merges.
+        assert main(["sweep"] + SWEEP_ARGS) == 0
+        serial_table = capsys.readouterr().out
+        out_dir = str(tmp_path / "shards")
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "2", "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+
+        def legacy(options, backend):
+            options = options.replace()
+            options.scheduler_backend = backend
+            return options
+
+        path = f"{out_dir}/shard-1.pkl"
+        shard = sharding.read_shard(path)
+        sharding.write_shard(dataclasses.replace(
+            shard,
+            specs=tuple(
+                dataclasses.replace(spec, options=legacy(spec.options, "auto"))
+                for spec in shard.specs
+            ),
+            config=shard.config.replace(
+                options=legacy(shard.config.options, "python")
+            ),
+        ), path)
+        with open(path, "rb") as handle:
+            assert b"scheduler_backend" in handle.read()
+        reread = sharding.read_shard(path)
+        assert not hasattr(reread.specs[0].options, "scheduler_backend")
+        assert reread.config == shard.config
+
+        outputs = []
+        for index in range(2):
+            out_file = str(tmp_path / f"out-{index}.json")
+            assert main(["shard", "run",
+                         "--shard-file", f"{out_dir}/shard-{index}.pkl",
+                         "--out", out_file]) == 0
+            outputs.append(out_file)
+        capsys.readouterr()
+        assert main(["shard", "merge", "--plan", f"{out_dir}/plan.json"]
+                    + outputs) == 0
+        assert capsys.readouterr().out == serial_table
 
     def test_merge_rejects_malformed_outcome_shard(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -500,9 +550,10 @@ class TestPlanFileChecks:
 
 
 class TestRemovedOptions:
-    """The options of the removed cell-retry, checkpoint, partial-merge
-    and replan features are unknown to the parser: a usage error naming
-    the option, never a run that silently ignores it."""
+    """The options of the removed cell-retry, checkpoint, partial-merge,
+    replan and per-run scheduler-backend features are unknown to the
+    parser: a usage error naming the option, never a run that silently
+    ignores it."""
 
     @pytest.mark.parametrize("argv,token", [
         (["sweep", *SWEEP_ARGS, "--retries", "2"], "--retries"),
@@ -511,7 +562,16 @@ class TestRemovedOptions:
           "--checkpoint", "out-0.jsonl"], "--checkpoint"),
         (["shard", "merge", "--allow-partial", "out-0.json"], "--allow-partial"),
         (["shard", "replan", "--plan", "plan.json"], "'replan'"),
-    ], ids=["retries", "cell-timeout", "checkpoint", "allow-partial", "replan"])
+        (["place", "qft6", "trans-crotonic-acid",
+          "--scheduler-backend", "python"], "--scheduler-backend"),
+        (["sweep", *SWEEP_ARGS, "--scheduler-backend", "native"],
+         "--scheduler-backend"),
+        (["shard", "plan", *SWEEP_ARGS, "--shards", "2", "--out-dir", "shards",
+          "--scheduler-backend", "auto"], "--scheduler-backend"),
+        (["shard", "run", "--shard-file", "shard-0.pkl", "--out", "out-0.json",
+          "--scheduler-backend", "python"], "--scheduler-backend"),
+    ], ids=["retries", "cell-timeout", "checkpoint", "allow-partial", "replan",
+            "backend-place", "backend-sweep", "backend-plan", "backend-run"])
     def test_removed_option_is_a_usage_error(self, argv, token, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -624,16 +684,15 @@ class TestRunConfigFlag:
         assert embedded.thresholds == (50.0, 100.0, 200.0)
         assert embedded.shards == 2
         # The shard input files are self-describing too.
-        from repro.analysis import sharding
         shard = sharding.read_shard(f"{out_dir}/shard-0.pkl")
         assert shard.config == embedded
 
 
 class TestUnknownSchedulerBackendFailsClosed:
-    """``numpy`` names no scheduler backend.  Every stored form of it — the
-    environment variable, the flag, a ``--config`` file — is a usage
-    error: exit 2, one ``error:`` line naming ``auto``, and no cell runs
-    (no table, no output file)."""
+    """``numpy`` names no scheduler backend.  ``REPRO_SCHEDULER_BACKEND``,
+    the one switch that picks a backend, refuses it as a usage error:
+    exit 2, one ``error:`` line naming ``auto``, and no cell runs (no
+    table, no output file)."""
 
     @staticmethod
     def _assert_refused(code, capsys):
@@ -672,16 +731,51 @@ class TestUnknownSchedulerBackendFailsClosed:
         )
         assert not out_file.exists()
 
-    def test_flag_value_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["place", "qft6", "trans-crotonic-acid",
-                  "--scheduler-backend", "numpy"])
-        self._assert_refused(info.value.code, capsys)
 
-    def test_config_file_value_is_a_usage_error(self, tmp_path, capsys):
+class TestStoredSchedulerBackend:
+    """Config files written while options had a per-run backend carry it.
+    ``"auto"`` is what every process does now, so it is read and dropped;
+    any other stored value is a usage error naming the one switch."""
+
+    @staticmethod
+    def _config_file(tmp_path, backend):
         data = RunConfig(circuit="qft6",
                          environment="trans-crotonic-acid").to_dict()
-        data["options"]["scheduler_backend"] = "numpy"
+        data["options"]["scheduler_backend"] = backend
         path = tmp_path / "run.json"
         path.write_text(json.dumps(data))
-        self._assert_refused(main(["place", "--config", str(path)]), capsys)
+        return str(path)
+
+    def test_auto_is_dropped(self, tmp_path, capsys):
+        def rows():
+            payload = json.loads(capsys.readouterr().out)
+            for row in payload["rows"]:
+                row.pop("software_runtime_seconds")
+            return payload
+
+        assert main(["place", "qft6", "trans-crotonic-acid",
+                     "--output", "json"]) == 0
+        via_flags = rows()
+        assert main(["place", "--config", self._config_file(tmp_path, "auto"),
+                     "--output", "json"]) == 0
+        assert rows() == via_flags
+
+    @pytest.mark.parametrize("command", [
+        ["place"], ["sweep", "--thresholds", "200"],
+        ["shard", "plan", "--shards", "2", "--out-dir", "OUT"],
+    ], ids=["place", "sweep", "plan"])
+    @pytest.mark.parametrize("backend", ["python", "native", "numpy"])
+    def test_other_values_are_a_usage_error(
+        self, command, backend, tmp_path, capsys
+    ):
+        path = self._config_file(tmp_path, backend)
+        out_dir = tmp_path / "shards"
+        command = [arg.replace("OUT", str(out_dir)) for arg in command]
+        assert main([*command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert f"'scheduler_backend' is {backend!r}" in captured.err
+        assert "REPRO_SCHEDULER_BACKEND" in captured.err
+        assert not out_dir.exists()

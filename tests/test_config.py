@@ -38,7 +38,6 @@ _options_strategy = st.builds(
     max_workspace_two_qubit_gates=st.one_of(
         st.none(), st.integers(min_value=1, max_value=50)
     ),
-    scheduler_backend=st.sampled_from(["auto", "python", "native"]),
     placer=st.sampled_from(
         ["exact", "greedy", "anneal", "anneal:7", "anneal:3x500"]
     ),
@@ -274,3 +273,37 @@ class TestRemovedRetryKeys:
         object.__setattr__(legacy, "cell_timeout", 5.0)
         with pytest.raises(ConfigError, match="'cell_timeout' is 5.0"):
             pickle.loads(pickle.dumps(legacy))
+
+
+class TestRemovedBackendOption:
+    """Options written while they had a per-run scheduler backend carry
+    it.  ``"auto"`` is dropped; any other stored value is refused with one
+    line naming ``REPRO_SCHEDULER_BACKEND``, the one switch left."""
+
+    def _legacy_dict(self, backend):
+        data = RunConfig(circuit="qft6", environment="histidine").to_dict()
+        data["options"]["scheduler_backend"] = backend
+        return data
+
+    def test_auto_is_dropped(self):
+        config = RunConfig.from_dict(self._legacy_dict("auto"))
+        assert config == RunConfig(circuit="qft6", environment="histidine")
+        assert "scheduler_backend" not in config.to_dict()["options"]
+
+    @pytest.mark.parametrize("backend", ["python", "native", "numpy", None, 1])
+    def test_other_values_are_refused(self, backend):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_dict(self._legacy_dict(backend))
+        message = str(info.value)
+        assert "\n" not in message
+        assert f"'scheduler_backend' is {backend!r}" in message
+        assert "REPRO_SCHEDULER_BACKEND" in message
+
+    @pytest.mark.parametrize("backend", ["auto", "python"])
+    def test_pickled_options_drop_it(self, backend):
+        # Shard-input files pickle options; there it never chose a backend.
+        legacy = PlacementOptions(threshold=200.0)
+        legacy.scheduler_backend = backend
+        clone = pickle.loads(pickle.dumps(legacy))
+        assert clone == PlacementOptions(threshold=200.0)
+        assert not hasattr(clone, "scheduler_backend")

@@ -112,6 +112,21 @@ class TestErrors:
             hio.loads(text)
 
 
+class TestRepeatedPairs:
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([["a", "b", 5], ["a", "b", 9]], r"^pair \('a', 'b'\) is listed twice$"),
+            ([["1", "2", 5], [1, 2, 9]], r"^pair \(1, 2\) is listed twice$"),
+        ],
+        ids=["same-spelling", "int-and-string"],
+    )
+    def test_a_pair_listed_twice_is_refused(self, pairs, message):
+        nodes = {"a": 1.0, "b": 1.0, "1": 1.0, "2": 1.0}
+        with pytest.raises(SerializationError, match=message):
+            hio.from_dict({"nodes": nodes, "pairs": pairs})
+
+
 class TestPairLabels:
     def test_integer_looking_pair_labels_name_integer_nodes(self):
         env = hio.loads(

@@ -1,14 +1,14 @@
 """Unit tests for the repro.lint static analyzer.
 
-One class per rule family, each exercising the four fixture flavours the
+One class per rule family, each exercising the fixture flavours the
 suite standardises on: a *positive* snippet the rule must flag, a
-*negative* snippet it must not, the positive snippet with an inline
-``# repro: allow[CODE]`` suppression, and the positive snippet absorbed
-by a baseline entry.  Engine and baseline semantics get their own
-classes, and a self-check keeps ``src/repro/lint`` clean under its own
+*negative* snippet it must not, and the positive snippet with an inline
+``# repro: allow[CODE]`` suppression.  Engine semantics get their own
+class, and a self-check keeps ``src/repro/lint`` clean under its own
 rules.
 """
 
+import json
 import textwrap
 from pathlib import Path
 
@@ -17,18 +17,13 @@ import pytest
 from repro.lint import (
     Diagnostic,
     RULES,
-    baseline_key,
-    compare_to_baseline,
     lint_paths,
     lint_source,
-    load_baseline,
     module_name_for,
-    render_baseline,
     rules_by_code,
     suppressed_lines,
-    write_baseline,
 )
-from repro.lint.baseline import BaselineError
+from repro.lint import cli as lint_cli
 from repro.lint.engine import profile_for_path
 from repro.lint.rules import PROFILE_RELAXED
 
@@ -512,45 +507,40 @@ class TestEngine:
         assert len(rules_by_code()) == len(RULES)
 
 
-class TestBaseline:
-    def _diag(self, line=1):
-        return Diagnostic(
-            path="src/repro/x.py", line=line, col=0, code="DET001", message="m"
+class TestCommandLine:
+    @pytest.fixture
+    def root(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "x.py").write_text("value = hash('a')\n")
+        return tmp_path
+
+    def test_check_fails_on_any_finding(self, root, capsys):
+        assert lint_cli.main(["--check", "--root", str(root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("src/repro/x.py:1:")
+        assert "DET003" in captured.out
+        assert "1 finding(s)" in captured.err
+
+    def test_json_report(self, root, capsys):
+        assert lint_cli.main(["--format", "json", "--root", str(root)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["clean"] is False
+        assert [f["code"] for f in report["findings"]] == ["DET003"]
+
+    def test_clean_tree_passes(self, root, capsys):
+        (root / "src" / "repro" / "x.py").write_text(
+            "value = hash('a')  # repro: allow[DET003]\n"
         )
+        assert lint_cli.main(["--check", "--root", str(root)]) == 0
+        assert capsys.readouterr().out == "repro.lint: clean\n"
 
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "lint_baseline.json")
-        write_baseline([self._diag(1), self._diag(5)], path)
-        assert load_baseline(path) == {"src/repro/x.py::DET001": 2}
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) == {}
-
-    def test_corrupt_file_raises(self, tmp_path):
-        path = tmp_path / "lint_baseline.json"
-        path.write_text("{\"format\": \"something-else\", \"entries\": {}}")
-        with pytest.raises(BaselineError):
-            load_baseline(str(path))
-
-    def test_ratchet_absorbs_exactly_the_baselined_count(self):
-        findings = [self._diag(1), self._diag(5)]
-        fresh, stale = compare_to_baseline(findings, {baseline_key(findings[0]): 1})
-        assert [d.line for d in fresh] == [5]
-        assert stale == []
-
-    def test_new_findings_are_fresh_with_empty_baseline(self):
-        fresh, stale = compare_to_baseline([self._diag()], {})
-        assert len(fresh) == 1 and stale == []
-
-    def test_fixed_findings_make_the_entry_stale(self):
-        fresh, stale = compare_to_baseline([], {"src/repro/x.py::DET001": 2})
-        assert fresh == []
-        assert stale == ["src/repro/x.py::DET001"]
-
-    def test_render_is_canonical_json(self):
-        text = render_baseline([self._diag()])
-        assert text.endswith("\n")
-        assert "\"src/repro/x.py::DET001\": 1" in text
+    def test_baseline_options_are_gone(self, root, capsys):
+        for argv in (["--baseline"], ["--check", "--baseline-file", "b.json"]):
+            with pytest.raises(SystemExit) as info:
+                lint_cli.main([*argv, "--root", str(root)])
+            assert info.value.code == 2
+            assert "--baseline" in capsys.readouterr().err
 
 
 class TestSelfCheck:

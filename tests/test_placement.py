@@ -31,7 +31,6 @@ WRONG_TYPED_OPTIONS = {
     "reorder_commuting_gates": 1.0,
     "max_workspace_two_qubit_gates": 2.0,
     "debug_full_recompute": "true",
-    "scheduler_backend": 1,
     "placer": 7,
 }
 

@@ -532,8 +532,6 @@ class TestConfigAndCliRoundTrip:
         out = capsys.readouterr().out
         assert "placers:" in out
         assert "anneal[:SEED[,SEED...][xITERS]]" in out
-        assert "scheduler backends:" in out
-        assert "native" in out
 
 
 # ---------------------------------------------------------------------------

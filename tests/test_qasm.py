@@ -7,6 +7,7 @@ from repro.circuits import qasm
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import qec3_encoder
 from repro.exceptions import SerializationError
+from repro.registry import load_circuit
 
 
 ENCODER_TEXT = """
@@ -77,6 +78,24 @@ class TestLoads:
         with pytest.raises(SerializationError, match="line 2: duration"):
             qasm.loads(f"qubits a b\nFOO a b duration={value}\n")
 
+    @pytest.mark.parametrize("head, angle", [
+        ("Ry(1e-05)", 1e-05), ("Ry(+90)", 90.0), ("Ry(.5)", 0.5),
+    ])
+    def test_any_float_literal_is_an_angle(self, head, angle):
+        [gate] = qasm.loads(f"qubits a\n{head} a\n").gates
+        assert gate == g.ry("a", angle)
+
+    @pytest.mark.parametrize("head", [
+        "Ry(abc)", "Rx()", "Rz(nan)", "Ry(inf)", "ZZ(1e999)", "Ry(1)(2)",
+    ])
+    def test_non_finite_angle_names_the_line(self, head):
+        operands = "a b" if head.startswith("ZZ") else "a"
+        name = head.split("(", 1)[0].upper()
+        with pytest.raises(
+            SerializationError, match=f"^line 2: {name} angle must be a finite"
+        ):
+            qasm.loads(f"qubits a b\n{head} {operands}\n")
+
 
 class TestRoundTrip:
     def test_encoder_round_trip(self):
@@ -99,6 +118,24 @@ class TestRoundTrip:
         assert restored.num_gates == 4
         assert restored[2].duration == pytest.approx(circuit[2].duration)
         assert restored[3].duration == 3.0
+
+    @pytest.mark.parametrize("name", ["qft:10", "qft:22"])
+    def test_angles_round_trip_exactly(self, name):
+        # The text format writes labels as text; every gate, angle and
+        # duration comes back as the same float.
+        circuit = load_circuit(name)
+        as_text = circuit.remap({qubit: str(qubit) for qubit in circuit.qubits})
+        assert qasm.loads(qasm.dumps(circuit)).gates == as_text.gates
+
+    def test_short_numbers_keep_their_text(self):
+        text = "# circuit\nqubits a b\nRy(90) a\nCPHASE(22.5) a b\n" \
+            "FOO a b duration=2.5\n"
+        assert qasm.dumps(qasm.loads(text)) == text
+
+    def test_long_duration_round_trips(self):
+        circuit = QuantumCircuit(["a"], [g.generic_1q("a", 1 / 3, name="U")])
+        restored = qasm.loads(qasm.dumps(circuit))
+        assert restored.gates == circuit.gates
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "circuit.qc"

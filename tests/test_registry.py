@@ -9,7 +9,6 @@ from repro.exceptions import RegistryError, ReproError, UnknownSpecError
 from repro.registry import (
     CIRCUITS,
     ENVIRONMENTS,
-    SCHEDULER_BACKENDS,
     SHARD_STRATEGIES,
     Registry,
     as_circuit_factory,
@@ -156,10 +155,6 @@ class TestBuiltinRegistries:
     def test_molecules_registered(self):
         assert ENVIRONMENTS.build("histidine").name == "histidine"
         assert "trans-crotonic-acid" in ENVIRONMENTS
-
-    def test_scheduler_backends_resolve(self):
-        assert SCHEDULER_BACKENDS.build("python") == "python"
-        assert SCHEDULER_BACKENDS.build("auto") in ("python", "native")
 
     def test_shard_strategies_registered(self):
         assert SHARD_STRATEGIES.names() == ["cost-balanced", "round-robin"]

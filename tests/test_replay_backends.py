@@ -34,12 +34,7 @@ from repro.core.fine_tuning import (
 )
 from repro.core.placement import place_circuit
 from repro.core.stats import STATS
-from repro.exceptions import (
-    ConfigError,
-    ExperimentError,
-    PlacementError,
-    ReproError,
-)
+from repro.exceptions import ConfigError, ReproError
 from repro.hardware.molecules import histidine, trans_crotonic_acid
 from repro.registry import load_environment
 from repro.timing import _native, _replay
@@ -371,16 +366,15 @@ PLACER_PARITY_CASES = [
 class TestPlacerLevelBackendParity:
     @pytest.mark.parametrize(("threshold", "extra"), PLACER_PARITY_CASES)
     def test_place_circuit_identical_across_backends(
-        self, crotonic, threshold, extra
+        self, crotonic, threshold, extra, monkeypatch
     ):
         results = {}
         for backend in AVAILABLE_BACKENDS:
+            monkeypatch.setenv(_replay.BACKEND_ENV_VAR, backend)
             result = place_circuit(
                 qft_circuit(6),
                 crotonic,
-                PlacementOptions(
-                    threshold=threshold, scheduler_backend=backend, **extra
-                ),
+                PlacementOptions(threshold=threshold, **extra),
             )
             results[backend] = (
                 result.total_runtime,
@@ -397,6 +391,7 @@ class TestPlacerLevelBackendParity:
     ):
         import repro.core.placement as placement_module
 
+        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, backend)
         built = _count_calls(monkeypatch, RuntimeEvaluator, "__init__")
         tune_calls = _count_calls(
             monkeypatch, placement_module, "fine_tune_workspace_placement"
@@ -404,25 +399,15 @@ class TestPlacerLevelBackendParity:
         result = place_circuit(
             qft_circuit(6),
             crotonic,
-            PlacementOptions(
-                threshold=200.0, sequential_levels=True, scheduler_backend=backend
-            ),
+            PlacementOptions(threshold=200.0, sequential_levels=True),
         )
         # One call per candidate set, not per candidate.
         assert 0 < len(built) <= len(tune_calls) <= 2 * len(result.stages)
 
-    def test_invalid_backend_option_rejected(self):
-        for name in ("gpu", "numpy"):
-            with pytest.raises(PlacementError,
-                               match="scheduler_backend.*'auto'"):
-                PlacementOptions(scheduler_backend=name)
-
-    def test_native_backend_option_accepted(self):
-        assert PlacementOptions(scheduler_backend="native").scheduler_backend == (
-            "native"
-        )
-
-    def test_runner_backend_override(self):
+    @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+    def test_pool_workers_use_the_parents_backend(self, monkeypatch, backend):
+        # The backend is a property of the process: a jobs=2 grid's workers
+        # inherit REPRO_SCHEDULER_BACKEND from the parent, with no plumbing.
         from repro.analysis.runner import (
             ExperimentRunner,
             ExperimentSpec,
@@ -430,20 +415,28 @@ class TestPlacerLevelBackendParity:
             molecule_factory,
         )
 
-        spec = ExperimentSpec(
-            circuit_factory=benchmark_circuit_factory("qft6"),
-            environment_factory=molecule_factory("trans-crotonic-acid"),
-            threshold=200.0,
+        specs = [
+            ExperimentSpec(
+                circuit_factory=benchmark_circuit_factory("qft6"),
+                environment_factory=molecule_factory("trans-crotonic-acid"),
+                threshold=threshold,
+            )
+            for threshold in (100.0, 200.0)
+        ]
+        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, backend)
+        outcomes = ExperimentRunner(jobs=2).run(specs)
+        # Only native evaluators read the shared pair-delay matrix, so the
+        # workers' counters show which backend their evaluators resolved to.
+        lookups = sum(
+            o.counters.get(f"scheduler.pair_matrix_cache_{kind}", 0)
+            for o in outcomes
+            for kind in ("hits", "misses")
         )
-        outcomes = {}
-        for backend in AVAILABLE_BACKENDS:
-            runner = ExperimentRunner(scheduler_backend=backend)
-            outcome = runner.run([spec])[0].raise_if_infeasible()
-            outcomes[backend] = (outcome.runtime_seconds, outcome.num_subcircuits)
-        for backend in AVAILABLE_BACKENDS[1:]:
-            assert outcomes[backend] == outcomes["python"]
-        with pytest.raises(ExperimentError, match="scheduler_backend"):
-            ExperimentRunner(scheduler_backend="gpu")
+        assert (lookups > 0) == (backend == "native")
+        serial = ExperimentRunner().run(specs)
+        assert [o.runtime_seconds for o in outcomes] == [
+            o.runtime_seconds for o in serial
+        ]
 
 
 #: Hosts of the climb parity suite: two molecules and two lattices.
@@ -565,21 +558,21 @@ class TestNativeHillClimb:
 
         monkeypatch.setattr(_native.NativeReplay, "hill_climb", forbidden)
         # Sanity: a plain native fine tuning does go through the patched entry.
+        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
         with pytest.raises(AssertionError, match="native climb"):
             fine_tune_workspace_placement(
                 circuit, placements, environment, allowed_nodes=allowed,
-                backend="native",
             )
 
         results = {}
         for backend in ("python", "native"):
+            monkeypatch.setenv(_replay.BACKEND_ENV_VAR, backend)
             results[backend] = fine_tune_workspace_placement(
                 circuit,
                 placements,
                 environment,
                 allowed_nodes=allowed,
                 full_recompute=True,
-                backend=backend,
             )
         assert results["native"] == results["python"]
 
@@ -613,10 +606,9 @@ class TestNativeHillClimb:
         tune_calls = _count_calls(
             monkeypatch, placement_module, "fine_tune_workspace_placement"
         )
+        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
         result = place_circuit(
-            qft_circuit(6),
-            crotonic,
-            PlacementOptions(threshold=200.0, scheduler_backend="native"),
+            qft_circuit(6), crotonic, PlacementOptions(threshold=200.0)
         )
         assert len(kernel_calls) == len(tune_calls)
         assert len(kernel_calls) <= 2 * len(result.stages)

@@ -12,12 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    BASELINE_FILENAME,
-    compare_to_baseline,
-    lint_tree,
-    load_baseline,
-)
+from repro.lint import lint_tree
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,20 +20,13 @@ pytestmark = pytest.mark.lint
 
 
 class TestTreeIsClean:
-    def test_tree_clean_modulo_baseline(self):
-        baseline = load_baseline(str(REPO_ROOT / BASELINE_FILENAME))
-        fresh, stale = compare_to_baseline(lint_tree(str(REPO_ROOT)), baseline)
-        assert fresh == [], "new findings:\n" + "\n".join(
-            d.format() for d in fresh
+    def test_tree_has_no_findings(self):
+        # There is no baseline: a finding is fixed, or acknowledged inline
+        # with ``# repro: allow[CODE]``.
+        findings = lint_tree(str(REPO_ROOT))
+        assert findings == [], "findings:\n" + "\n".join(
+            d.format() for d in findings
         )
-        assert stale == [], f"stale baseline entries (ratchet down): {stale}"
-
-    def test_baseline_has_no_det002_entries(self):
-        # The fix sweep removed every repr tie-break; the ratchet must keep
-        # it that way — DET002 hits are fixed, never baselined.
-        baseline = load_baseline(str(REPO_ROOT / BASELINE_FILENAME))
-        det002 = [key for key in baseline if key.endswith("::DET002")]
-        assert det002 == []
 
     def test_cli_check_exits_zero(self):
         completed = subprocess.run(
