@@ -334,7 +334,7 @@ def scenario_sharded_sweep() -> Dict:
         "feasible": [outcome.feasible for outcome in serial],
     }
     for num_shards in (2, 4):
-        plan = sharding.ShardPlan.build(specs, num_shards, "cost-balanced")
+        plan = sharding.ShardPlan.build(specs, num_shards)
         shards = []
         with tempfile.TemporaryDirectory() as tmp:
             for index in range(plan.num_shards):

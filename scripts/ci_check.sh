@@ -20,8 +20,11 @@
 #      process pool runs) through the CLI, asserting both tables are
 #      byte-identical to the serial `sweep` output — the sharded
 #      pipeline's, the backends' and the worker pool's end-to-end
-#      contract — and that merging a half-length copy of one outcome
-#      shard fails closed with an error naming the file;
+#      contract — that merging a half-length copy of one outcome shard
+#      fails closed with an error naming the file, and that merging the
+#      two outcome shards against a 3-shard plan of the same grid (same
+#      fingerprint, so only merge_shards' check against the plan can
+#      tell) fails closed with one error line naming the shard count;
 #   3. a RunConfig round-trip smoke: a flag-based `place --output json` run
 #      re-described as a repro.config.RunConfig and re-run via `--config`
 #      must produce identical deterministic fields — the unified workload
@@ -114,6 +117,23 @@ if ! grep -q "^error: .*truncated-1.json" "$WORK_DIR/merge-err.txt"; then
     exit 1
 fi
 echo "merge of a truncated outcome shard failed closed"
+# The same grid planned into 3 shards: its fingerprint matches the 2-shard
+# outcomes, its shard count does not.
+"$PYTHON" -m repro.cli shard plan "${SWEEP_ARGS[@]}" \
+    --shards 3 --out-dir "$WORK_DIR/shards-3" > /dev/null
+if "$PYTHON" -m repro.cli shard merge --plan "$WORK_DIR/shards-3/plan.json" \
+    "$WORK_DIR/outcomes-0.json" "$WORK_DIR/outcomes-1.json" \
+    > "$WORK_DIR/merge-3.txt" 2> "$WORK_DIR/merge-3-err.txt"; then
+    echo "FAIL: merge accepted outcome shards of a 2-shard plan against a 3-shard plan" >&2
+    exit 1
+elif [ "$?" -ne 1 ] || [ -s "$WORK_DIR/merge-3.txt" ] \
+    || [ "$(wc -l < "$WORK_DIR/merge-3-err.txt")" -ne 1 ] \
+    || ! grep -q "^error: .*2 shard(s) but the plan has 3" "$WORK_DIR/merge-3-err.txt"; then
+    echo "FAIL: the 3-shard plan merge did not fail with exit 1 and one error line naming the shard count:" >&2
+    cat "$WORK_DIR/merge-3-err.txt" >&2
+    exit 1
+fi
+echo "merge against a plan with another shard count failed closed"
 "$PYTHON" -m repro.cli sweep "${SWEEP_ARGS[@]}" --jobs 2 > "$WORK_DIR/jobs2.txt"
 if ! diff "$WORK_DIR/serial.txt" "$WORK_DIR/jobs2.txt"; then
     echo "FAIL: sweep --jobs 2 output differs from the serial sweep" >&2

@@ -66,7 +66,6 @@ from repro.registry import (
     CIRCUITS,
     ENVIRONMENTS,
     PLACERS,
-    SHARD_STRATEGIES,
     load_circuit,
     load_environment,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "CIRCUITS",
     "ENVIRONMENTS",
     "PLACERS",
-    "SHARD_STRATEGIES",
     "load_circuit",
     "load_environment",
     "ReproError",

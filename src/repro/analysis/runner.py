@@ -62,6 +62,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import benchmark_circuit
+from repro.config import check_execution
 from repro.core.config import PlacementOptions
 from repro.core.placement import place_circuit
 from repro.core.result import PlacementResult
@@ -273,9 +274,12 @@ class ExperimentRunner:
     Parameters
     ----------
     jobs:
-        Number of worker processes.  ``1`` (the default) runs in-process
-        with zero pickling — exactly the old serial loops.  Values above 1
-        use a ``ProcessPoolExecutor`` (never more workers than cells).
+        Number of worker processes, a positive integer (the rule of
+        :class:`~repro.config.RunConfig`'s ``jobs``: anything else raises
+        :class:`~repro.exceptions.ConfigError`).  ``1`` (the default) runs
+        in-process with zero pickling — exactly the old serial loops.
+        Values above 1 use a ``ProcessPoolExecutor`` (never more workers
+        than cells).
     progress:
         Optional callback invoked after every completed cell with
         ``(completed_count, total, outcome)``.  In parallel runs it fires
@@ -292,12 +296,11 @@ class ExperimentRunner:
         jobs: int = 1,
         progress: Optional[ProgressCallback] = None,
     ) -> None:
-        if jobs < 1:
-            raise ExperimentError(f"jobs must be at least 1, got {jobs}")
+        check_execution(jobs)
         # Cells read the variable only once they run; an invalid value
         # must fail here, not inside every cell.
         backend_from_env()
-        self.jobs = int(jobs)
+        self.jobs = jobs
         self.progress = progress
 
     def run(

@@ -10,15 +10,16 @@ The pipeline has three stages, each with a file format so the stages can
 run in different processes on different machines:
 
 **plan**
-    :meth:`ShardPlan.build` deterministically partitions a flattened,
-    deduplicated spec list into ``N`` shards — round-robin, or
-    cost-balanced by circuit size (greedy longest-processing-time with
-    index tie-breaks, so the same grid always yields the same plan).  The
-    plan carries a ``fingerprint`` of the grid; every derived artifact
-    echoes it, which is how the merge step refuses to combine shards of
-    different grids.  :func:`write_shard` serialises each shard's input
-    (:class:`ShardInput`: the specs plus their *global* grid indices) to a
-    pickle file a shard worker can execute without any other context.
+    :meth:`ShardPlan.build` partitions a flattened, deduplicated spec list
+    into ``N`` shards by dealing cells out by index, so the same grid
+    always yields the same plan.  The plan carries a ``fingerprint`` of
+    the grid; every derived artifact echoes it, which is how the merge
+    step refuses to combine shards of different grids.
+    :func:`write_shard` serialises each shard's input (:class:`ShardInput`:
+    the specs plus their *global* grid indices) to a pickle file a shard
+    worker can execute without any other context, and :func:`write_plan`
+    writes every shard file plus the ``plan.json`` that
+    :func:`read_plan` reads back for the merge.
 
 **execute**
     :func:`execute_shard` runs one shard's cells through an ordinary
@@ -32,8 +33,9 @@ run in different processes on different machines:
 
 **merge**
     :func:`merge_shards` verifies the shards' fingerprints and index sets
-    against each other (and against the plan, when given), restores grid
-    order, and merges the counter deltas with
+    against each other (and against the plan — a :class:`ShardPlan` or a
+    :class:`PlanFile` — when given), restores grid order, and merges the
+    counter deltas with
     :meth:`~repro.core.stats.Counters.merge`.  The merged outcome list is
     exactly what ``ExperimentRunner.run`` on the whole grid returns —
     deterministic fields byte-identical, wall times shard-local.
@@ -43,7 +45,7 @@ deterministic end to end (``docs/parallelism.md``), the merged grid's
 deterministic fields (everything except ``software_runtime_seconds`` and
 the per-process cache counters; see
 :data:`repro.analysis.serialization.WORK_COUNTERS`) are byte-identical to
-the serial run for *any* shard count and either strategy.
+the serial run for *any* shard count.
 
 Crash-safe files (``docs/parallelism.md`` section 8): every file this
 module writes goes through an atomic temp-file + ``os.replace`` write
@@ -58,8 +60,8 @@ without it.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
+import os
 import pickle
 from collections import Counter
 from dataclasses import dataclass, field
@@ -72,6 +74,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.analysis.runner import (
@@ -91,71 +94,22 @@ from repro.analysis.serialization import (
 )
 from repro.core.stats import STATS, Counters
 from repro.exceptions import ExperimentError, ShardFormatError
-from repro.registry import SHARD_STRATEGIES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.config import RunConfig
 
 
-def _round_robin_buckets(
-    specs: Sequence[ExperimentSpec], num_shards: int
-) -> List[List[int]]:
-    """Deal cell indices out to shards by position."""
-    buckets: List[List[int]] = [[] for _ in range(num_shards)]
-    for index in range(len(specs)):
-        buckets[index % num_shards].append(index)
-    return buckets
-
-
-def _cost_balanced_buckets(
-    specs: Sequence[ExperimentSpec], num_shards: int
-) -> List[List[int]]:
-    """Greedy longest-processing-time assignment with index tie-breaks."""
-    buckets: List[List[int]] = [[] for _ in range(num_shards)]
-    costs = _cell_costs(specs)
-    heap = [(0, shard) for shard in range(num_shards)]
-    heapq.heapify(heap)
-    for index in sorted(range(len(specs)), key=lambda i: (-costs[i], i)):
-        load, shard = heapq.heappop(heap)
-        buckets[shard].append(index)
-        heapq.heappush(heap, (load + costs[index], shard))
-    return buckets
-
-
-SHARD_STRATEGIES.add(
-    "round-robin", _round_robin_buckets,
-    description="deal cells out to shards by index",
-)
-SHARD_STRATEGIES.add(
-    "cost-balanced", _cost_balanced_buckets,
-    description="greedy LPT by circuit gates x qubits, index tie-breaks",
-)
-
-#: Built-in partitioning strategies (hyphenated canonical names;
-#: underscores are accepted and normalised), derived from the registry at
-#: import time.  Strategies registered into
-#: :data:`repro.registry.SHARD_STRATEGIES` later are also accepted by
-#: :meth:`ShardPlan.build` — consult the registry, not this snapshot, when
-#: plugins matter.
-STRATEGIES = tuple(SHARD_STRATEGIES.names())
-
 #: Format tags written into (and checked in) the shard file headers.
 SHARD_INPUT_FORMAT = "repro-shard-input"
 OUTCOME_SHARD_FORMAT = "repro-outcome-shard"
+PLAN_FORMAT = "repro-shard-plan"
+
+#: The plan file :func:`write_plan` writes next to the shard files.
+PLAN_FILE = "plan.json"
 
 #: Pickle protocol for shard-input files: fixed, so the same plan always
 #: produces the same bytes regardless of the writing interpreter's default.
 _PICKLE_PROTOCOL = 4
-
-
-def _normalise_strategy(strategy: str) -> str:
-    canonical = strategy.replace("_", "-").lower()
-    if canonical not in SHARD_STRATEGIES:
-        raise ExperimentError(
-            f"unknown shard strategy {strategy!r}; use one of "
-            f"{tuple(SHARD_STRATEGIES.names())}"
-        )
-    return canonical
 
 
 def grid_fingerprint(specs: Sequence[ExperimentSpec]) -> str:
@@ -216,13 +170,12 @@ class ShardPlan:
 
     ``config`` optionally embeds the :class:`repro.config.RunConfig` the
     grid was built from; it rides along into every :class:`ShardInput` and
-    the plan metadata, but is *not* part of the grid fingerprint — the
+    the plan file, but is *not* part of the grid fingerprint — the
     fingerprint identifies the spec grid itself, however it was described.
     """
 
     specs: Tuple[ExperimentSpec, ...]
     assignments: Tuple[Tuple[int, ...], ...]
-    strategy: str
     fingerprint: str
     config: Optional["RunConfig"] = None
 
@@ -239,36 +192,26 @@ class ShardPlan:
         cls,
         specs: Sequence[ExperimentSpec],
         num_shards: int,
-        strategy: str = "round-robin",
+        *,
         config: Optional["RunConfig"] = None,
     ) -> "ShardPlan":
-        """Partition ``specs`` into ``num_shards`` deterministic shards.
+        """Partition ``specs`` into ``num_shards`` shards, cell ``i`` to
+        shard ``i % num_shards``.
 
-        ``strategy`` names an entry of
-        :data:`repro.registry.SHARD_STRATEGIES` — ``round-robin`` deals
-        cells out by index; ``cost-balanced`` assigns the most expensive
-        cells first (cost estimated from the built circuit's gate and
-        qubit counts) to the least-loaded shard, with index and
-        shard-number tie-breaks so the result is a pure function of the
-        grid.  ``config`` embeds the run description in the plan and its
-        shard files.
+        ``config`` embeds the run description in the plan and its shard
+        files.
         """
         specs = tuple(specs)
         if num_shards < 1:
             raise ExperimentError(
                 f"num_shards must be at least 1, got {num_shards}"
             )
-        strategy = _normalise_strategy(strategy)
-        buckets = SHARD_STRATEGIES.entry(strategy).factory(specs, num_shards)
-        if len(buckets) != num_shards:  # pragma: no cover - plugin misuse
-            raise ExperimentError(
-                f"shard strategy {strategy!r} produced {len(buckets)} "
-                f"bucket(s) for {num_shards} shard(s)"
-            )
         return cls(
             specs=specs,
-            assignments=tuple(tuple(sorted(bucket)) for bucket in buckets),
-            strategy=strategy,
+            assignments=tuple(
+                tuple(range(shard, len(specs), num_shards))
+                for shard in range(num_shards)
+            ),
             fingerprint=grid_fingerprint(specs),
             config=config,
         )
@@ -289,46 +232,6 @@ class ShardPlan:
             specs=tuple(self.specs[index] for index in indices),
             config=self.config,
         )
-
-    def metadata(self) -> Dict[str, Any]:
-        """JSON-safe plan description (everything but the specs)."""
-        metadata = {
-            "schema_version": SCHEMA_VERSION,
-            "fingerprint": self.fingerprint,
-            "strategy": self.strategy,
-            "num_shards": self.num_shards,
-            "total_cells": self.total_cells,
-            "assignments": [list(indices) for indices in self.assignments],
-            "labels": [spec.label for spec in self.specs],
-        }
-        if self.config is not None:
-            metadata["config"] = self.config.to_dict()
-        return metadata
-
-
-def _cell_costs(specs: Sequence[ExperimentSpec]) -> List[int]:
-    """Per-cell cost estimates for the cost-balanced strategy.
-
-    Proportional to ``num_gates * num_qubits`` of the cell's circuit —
-    a crude but monotone proxy for placement work.  Circuits are built
-    once per distinct factory object (sweep grids share factories across
-    thresholds); a factory that fails at plan time costs 1 and fails
-    properly when its cell runs.
-    """
-    memo: Dict[int, int] = {}
-    costs: List[int] = []
-    for spec in specs:
-        key = id(spec.circuit_factory)
-        if key not in memo:
-            try:
-                circuit = spec.circuit_factory()
-                memo[key] = max(1, circuit.num_gates) * max(1, circuit.num_qubits)
-            except Exception:  # repro: allow[ROB002]
-                # Cost estimation is advisory; a failing factory falls back to
-                # unit cost and fails loudly when the cell itself runs.
-                memo[key] = 1
-        costs.append(memo[key])
-    return costs
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +308,145 @@ def read_shard(path: str) -> ShardInput:
 
 
 # ---------------------------------------------------------------------------
+# The plan file (JSON: the partition plus the sweep layout)
+# ---------------------------------------------------------------------------
+
+
+#: Keys :func:`read_plan` needs from a plan file.
+_PLAN_KEYS = (
+    "fingerprint", "num_shards", "total_cells", "assignments", "cell_index",
+    "thresholds", "circuit_name", "environment_name",
+)
+
+
+@dataclass(frozen=True)
+class PlanFile:
+    """A plan file read back by :func:`read_plan`.
+
+    ``fingerprint``, ``assignments`` and ``total_cells`` are what
+    :func:`merge_shards` verifies outcome shards against, exactly as it
+    verifies them against the :class:`ShardPlan` that wrote the file; the
+    sweep layout (``cell_index`` fans the grid's cells out to
+    ``thresholds``) turns the merged grid back into the sweep row.
+    """
+
+    fingerprint: str
+    assignments: Tuple[Tuple[int, ...], ...]
+    total_cells: int
+    circuit_name: str
+    environment_name: str
+    thresholds: Tuple[float, ...]
+    cell_index: Tuple[int, ...]
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.assignments)
+
+
+def write_plan(
+    plan: ShardPlan,
+    out_dir: str,
+    *,
+    circuit_name: str,
+    environment_name: str,
+    thresholds: Sequence[float],
+    cell_index: Sequence[int],
+) -> List[str]:
+    """Write every shard input of ``plan`` and its :data:`PLAN_FILE`.
+
+    The shard files are ``shard-<i>.pkl`` in ``out_dir`` (created if
+    needed); the plan file holds the partition, the sweep layout given
+    here, the cell labels and the embedded config, with a payload
+    checksum.  Returns the shard file paths in shard order.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    shard_files = [f"shard-{index}.pkl" for index in range(plan.num_shards)]
+    for index, name in enumerate(shard_files):
+        write_shard(plan.shard_input(index), os.path.join(out_dir, name))
+    payload: Dict[str, Any] = {
+        "format": PLAN_FORMAT,
+        "schema_version": SCHEMA_VERSION,
+        "fingerprint": plan.fingerprint,
+        "num_shards": plan.num_shards,
+        "total_cells": plan.total_cells,
+        "assignments": [list(indices) for indices in plan.assignments],
+        "labels": [spec.label for spec in plan.specs],
+        "shard_files": shard_files,
+        "circuit_name": circuit_name,
+        "environment_name": environment_name,
+        "thresholds": list(thresholds),
+        "cell_index": list(cell_index),
+    }
+    if plan.config is not None:
+        payload.update(
+            config=plan.config.to_dict(),
+            circuit=plan.config.circuit,
+            environment=plan.config.environment,
+        )
+    atomic_write_text(
+        os.path.join(out_dir, PLAN_FILE), dump_json(checksummed_payload(payload))
+    )
+    return [os.path.join(out_dir, name) for name in shard_files]
+
+
+def read_plan(path: str) -> PlanFile:
+    """Read a plan file written by :func:`write_plan`.
+
+    A missing, foreign, truncated, corrupted or self-contradictory file
+    raises a one-line :class:`~repro.exceptions.ShardFormatError` naming
+    the path.  Keys this reader does not use (``labels``, ``config``, the
+    ``strategy`` of older plans) are ignored.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except Exception as exc:
+        raise ShardFormatError(f"cannot read plan file {path!r}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != PLAN_FORMAT:
+        raise ShardFormatError(
+            f"{path!r} is not a shard-plan file (expected format "
+            f"{PLAN_FORMAT!r}); pass the plan.json written by "
+            "'repro-place shard plan'"
+        )
+    missing = [key for key in _PLAN_KEYS if key not in payload]
+    if missing:
+        raise ShardFormatError(
+            f"plan file {path!r} is missing {missing}; the file is "
+            "truncated or was not written by 'repro-place shard plan'"
+        )
+    verify_payload_checksum(payload, path)
+    try:
+        plan = PlanFile(
+            fingerprint=str(payload["fingerprint"]),
+            assignments=tuple(
+                tuple(int(index) for index in indices)
+                for indices in payload["assignments"]
+            ),
+            total_cells=int(payload["total_cells"]),
+            circuit_name=str(payload["circuit_name"]),
+            environment_name=str(payload["environment_name"]),
+            thresholds=tuple(float(value) for value in payload["thresholds"]),
+            cell_index=tuple(int(index) for index in payload["cell_index"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ShardFormatError(
+            f"plan file {path!r} is malformed ({exc!r})"
+        ) from exc
+    if (
+        payload["num_shards"] != plan.num_shards
+        or len(plan.cell_index) != len(plan.thresholds)
+        or not all(0 <= index < plan.total_cells for index in plan.cell_index)
+    ):
+        raise ShardFormatError(
+            f"plan file {path!r} contradicts itself: {payload['num_shards']!r} "
+            f"shard(s) with {plan.num_shards} assignment(s), "
+            f"{len(plan.thresholds)} threshold(s) with cell index "
+            f"{list(plan.cell_index)} over {plan.total_cells} cell(s)"
+        )
+    return plan
+
+
+# ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
 
@@ -466,10 +508,9 @@ def outcome_shard_to_payload(shard: OutcomeShard) -> Dict[str, Any]:
 
     The payload embeds its own SHA-256 checksum
     (:func:`repro.analysis.serialization.checksummed_payload`), so the
-    file :func:`write_outcome_shard` produces — and the identical payload
-    a ``sweep --shard-index --output json`` worker prints — is verifiable
-    on read.  Checksumming is deterministic, so equal shards still
-    serialise to byte-identical payloads.
+    file :func:`write_outcome_shard` produces is verifiable on read.
+    Checksumming is deterministic, so equal shards still serialise to
+    byte-identical payloads.
     """
     return checksummed_payload({
         "format": OUTCOME_SHARD_FORMAT,
@@ -573,14 +614,18 @@ class MergedGrid:
 
 
 def merge_shards(
-    shards: Sequence[OutcomeShard], plan: Optional[ShardPlan] = None
+    shards: Sequence[OutcomeShard],
+    plan: Optional[Union[ShardPlan, PlanFile]] = None,
 ) -> MergedGrid:
     """Verify and merge outcome shards back into one grid.
 
     Checks, before touching any data: every shard echoes the same plan
-    fingerprint (and the given ``plan``'s, when provided), shard indices
-    are unique and in range, each shard's outcome list matches its index
-    list, and the union of indices covers the grid exactly once.  Counter
+    fingerprint, shard indices are unique and in range, each shard's
+    outcome list matches its index list, and the union of indices covers
+    the grid exactly once.  Given a ``plan`` (a :class:`ShardPlan`, or a
+    :class:`PlanFile` from :func:`read_plan`), the shards must also carry
+    its fingerprint and shard count, each shard must hold exactly the
+    cells the plan assigned to it, and the grid is the plan's.  Counter
     deltas are folded with :meth:`Counters.merge` in shard order — merge
     order cannot matter, since merging is per-name addition.
     """

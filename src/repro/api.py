@@ -356,38 +356,16 @@ class Session:
     # -- shard ---------------------------------------------------------------
 
     def shard_plan(self, grid: Optional[SweepGrid] = None) -> sharding.ShardPlan:
-        """Partition this config's sweep grid into its deterministic shards.
+        """Deal this config's sweep grid out to ``config.shards`` shards.
 
         The returned plan embeds the config, so shard input files written
-        from it are self-describing.
+        from it are self-describing; run a shard with
+        :func:`repro.analysis.sharding.execute_shard`.
         """
         grid = grid or self.sweep_grid()
         return sharding.ShardPlan.build(
-            grid.specs,
-            num_shards=self.config.shards,
-            strategy=self.config.strategy,
-            config=self.config,
+            grid.specs, self.config.shards, config=self.config
         )
-
-    def sweep_shard(
-        self,
-        shard_index: Optional[int] = None,
-        grid: Optional[SweepGrid] = None,
-    ) -> sharding.OutcomeShard:
-        """Execute one shard of the sweep grid (the shard-worker mode).
-
-        ``shard_index`` defaults to the config's; the returned outcome
-        shard merges with its siblings into exactly the serial sweep.
-        """
-        index = self.config.shard_index if shard_index is None else shard_index
-        if index is None:
-            raise ConfigError(
-                "sweep_shard needs a shard index (config.shard_index or the "
-                "shard_index argument)"
-            )
-        grid = grid or self.sweep_grid()
-        plan = self.shard_plan(grid=grid)
-        return sharding.execute_shard(plan.shard_input(index), self.runner())
 
     # -- table harnesses -----------------------------------------------------
 

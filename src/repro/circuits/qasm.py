@@ -16,56 +16,63 @@ the paper's figures list pulse sequences::
 Grammar per non-comment line:
 
 * ``qubits <label> <label> ...`` — declares the qubit labels (required,
-  first non-comment line);
-* ``<Name>(<angle>) <q> [<q2>]`` — a gate with an explicit angle (any
-  finite float literal: ``90``, ``-0.5``, ``8.58e-05``), whose duration is
-  derived from the gate name and angle via the constructors in
-  :mod:`repro.circuits.gates`; the names are RX/RY/RZ/ZZ/CPHASE;
+  first non-comment line).  Integer-looking labels (``0``, ``-3``) are
+  read as ints, by the label rule of :mod:`repro.hardware.io`, so two
+  labels naming one int (``1`` and ``01``) are refused;
+* ``<Name>(<angle>) <q> [<q2>] [duration=<t>]`` — a gate with an explicit
+  angle (any finite float literal: ``90``, ``-0.5``, ``8.58e-05``), built
+  by the constructor in :mod:`repro.circuits.gates` the name selects
+  (RX/RY/RZ/ZZ/CPHASE), which derives its duration from the angle;
 * ``<Name> <q> [<q2>] [duration=<t>]`` — a named gate without an angle;
   CNOT/CZ/SWAP/H/X/Y/Z map to their constructors, any other name becomes a
   generic gate with the given (default 1.0) duration.
 
-:func:`dumps` writes every angle and duration so that it parses back to
-the same float (``90`` stays ``90``), so ``loads(dumps(c))`` rebuilds the
-gates of ``c`` exactly.
+A ``duration=`` on a constructor-built gate replaces the duration the
+constructor gives it.  :func:`dumps` writes one for every generic gate
+and, for a constructor-built gate, only where the two durations differ.
+It writes every angle and duration so that it parses back to the same
+float (``90`` stays ``90``), so ``loads(dumps(c))`` rebuilds the qubits
+and gates of ``c`` exactly.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.circuits import gates as g
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import Gate
+from repro.circuits.gates import Gate, Qubit
 from repro.exceptions import SerializationError
+from repro.hardware.io import label_from_text
 
 _GATE_WITH_ANGLE = re.compile(r"^(?P<name>[A-Za-z_][\w]*)\((?P<angle>.*)\)$")
 
-_ANGLE_CONSTRUCTORS: Dict[str, Callable[..., Gate]] = {
-    "RX": lambda qubits, angle: g.rx(qubits[0], angle),
-    "RY": lambda qubits, angle: g.ry(qubits[0], angle),
-    "RZ": lambda qubits, angle: g.rz(qubits[0], angle),
-    "ZZ": lambda qubits, angle: g.zz(qubits[0], qubits[1], angle),
-    "CPHASE": lambda qubits, angle: g.controlled_phase(qubits[0], qubits[1], angle),
+#: Gate heads built by a constructor: upper-cased name -> (qubit count,
+#: constructor), called with the qubits, then the angle for angle heads.
+_ANGLE_GATES: Dict[str, Tuple[int, Callable[..., Gate]]] = {
+    "RX": (1, g.rx),
+    "RY": (1, g.ry),
+    "RZ": (1, g.rz),
+    "ZZ": (2, g.zz),
+    "CPHASE": (2, g.controlled_phase),
 }
-
-_PLAIN_CONSTRUCTORS: Dict[str, Callable[..., Gate]] = {
-    "CNOT": lambda qubits: g.cnot(qubits[0], qubits[1]),
-    "CX": lambda qubits: g.cnot(qubits[0], qubits[1]),
-    "CZ": lambda qubits: g.cz(qubits[0], qubits[1]),
-    "SWAP": lambda qubits: g.swap(qubits[0], qubits[1]),
-    "H": lambda qubits: g.hadamard(qubits[0]),
-    "X": lambda qubits: g.pauli_x(qubits[0]),
-    "Y": lambda qubits: g.pauli_y(qubits[0]),
-    "Z": lambda qubits: g.pauli_z(qubits[0]),
+_PLAIN_GATES: Dict[str, Tuple[int, Callable[..., Gate]]] = {
+    "CNOT": (2, g.cnot),
+    "CX": (2, g.cnot),
+    "CZ": (2, g.cz),
+    "SWAP": (2, g.swap),
+    "H": (1, g.hadamard),
+    "X": (1, g.pauli_x),
+    "Y": (1, g.pauli_y),
+    "Z": (1, g.pauli_z),
 }
 
 
 def loads(text: str, name: str = "circuit") -> QuantumCircuit:
     """Parse a circuit from its text representation."""
-    qubits: List[str] = []
+    qubits: List[Qubit] = []
     gate_list: List[Gate] = []
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -78,11 +85,7 @@ def loads(text: str, name: str = "circuit") -> QuantumCircuit:
                 raise SerializationError(
                     f"line {line_number}: duplicate 'qubits' declaration"
                 )
-            qubits = tokens[1:]
-            if not qubits:
-                raise SerializationError(
-                    f"line {line_number}: 'qubits' declaration needs labels"
-                )
+            qubits = _declared_qubits(tokens[1:], line_number)
             continue
         if not qubits:
             raise SerializationError(
@@ -95,6 +98,24 @@ def loads(text: str, name: str = "circuit") -> QuantumCircuit:
         return QuantumCircuit(qubits, gate_list, name=name)
     except Exception as exc:
         raise SerializationError(f"invalid circuit: {exc}") from exc
+
+
+def _declared_qubits(labels: List[str], line_number: int) -> List[Qubit]:
+    """The qubits of a ``qubits`` line, refusing two labels for one qubit."""
+    if not labels:
+        raise SerializationError(
+            f"line {line_number}: 'qubits' declaration needs labels"
+        )
+    seen: Dict[Qubit, str] = {}
+    for text in labels:
+        qubit = label_from_text(text)
+        if qubit in seen:
+            raise SerializationError(
+                f"line {line_number}: qubit labels {seen[qubit]!r} and "
+                f"{text!r} both name qubit {qubit!r}"
+            )
+        seen[qubit] = text
+    return list(seen)
 
 
 def _finite(text: str, what: str, line_number: int) -> float:
@@ -114,51 +135,42 @@ def _parse_gate_line(tokens: List[str], line_number: int) -> Gate:
     """Parse one gate line that has already been split into tokens."""
     head = tokens[0]
     duration = None
-    operands = []
+    operands: List[Qubit] = []
     for token in tokens[1:]:
         if token.startswith("duration="):
             duration = _finite(token.split("=", 1)[1], "duration", line_number)
         else:
-            operands.append(token)
+            operands.append(label_from_text(token))
 
     match = _GATE_WITH_ANGLE.match(head)
     if match:
         gate_name = match.group("name").upper()
-        constructor = _ANGLE_CONSTRUCTORS.get(gate_name)
-        if constructor is None:
+        if gate_name not in _ANGLE_GATES:
             raise SerializationError(
                 f"line {line_number}: unknown parametrised gate {gate_name!r}"
             )
         angle = _finite(match.group("angle"), f"{gate_name} angle", line_number)
-        expected = 2 if gate_name in {"ZZ", "CPHASE"} else 1
-        if len(operands) != expected:
+        arity, constructor = _ANGLE_GATES[gate_name]
+        arguments: Tuple[float, ...] = (angle,)
+    elif head.upper() in _PLAIN_GATES:
+        gate_name = head.upper()
+        arity, constructor = _PLAIN_GATES[gate_name]
+        arguments = ()
+    else:
+        # Generic named gate with an explicit duration.
+        if len(operands) not in (1, 2):
             raise SerializationError(
-                f"line {line_number}: {gate_name} expects {expected} qubit(s), "
-                f"got {len(operands)}"
+                f"line {line_number}: gate {head!r} must have one or two "
+                "qubit operands"
             )
-        return constructor(operands, angle)
-
-    gate_name = head.upper()
-    constructor = _PLAIN_CONSTRUCTORS.get(gate_name)
-    if constructor is not None:
-        expected = 1 if gate_name in {"H", "X", "Y", "Z"} else 2
-        if len(operands) != expected:
-            raise SerializationError(
-                f"line {line_number}: {gate_name} expects {expected} qubit(s), "
-                f"got {len(operands)}"
-            )
-        return constructor(operands)
-
-    # Generic named gate with an explicit duration.
-    if len(operands) == 1:
-        return g.generic_1q(operands[0], duration if duration is not None else 1.0, head)
-    if len(operands) == 2:
-        return g.generic_2q(
-            operands[0], operands[1], duration if duration is not None else 1.0, head
+        return Gate(head, operands, 1.0 if duration is None else duration)
+    if len(operands) != arity:
+        raise SerializationError(
+            f"line {line_number}: {gate_name} expects {arity} qubit(s), "
+            f"got {len(operands)}"
         )
-    raise SerializationError(
-        f"line {line_number}: gate {head!r} must have one or two qubit operands"
-    )
+    gate = constructor(*operands, *arguments)
+    return gate if duration is None else gate.with_duration(duration)
 
 
 def _number(value: float) -> str:
@@ -168,18 +180,24 @@ def _number(value: float) -> str:
 
 
 def dumps(circuit: QuantumCircuit) -> str:
-    """Serialize a circuit to the text format accepted by :func:`loads`."""
+    """Serialize a circuit to the text format accepted by :func:`loads`.
+
+    A constructor-built gate on the wrong number of qubits, which
+    :func:`loads` could not read back, raises :class:`SerializationError`
+    naming its line.
+    """
     lines = [f"# {circuit.name}", "qubits " + " ".join(str(q) for q in circuit.qubits)]
     for gate in circuit:
-        operands = " ".join(str(q) for q in gate.qubits)
-        if gate.angle is not None and gate.name.upper() in _ANGLE_CONSTRUCTORS:
-            lines.append(f"{gate.name}({_number(gate.angle)}) {operands}")
-        elif gate.name.upper() in _PLAIN_CONSTRUCTORS:
-            lines.append(f"{gate.name} {operands}")
-        else:
-            lines.append(
-                f"{gate.name} {operands} duration={_number(gate.duration)}"
-            )
+        head = gate.name
+        if gate.angle is not None and head.upper() in _ANGLE_GATES:
+            head += f"({_number(gate.angle)})"
+        line = f"{head} " + " ".join(str(q) for q in gate.qubits)
+        generic = head == gate.name and head.upper() not in _PLAIN_GATES
+        if generic or _parse_gate_line(
+            line.split(), len(lines) + 1
+        ).duration != gate.duration:
+            line += f" duration={_number(gate.duration)}"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -12,18 +12,17 @@ messages name the program ``repro-place``.  Subcommands:
 
 ``sweep``
     Run a Table-3 style threshold sweep of one circuit over one
-    environment.  ``--shards N --shard-index K`` executes only shard ``K``
-    of the deterministic ``N``-shard partition of the sweep grid — the
-    single-invocation shard worker (its ``--output json`` payload is a
-    mergeable outcome shard).
+    environment.
 
 ``shard``
-    The sharded-grid pipeline: ``shard plan`` partitions a sweep grid
-    into shard input files plus a ``plan.json``, ``shard run`` executes
-    one shard file anywhere (any host with this package), and ``shard
-    merge`` verifies and merges the outcome shards back into exactly the
-    table a serial ``sweep`` would have printed; a missing, corrupted or
-    foreign outcome shard fails the merge with one error line.  See
+    The one way to split a sweep across processes or hosts: ``shard
+    plan`` deals the sweep grid's cells out to shard input files by index
+    and writes a ``plan.json``, ``shard run`` executes one shard file
+    anywhere (any host with this package), and ``shard merge`` verifies
+    and merges the outcome shards back into exactly the table a serial
+    ``sweep`` would have printed; a missing, corrupted or foreign outcome
+    shard, or one that does not hold the cells the plan gave it, fails
+    the merge with one error line.  See
     ``docs/parallelism.md`` ("Sharding across hosts" and "Crash-safe
     files").
 
@@ -41,16 +40,15 @@ be compared byte for byte.
 Every command is a thin delegate of the :class:`repro.api.Session`
 façade, so a run launched here is byte-identical to the same
 :class:`~repro.config.RunConfig` executed from Python.  Usage errors —
-unknown circuit/environment specs, out-of-range ``--shards`` or
-``--shard-index``, malformed config files — exit with code 2 and a
-one-line message; runtime failures exit with code 1.
+unknown circuit/environment specs, a ``--shards`` or ``--jobs`` below 1,
+malformed config files — exit with code 2 and a one-line message;
+runtime failures exit with code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from typing import List, Optional
@@ -59,26 +57,19 @@ from repro import api
 from repro.analysis import sharding
 from repro.analysis.reporting import format_table
 from repro.analysis.runner import ExperimentRunner, stderr_progress
-from repro.analysis.serialization import (
-    atomic_write_text,
-    checksummed_payload,
-    dump_json,
-    outcomes_payload,
-    verify_payload_checksum,
-)
+from repro.analysis.serialization import dump_json, outcomes_payload
 from repro.analysis.sweep import row_from_outcomes
 from repro.api import Session
-from repro.config import OUTPUT_FORMATS, RunConfig, check_execution
+from repro.config import OUTPUT_FORMATS, RunConfig
 from repro.core._bitset import node_index_table
 from repro.core.config import PlacementOptions
 from repro.exceptions import (
     ConfigError,
-    ExperimentError,
     PlacementError,
     ReproError,
     UnknownSpecError,
 )
-from repro.registry import CIRCUITS, ENVIRONMENTS, PLACERS, SHARD_STRATEGIES
+from repro.registry import CIRCUITS, ENVIRONMENTS, PLACERS
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +167,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         options=_merged_options(base.options if base else PlacementOptions(), args),
         jobs=pick(getattr(args, "jobs", None), base.jobs if base else None, 1),
         shards=pick(getattr(args, "shards", None), base.shards if base else None, 1),
-        shard_index=pick(getattr(args, "shard_index", None),
-                         base.shard_index if base else None, None),
-        strategy=pick(getattr(args, "strategy", None),
-                      base.strategy if base else None, "round-robin"),
         output=pick(getattr(args, "output", None),
                     base.output if base else None, "text"),
     )
@@ -225,45 +212,22 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep (including the single-invocation shard worker)
+# sweep
 # ---------------------------------------------------------------------------
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if config.shards > 1 and config.shard_index is None:
+    if config.shards > 1:
         raise ConfigError(
-            "--shards without --shard-index selects nothing to run; pass "
-            "--shard-index K to execute one shard, or use "
-            "'repro-place shard plan' to write shard files for all of them"
+            f"sweep runs the whole grid, but the config asks for "
+            f"{config.shards} shards; write the shard files with "
+            "'repro-place shard plan' and run each with 'shard run'"
         )
     session = Session(
         config,
         progress=stderr_progress("sweep cell") if args.progress else None,
     )
-
-    if config.shard_index is not None:
-        # Shard-worker mode: execute only this invocation's slice of the
-        # deterministic N-shard partition.  The JSON payload is a full
-        # outcome shard, so N such invocations merge back into the exact
-        # serial sweep (repro-place shard merge).
-        grid = session.sweep_grid()
-        shard = session.sweep_shard(grid=grid)
-        if config.output == "json":
-            print(dump_json(sharding.outcome_shard_to_payload(shard)), end="")
-            return 0
-        table_rows = [
-            [outcome.label, "ok" if outcome.feasible else "N/A"]
-            for outcome in shard.outcomes
-        ]
-        print(format_table(
-            ["cell", "status"], table_rows,
-            title=f"shard {shard.shard_index}/{shard.num_shards} "
-                  f"({len(shard.outcomes)} of {len(grid.specs)} cells, "
-                  f"fingerprint {shard.plan_fingerprint[:12]})",
-        ))
-        return 0
-
     result = session.sweep()
     if config.output == "json":
         print(dump_json(result.payload()), end="")
@@ -276,9 +240,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # shard plan / run / merge
 # ---------------------------------------------------------------------------
 
-PLAN_FILE = "plan.json"
-PLAN_FORMAT = "repro-shard-plan"
-
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
     if args.shards is None and args.config is None:
@@ -290,39 +251,24 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
     session = Session(config)
     grid = session.sweep_grid()
     plan = session.shard_plan(grid=grid)
-    os.makedirs(args.out_dir, exist_ok=True)
-    shard_files = []
-    for index in range(plan.num_shards):
-        shard_file = f"shard-{index}.pkl"
-        sharding.write_shard(
-            plan.shard_input(index), os.path.join(args.out_dir, shard_file)
-        )
-        shard_files.append(shard_file)
-    metadata = plan.metadata()
-    metadata.update({
-        "format": PLAN_FORMAT,
-        "circuit": config.circuit,
-        "circuit_name": grid.circuit_name,
-        "environment": config.environment,
-        "environment_name": grid.environment.name,
-        "thresholds": grid.thresholds,
-        "cell_index": grid.cell_index,
-        "shard_files": shard_files,
-    })
-    plan_path = os.path.join(args.out_dir, PLAN_FILE)
-    atomic_write_text(plan_path, dump_json(checksummed_payload(metadata)))
+    shard_paths = sharding.write_plan(
+        plan,
+        args.out_dir,
+        circuit_name=grid.circuit_name,
+        environment_name=grid.environment.name,
+        thresholds=grid.thresholds,
+        cell_index=grid.cell_index,
+    )
     print(f"planned {plan.total_cells} cell(s) into {plan.num_shards} shard(s) "
-          f"({plan.strategy}, fingerprint {plan.fingerprint[:12]})")
+          f"(fingerprint {plan.fingerprint[:12]})")
     for index, indices in enumerate(plan.assignments):
-        print(f"  shard {index}: {len(indices)} cell(s) -> "
-              f"{os.path.join(args.out_dir, shard_files[index])}")
-    print(f"plan metadata: {plan_path}")
+        print(f"  shard {index}: {len(indices)} cell(s) -> {shard_paths[index]}")
+    print(f"plan metadata: {os.path.join(args.out_dir, sharding.PLAN_FILE)}")
     return 0
 
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
     shard = sharding.read_shard(args.shard_file)
-    check_execution(args.jobs)
     runner = ExperimentRunner(
         jobs=args.jobs,
         progress=(
@@ -339,70 +285,19 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
     return 0
 
 
-_PLAN_REQUIRED_KEYS = (
-    "fingerprint", "num_shards", "total_cells", "cell_index", "thresholds",
-    "circuit_name", "environment_name",
-)
-
-
-def _read_plan_metadata(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            metadata = json.load(handle)
-    except Exception as exc:
-        raise ExperimentError(f"cannot read plan file {path!r}: {exc}") from exc
-    if not isinstance(metadata, dict) or metadata.get("format") != PLAN_FORMAT:
-        raise ExperimentError(
-            f"{path!r} is not a shard-plan file (expected format "
-            f"{PLAN_FORMAT!r}); pass the plan.json written by "
-            "'repro-place shard plan'"
-        )
-    missing = [key for key in _PLAN_REQUIRED_KEYS if key not in metadata]
-    if missing:
-        raise ExperimentError(
-            f"plan file {path!r} is missing {missing}; the file is "
-            "truncated or was not written by 'repro-place shard plan'"
-        )
-    verify_payload_checksum(metadata, path)
-    return metadata
-
-
 def _cmd_shard_merge(args: argparse.Namespace) -> int:
     shards = [sharding.read_outcome_shard(path) for path in args.shard_outputs]
-    merged = sharding.merge_shards(shards)
     output = args.output or "text"
     if args.plan is not None:
-        metadata = _read_plan_metadata(args.plan)
-        if merged.plan_fingerprint != metadata["fingerprint"]:
-            raise ExperimentError(
-                f"outcome shards carry fingerprint "
-                f"{merged.plan_fingerprint!r} but the plan is "
-                f"{metadata['fingerprint']!r}; these shards belong to a "
-                "different grid"
-            )
-        if merged.num_shards != metadata["num_shards"]:
-            raise ExperimentError(
-                f"outcome shards declare {merged.num_shards} shard(s) but "
-                f"the plan has {metadata['num_shards']}"
-            )
-        if len(merged.outcomes) != metadata["total_cells"]:
-            raise ExperimentError(
-                f"merged grid has {len(merged.outcomes)} cell(s) but the "
-                f"plan describes {metadata['total_cells']}"
-            )
-        try:
-            row = row_from_outcomes(
-                merged.outcomes,
-                metadata["cell_index"],
-                metadata["thresholds"],
-                metadata["circuit_name"],
-                metadata["environment_name"],
-            )
-        except (IndexError, TypeError, ValueError) as exc:
-            raise ExperimentError(
-                f"plan file {args.plan!r} does not describe the merged grid "
-                f"({exc!r}); the plan is corrupt or belongs to another run"
-            ) from exc
+        plan = sharding.read_plan(args.plan)
+        merged = sharding.merge_shards(shards, plan=plan)
+        row = row_from_outcomes(
+            merged.outcomes,
+            list(plan.cell_index),
+            plan.thresholds,
+            plan.circuit_name,
+            plan.environment_name,
+        )
         if output == "json":
             payload = api.sweep_payload(
                 row, merged.outcomes, merged.counters, merged.plan_fingerprint
@@ -413,6 +308,7 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
         return 0
     # Plan-less merge: no threshold layout to rebuild a sweep table from,
     # so emit the generic merged payload (rows in grid order + counters).
+    merged = sharding.merge_shards(shards)
     if output == "json":
         payload = outcomes_payload(merged.outcomes, counters=merged.counters)
         payload["plan_fingerprint"] = merged.plan_fingerprint
@@ -502,16 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "either way)")
     sweep_parser.add_argument("--progress", action="store_true",
                               help="print one line per completed sweep cell to stderr")
-    sweep_parser.add_argument("--shards", type=int, default=None,
-                              help="partition the sweep grid into this many "
-                                   "deterministic shards (use with --shard-index)")
-    sweep_parser.add_argument("--shard-index", type=int, default=None,
-                              help="execute only this shard of the --shards "
-                                   "partition; with --output json the payload "
-                                   "is a mergeable outcome shard")
-    sweep_parser.add_argument("--strategy", choices=list(SHARD_STRATEGIES.names()),
-                              default=None,
-                              help="shard partitioning strategy (default: round-robin)")
     _add_config_option(sweep_parser)
     _add_common_options(sweep_parser)
     _add_output_option(sweep_parser)
@@ -532,10 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan_parser.add_argument("--thresholds", type=float, nargs="+", default=None,
                              help="threshold values (default: the paper's list)")
     plan_parser.add_argument("--shards", type=int, default=None,
-                             help="number of shards to partition the grid into")
-    plan_parser.add_argument("--strategy", choices=list(SHARD_STRATEGIES.names()),
-                             default=None,
-                             help="partitioning strategy (default: round-robin)")
+                             help="number of shards to deal the grid's cells "
+                                  "out to, by index")
     plan_parser.add_argument("--out-dir", required=True,
                              help="directory for plan.json and shard-<i>.pkl files")
     _add_config_option(plan_parser)
@@ -562,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="outcome-shard JSON files (one per shard)")
     merge_parser.add_argument("--plan", default=None,
                               help="plan.json from 'shard plan'; enables the "
-                                   "sweep-table rendering and extra verification")
+                                   "sweep-table rendering and checks that each "
+                                   "shard holds the cells the plan gave it")
     _add_output_option(merge_parser)
     merge_parser.set_defaults(func=_cmd_shard, shard_func=_cmd_shard_merge)
 

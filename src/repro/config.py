@@ -4,7 +4,8 @@ Every entry point of this package — :func:`repro.core.placement.place_circuit`
 via :meth:`repro.api.Session.place`, the Table-3 sweeps, the shard
 pipeline, the CLI — consumes the same frozen :class:`RunConfig`: circuit
 and environment registry specs (see :mod:`repro.registry`), the placement
-options, and the execution shape (jobs, shards, output format).  A config
+options, and the execution shape (jobs, the shard count ``shard plan``
+deals the grid's cells out to, output format).  A config
 round-trips through canonical JSON byte-for-byte, is accepted by every
 CLI command as ``--config run.json``, and is embedded in shard plans so a
 shard file describes the run it belongs to.
@@ -20,8 +21,6 @@ The JSON schema (see ``docs/api.md``)::
       "options": { ... PlacementOptions fields ... },
       "jobs": 1,
       "shards": 1,
-      "shard_index": null,
-      "strategy": "round-robin",
       "output": "text"
     }
 
@@ -29,10 +28,12 @@ Unknown keys are rejected (a typo in a config file must not be silently
 ignored), and all values are validated on construction, so an invalid
 file fails with a one-line :class:`~repro.exceptions.ConfigError` before
 any work starts.  Files written before the cell-retry layer was removed
-carry ``"retries": 0`` and ``"cell_timeout": null``, and options objects
-written before the scheduler backend became a property of the process
-carry ``"auto"`` as their backend; those no-op values are read and
-dropped, and any other value is refused (``docs/api.md``).
+carry ``"retries": 0`` and ``"cell_timeout": null``; files written before
+``sweep`` stopped running single shards carry ``"shard_index": null`` and
+a ``"strategy"`` naming one of the two removed shard strategies; options
+objects written before the scheduler backend became a property of the
+process carry ``"auto"`` as their backend.  Those no-op values are read
+and dropped, and any other value is refused (``docs/api.md``).
 """
 
 from __future__ import annotations
@@ -40,11 +41,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.config import REMOVED_BACKEND_OPTION, PlacementOptions
 from repro.exceptions import ConfigError, ReproError
-from repro.registry import SHARD_STRATEGIES
 from repro.timing._replay import BACKEND_ENV_VAR
 
 #: Format tag written into (and checked in) serialised configs.
@@ -57,13 +57,35 @@ CONFIG_SCHEMA_VERSION = 1
 OUTPUT_FORMATS = ("text", "json")
 
 
+def _is(inert: Any) -> Callable[[Any], bool]:
+    """Whether a value is ``inert``, type included (``0.0`` is not ``0``)."""
+    return lambda value: value == inert and type(value) is type(inert)
+
+
+def _old_strategy(value: Any) -> bool:
+    """Whether a value names a removed shard strategy in a spelling the old
+    validator accepted (any case, ``_`` for ``-``); both dealt the cells
+    of every grid this program builds out by index."""
+    return isinstance(value, str) and value.replace("_", "-").lower() in (
+        "round-robin", "cost-balanced",
+    )
+
+
 #: Keys removed from the run config, and from its options object: each
-#: with the no-op value files written before the removal carry, and why
-#: any other value is refused.
+#: with the test for the no-op value files written before the removal
+#: carry, and why any other value is refused.
 _NO_RETRIES = "cell retries and timeouts were removed"
-_REMOVED_KEYS = (("retries", 0, _NO_RETRIES), ("cell_timeout", None, _NO_RETRIES))
+_REMOVED_KEYS = (
+    ("retries", _is(0), _NO_RETRIES),
+    ("cell_timeout", _is(None), _NO_RETRIES),
+    ("shard_index", _is(None),
+     "sweep no longer runs one shard: write the shard files with "
+     "'shard plan' and run each with 'shard run'"),
+    ("strategy", _old_strategy,
+     "cells are dealt out to shards by index, the one partition rule"),
+)
 _REMOVED_OPTIONS = (
-    (REMOVED_BACKEND_OPTION, "auto",
+    (REMOVED_BACKEND_OPTION, _is("auto"),
      f"the scheduler backend is chosen per process by {BACKEND_ENV_VAR}"),
 )
 
@@ -71,8 +93,8 @@ _REMOVED_OPTIONS = (
 def check_execution(jobs: object) -> None:
     """Validate a run's worker count.
 
-    The rule and message of :class:`RunConfig`'s ``jobs`` field, shared
-    with ``shard run``, whose flags build no :class:`RunConfig`.  A bad
+    The rule and message of :class:`RunConfig`'s ``jobs`` field, which
+    :class:`~repro.analysis.runner.ExperimentRunner` applies too.  A bad
     value raises :class:`ConfigError`.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
@@ -80,20 +102,22 @@ def check_execution(jobs: object) -> None:
 
 
 def _drop_removed_keys(
-    data: Dict[str, Any], removed: Tuple[Tuple[str, Any, str], ...], kind: str
+    data: Dict[str, Any],
+    removed: Tuple[Tuple[str, Callable[[Any], bool], str], ...],
+    kind: str,
 ) -> None:
     """Remove the ``removed`` keys from ``data`` if they hold no-op values.
 
     Any other value asks for something this program no longer does per
-    run (retries, a timeout, one scheduler backend); running without it
-    would silently differ from what the file asks for, so such a value
-    raises :class:`ConfigError` instead.
+    run (retries, a timeout, one shard, one scheduler backend); running
+    without it would silently differ from what the file asks for, so such
+    a value raises :class:`ConfigError` instead.
     """
-    for key, inert, reason in removed:
+    for key, is_inert, reason in removed:
         if key not in data:
             continue
         value = data.pop(key)
-        if value != inert or type(value) is not type(inert):
+        if not is_inert(value):
             raise ConfigError(
                 f"{kind} key {key!r} is {value!r}, but {reason}; "
                 "delete the key"
@@ -142,10 +166,10 @@ class RunConfig:
         the single-placement ``threshold``).
     jobs:
         Local worker processes per grid execution.
-    shards / shard_index / strategy:
-        The deterministic grid partition: total shard count, the one
-        shard this invocation executes (``None`` = whole grid), and the
-        :data:`repro.registry.SHARD_STRATEGIES` entry used to partition.
+    shards:
+        The shard count ``shard plan`` deals the sweep grid's cells out
+        to, cell ``i`` to shard ``i % shards``; ``sweep`` refuses more
+        than one.
     output:
         ``"text"`` (human-readable tables) or ``"json"`` (canonical
         machine-readable rows + counters).
@@ -157,8 +181,6 @@ class RunConfig:
     options: PlacementOptions = field(default_factory=PlacementOptions)
     jobs: int = 1
     shards: int = 1
-    shard_index: Optional[int] = None
-    strategy: str = "round-robin"
     output: str = "text"
 
     def __post_init__(self) -> None:
@@ -199,25 +221,6 @@ class RunConfig:
         if isinstance(self.shards, bool) or not isinstance(self.shards, int) \
                 or self.shards < 1:
             raise ConfigError(f"shards must be a positive integer, got {self.shards!r}")
-        if self.shard_index is not None:
-            if isinstance(self.shard_index, bool) \
-                    or not isinstance(self.shard_index, int):
-                raise ConfigError(
-                    f"shard_index must be an integer (or null), got "
-                    f"{self.shard_index!r}"
-                )
-            if not 0 <= self.shard_index < self.shards:
-                raise ConfigError(
-                    f"shard_index {self.shard_index!r} out of range for "
-                    f"{self.shards} shard(s); valid indices: 0..{self.shards - 1}"
-                )
-        canonical = str(self.strategy).replace("_", "-").lower()
-        if canonical not in SHARD_STRATEGIES:
-            raise ConfigError(
-                f"unknown shard strategy {self.strategy!r}; valid strategies: "
-                + ", ".join(SHARD_STRATEGIES.names())
-            )
-        object.__setattr__(self, "strategy", canonical)
         if self.output not in OUTPUT_FORMATS:
             raise ConfigError(
                 f"unknown output format {self.output!r}; valid formats: "
@@ -231,8 +234,8 @@ class RunConfig:
         return dataclasses.replace(self, **changes)
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Shard-input files pickle the plan's config; one written before
-        # the cell-retry layer was removed follows the same rule as a file.
+        # Shard-input files pickle the plan's config; one written before a
+        # field was removed follows the same rule as a file.
         state = dict(state)
         _drop_removed_keys(state, _REMOVED_KEYS, "run-config")
         self.__dict__.update(state)
@@ -252,8 +255,6 @@ class RunConfig:
             "options": _options_to_dict(self.options),
             "jobs": self.jobs,
             "shards": self.shards,
-            "shard_index": self.shard_index,
-            "strategy": self.strategy,
             "output": self.output,
         }
 

@@ -64,8 +64,14 @@ class PlacementOptions:
         Cap runs of consecutive two-qubit gates on one pair at three
         interaction uses when computing runtimes (Section 6).
     sequential_levels:
-        Use the strict sequential-levels runtime model instead of the default
-        asynchronous one.
+        Report stage, swap and total runtimes in the strict sequential-levels
+        model instead of the default asynchronous one.  Greedy and anneal,
+        and the exact engine with ``fine_tuning`` off, also rank candidates
+        by it; with fine tuning on, the exact engine still fine tunes and
+        ranks its candidates by the asynchronous runtime and re-scores only
+        the chosen one (``qft:7`` on trans-crotonic acid at threshold 1000
+        chooses stage 1 at 878.0 asynchronous units, which reports 1,326.25
+        sequential units).  See ``docs/placers.md``.
     restrict_to_largest_component:
         When the threshold disconnects the adjacency graph, confine placement
         to the largest connected component (provided it is big enough).

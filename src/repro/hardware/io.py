@@ -11,7 +11,8 @@ The on-disk format is a single JSON object::
     }
 
 Node labels are stored as strings; integer-looking labels are converted back
-to integers on load so that synthetic architectures round-trip.  Pair
+to integers on load (:func:`label_from_text`, the rule the circuit text
+format shares) so that synthetic architectures round-trip.  Pair
 labels follow the same rule, so ``["1", "2", 5.0]`` and ``[1, 2, 5.0]``
 both name nodes 1 and 2 (no string label ``"1"`` survives loading).  A key
 repeated in any object of the file, and a pair listed twice in either
@@ -38,12 +39,17 @@ def _label_to_json(node: Node) -> Union[str, int]:
     return str(node)
 
 
+def label_from_text(text: str) -> Union[int, str]:
+    """A label read back from text: integer-looking text (``"7"``,
+    ``"-3"``, ``"007"``) becomes that int, anything else stays text."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isdecimal() else text
+
+
 def _label_from_json(value: Any) -> Node:
     """Parse a node label back, converting integer-looking strings to ints."""
     if isinstance(value, str):
-        if value.isdigit() or (value.startswith("-") and value[1:].isdigit()):
-            return int(value)
-        return value
+        return label_from_text(value)
     if isinstance(value, int):
         return value
     raise SerializationError(f"unsupported node label {value!r} in environment file")

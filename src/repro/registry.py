@@ -1,10 +1,10 @@
 """Named registries with parameterised string specs.
 
 Every workload ingredient in this package — benchmark circuits, molecule
-and synthetic-architecture environments, placers, shard partition
-strategies — is addressable by a short string *spec*, so one
-canonical description of a run (:class:`repro.config.RunConfig`) works
-identically from Python, the CLI, a config file and a shard payload.
+and synthetic-architecture environments, placers — is addressable by a
+short string *spec*, so one canonical description of a run
+(:class:`repro.config.RunConfig`) works identically from Python, the CLI,
+a config file and a shard payload.
 
 Spec grammar
 ------------
@@ -37,9 +37,6 @@ Registries
     (:mod:`repro.hardware.molecules`) plus the synthetic architectures
     (:mod:`repro.hardware.architectures`: ``chain:N``, ``ring:N``,
     ``grid:RxC``, ``complete:N``, ``star:N``, ``heavy-hex:D``).
-:data:`SHARD_STRATEGIES`
-    Shard partition strategies (:mod:`repro.analysis.sharding`); entries
-    are the bucket-assignment functions used by ``ShardPlan.build``.
 :data:`PLACERS`
     Placement engines (:mod:`repro.core.placers`): the exact exhaustive
     search (``exact``, the default), the greedy seeding pass (``greedy``)
@@ -353,11 +350,6 @@ CIRCUITS = Registry("circuit", providers=("repro.circuits.library",))
 ENVIRONMENTS = Registry(
     "environment",
     providers=("repro.hardware.molecules", "repro.hardware.architectures"),
-)
-
-#: Shard partition strategies; entries are bucket-assignment functions.
-SHARD_STRATEGIES = Registry(
-    "shard strategy", providers=("repro.analysis.sharding",)
 )
 
 #: Placement engines; building an entry returns a ``Placer`` instance.

@@ -122,15 +122,15 @@ class TestShardPaths:
         config = QFT_CONFIG.replace(shards=2)
         session = Session(config)
         serial = session.sweep()
-        shards = [session.sweep_shard(index) for index in range(2)]
-        merged = sharding.merge_shards(shards)
+        plan = session.shard_plan()
+        shards = [
+            sharding.execute_shard(plan.shard_input(index), session.runner())
+            for index in range(plan.num_shards)
+        ]
+        merged = sharding.merge_shards(shards, plan=plan)
         assert deterministic_rows(merged.outcomes) == deterministic_rows(
             serial.outcomes
         )
-
-    def test_sweep_shard_requires_an_index(self):
-        with pytest.raises(ConfigError, match="shard index"):
-            Session(QFT_CONFIG).sweep_shard()
 
 
 class TestGridAndHarnessDelegates:

@@ -227,32 +227,56 @@ class TestShardPipeline:
                     + outputs) == 0
         assert capsys.readouterr().out == serial_table
 
-    def test_sweep_shard_index_outputs_mergeable_shards(self, tmp_path, capsys):
+    @staticmethod
+    def _plan_and_run(tmp_path, capsys, num_shards=2, environ=None):
+        """Plan SWEEP_ARGS into shards and run each; the outcome paths."""
+        out_dir = str(tmp_path / "shards")
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", str(num_shards), "--out-dir", out_dir]) == 0
+        outputs = []
+        for index in range(num_shards):
+            if environ is not None:
+                environ(index)
+            out_file = str(tmp_path / f"out-{index}.json")
+            assert main(["shard", "run",
+                         "--shard-file", f"{out_dir}/shard-{index}.pkl",
+                         "--out", out_file]) == 0
+            outputs.append(out_file)
+        capsys.readouterr()
+        return f"{out_dir}/plan.json", outputs
+
+    def test_planless_merge_outputs_rows_in_grid_order(self, tmp_path, capsys):
         assert main(["sweep"] + SWEEP_ARGS) == 0
         serial_table = capsys.readouterr().out
-        outputs = []
-        for index in range(2):
-            assert main(["sweep"] + SWEEP_ARGS
-                        + ["--shards", "2", "--shard-index", str(index),
-                           "--output", "json"]) == 0
-            path = tmp_path / f"shard-{index}.json"
-            path.write_text(capsys.readouterr().out)
-            outputs.append(str(path))
-        # Plan-less merge: generic payload, rows in grid order.
-        assert main(["shard", "merge", "--output", "json"] + outputs) == 0
+        plan_path, outputs = self._plan_and_run(tmp_path, capsys)
+        # Plan-less merge: generic payload, rows in grid order, whatever
+        # order the outcome files come in.
+        assert main(["shard", "merge", "--output", "json"]
+                    + outputs[::-1]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [row["index"] for row in payload["rows"]] == [0, 1]
         assert payload["num_shards"] == 2
-        # The shard invocations recompute the same plan fingerprint, so a
-        # plan file from a separate invocation also verifies and renders
-        # the serial sweep table.
-        out_dir = str(tmp_path / "plandir")
-        assert main(["shard", "plan"] + SWEEP_ARGS
-                    + ["--shards", "2", "--out-dir", out_dir]) == 0
-        capsys.readouterr()
-        assert main(["shard", "merge", "--plan", f"{out_dir}/plan.json"]
-                    + outputs) == 0
+        assert main(["shard", "merge", "--plan", plan_path] + outputs) == 0
         assert capsys.readouterr().out == serial_table
+
+    def test_merge_refuses_cells_swapped_between_shards(self, tmp_path, capsys):
+        # Each file is well formed and together they cover the grid once;
+        # only the plan says shard 0 holds cell 0, not cell 1.
+        plan_path, outputs = self._plan_and_run(tmp_path, capsys)
+        payloads = [json.loads(open(path).read()) for path in outputs]
+        for payload, index in zip(payloads, (1, 0)):
+            payload.pop("payload_sha256")
+            payload["shard_index"] = index
+        for payload, path in zip(payloads, outputs):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(dump_json(checksummed_payload(payload)))
+        assert main(["shard", "merge", "--output", "json"] + outputs) == 0
+        capsys.readouterr()
+        code = main(["shard", "merge", "--plan", plan_path] + outputs)
+        self._assert_one_error_line(
+            code, capsys, "shard 0 cell assignment [1] does not match the "
+                          "plan's [0]"
+        )
 
     def test_merge_refuses_wrong_plan(self, tmp_path, capsys):
         out_dir = str(tmp_path / "shards")
@@ -275,19 +299,21 @@ class TestShardPipeline:
         self, tmp_path, capsys, monkeypatch
     ):
         # Backends are bit-identical, so shards run by processes on
-        # different backends must share a plan fingerprint and merge.
-        outputs = []
-        for index, backend in enumerate(["python", "auto"]):
-            monkeypatch.setenv("REPRO_SCHEDULER_BACKEND", backend)
-            assert main(["sweep"] + SWEEP_ARGS
-                        + ["--shards", "2", "--shard-index", str(index),
-                           "--output", "json"]) == 0
-            path = tmp_path / f"shard-{index}.json"
-            path.write_text(capsys.readouterr().out)
-            outputs.append(str(path))
+        # different backends merge into the serial sweep.
+        assert main(["sweep"] + SWEEP_ARGS) == 0
+        serial_table = capsys.readouterr().out
+
+        def backend(index):
+            monkeypatch.setenv("REPRO_SCHEDULER_BACKEND",
+                               ["auto", "python"][index])
+
+        plan_path, outputs = self._plan_and_run(tmp_path, capsys,
+                                                environ=backend)
         assert main(["shard", "merge", "--output", "json"] + outputs) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [row["index"] for row in payload["rows"]] == [0, 1]
+        assert main(["shard", "merge", "--plan", plan_path] + outputs) == 0
+        assert capsys.readouterr().out == serial_table
 
     def test_shard_file_planned_with_the_backend_option_runs_and_merges(
         self, tmp_path, capsys
@@ -325,6 +351,40 @@ class TestShardPipeline:
         assert not hasattr(reread.specs[0].options, "scheduler_backend")
         assert reread.config == shard.config
 
+        outputs = []
+        for index in range(2):
+            out_file = str(tmp_path / f"out-{index}.json")
+            assert main(["shard", "run",
+                         "--shard-file", f"{out_dir}/shard-{index}.pkl",
+                         "--out", out_file]) == 0
+            outputs.append(out_file)
+        capsys.readouterr()
+        assert main(["shard", "merge", "--plan", f"{out_dir}/plan.json"]
+                    + outputs) == 0
+        assert capsys.readouterr().out == serial_table
+
+    def test_shard_file_planned_with_a_strategy_runs_and_merges(
+        self, tmp_path, capsys
+    ):
+        # Shard files planned while shard strategies existed pickle a
+        # config holding a null shard_index and the strategy; such a file
+        # still runs, and merges into the serial sweep.
+        assert main(["sweep"] + SWEEP_ARGS) == 0
+        serial_table = capsys.readouterr().out
+        out_dir = str(tmp_path / "shards")
+        assert main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "2", "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        for index in range(2):
+            path = f"{out_dir}/shard-{index}.pkl"
+            shard = sharding.read_shard(path)
+            config = shard.config.replace()
+            object.__setattr__(config, "shard_index", None)
+            object.__setattr__(config, "strategy", "round-robin")
+            sharding.write_shard(dataclasses.replace(shard, config=config), path)
+            with open(path, "rb") as handle:
+                assert b"round-robin" in handle.read()
+            assert sharding.read_shard(path).config == shard.config
         outputs = []
         for index in range(2):
             out_file = str(tmp_path / f"out-{index}.json")
@@ -431,22 +491,26 @@ class TestShardPipeline:
         self._assert_one_error_line(code, capsys, "shard-1.pkl")
         assert not out_file.exists()
 
-    def test_sweep_shards_without_index_is_a_usage_error(self, capsys):
-        code = main(["sweep"] + SWEEP_ARGS + ["--shards", "2"])
+    def test_sweep_config_with_shards_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        RunConfig(circuit="error-correction-encoding",
+                  environment="acetyl-chloride", shards=2).save(str(path))
+        code = main(["sweep", "--config", str(path)])
         assert code == 2
-        assert "--shard-index" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "asks for 2 shards" in captured.err
+        assert "'repro-place shard plan'" in captured.err
 
-    def test_out_of_range_shard_index_is_a_usage_error(self, capsys):
-        code = main(["sweep"] + SWEEP_ARGS + ["--shards", "2", "--shard-index", "2"])
+    def test_nonpositive_shards_is_a_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "shards"
+        code = main(["shard", "plan"] + SWEEP_ARGS
+                    + ["--shards", "0", "--out-dir", str(out_dir)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "out of range" in err
-        assert "0..1" in err
-
-    def test_nonpositive_shards_is_a_usage_error(self, capsys):
-        code = main(["sweep"] + SWEEP_ARGS + ["--shards", "0", "--shard-index", "0"])
-        assert code == 2
-        assert "shards must be a positive integer" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error: shards must be a positive integer, got 0\n"
+        assert not out_dir.exists()
 
     def test_shard_plan_without_shards_is_a_usage_error(self, tmp_path, capsys):
         code = main(["shard", "plan"] + SWEEP_ARGS
@@ -539,21 +603,56 @@ class TestPlanFileChecks:
         self._edit_plan(plan_path,
                         lambda metadata: metadata.update(total_cells=5))
         self._merge_refused(plan_path, outputs, capsys,
-                            "merged grid has 2 cell(s) but the plan describes 5")
+                            "do not cover the grid exactly once "
+                            "(missing cells [2, 3, 4]")
 
     def test_plan_whose_cell_index_overruns_the_grid(self, pipeline, capsys):
         plan_path, outputs = pipeline
         self._edit_plan(plan_path,
                         lambda metadata: metadata.update(cell_index=[0, 9, 1]))
         self._merge_refused(plan_path, outputs, capsys,
-                            "does not describe the merged grid")
+                            "contradicts itself")
+
+    @pytest.mark.parametrize("edit", [
+        lambda metadata: metadata.update(num_shards=3),
+        lambda metadata: metadata.update(cell_index=[0, 1]),
+        lambda metadata: metadata.update(cell_index=[0, -1, 1]),
+    ], ids=["num_shards", "short-cell_index", "negative-cell_index"])
+    def test_plan_contradicting_itself(self, edit, pipeline, capsys):
+        plan_path, outputs = pipeline
+        self._edit_plan(plan_path, edit)
+        self._merge_refused(plan_path, outputs, capsys, "contradicts itself")
+
+    @pytest.mark.parametrize("edit", [
+        lambda metadata: metadata.update(thresholds=["fifty", 100, 200]),
+        lambda metadata: metadata.update(assignments=[[0], 1]),
+    ], ids=["thresholds", "assignments"])
+    def test_malformed_plan_values(self, edit, pipeline, capsys):
+        plan_path, outputs = pipeline
+        self._edit_plan(plan_path, edit)
+        self._merge_refused(plan_path, outputs, capsys, "is malformed")
+
+    def test_parent_plan_with_a_strategy_merges(self, pipeline, capsys):
+        # Plans written while shard strategies existed carry the strategy,
+        # in the plan and in its embedded config; the merge ignores both.
+        plan_path, outputs = pipeline
+
+        def legacy(metadata):
+            metadata["strategy"] = "round-robin"
+            metadata["config"].update(shard_index=None, strategy="round-robin")
+
+        assert main(["sweep"] + SWEEP_ARGS) == 0
+        serial_table = capsys.readouterr().out
+        self._edit_plan(plan_path, legacy)
+        assert main(["shard", "merge", "--plan", str(plan_path)] + outputs) == 0
+        assert capsys.readouterr().out == serial_table
 
 
 class TestRemovedOptions:
     """The options of the removed cell-retry, checkpoint, partial-merge,
-    replan and per-run scheduler-backend features are unknown to the
-    parser: a usage error naming the option, never a run that silently
-    ignores it."""
+    replan, per-run scheduler-backend, single-shard sweep and shard
+    strategy features are unknown to the parser: a usage error naming the
+    option, never a run that silently ignores it."""
 
     @pytest.mark.parametrize("argv,token", [
         (["sweep", *SWEEP_ARGS, "--retries", "2"], "--retries"),
@@ -570,8 +669,15 @@ class TestRemovedOptions:
           "--scheduler-backend", "auto"], "--scheduler-backend"),
         (["shard", "run", "--shard-file", "shard-0.pkl", "--out", "out-0.json",
           "--scheduler-backend", "python"], "--scheduler-backend"),
+        (["sweep", *SWEEP_ARGS, "--shards", "2"], "--shards"),
+        (["sweep", *SWEEP_ARGS, "--shard-index", "0"], "--shard-index"),
+        (["sweep", *SWEEP_ARGS, "--strategy", "round-robin"], "--strategy"),
+        (["shard", "plan", *SWEEP_ARGS, "--shards", "2", "--out-dir", "shards",
+          "--strategy", "cost-balanced"], "--strategy"),
     ], ids=["retries", "cell-timeout", "checkpoint", "allow-partial", "replan",
-            "backend-place", "backend-sweep", "backend-plan", "backend-run"])
+            "backend-place", "backend-sweep", "backend-plan", "backend-run",
+            "sweep-shards", "sweep-shard-index", "sweep-strategy",
+            "plan-strategy"])
     def test_removed_option_is_a_usage_error(self, argv, token, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -670,6 +776,54 @@ class TestRunConfigFlag:
         assert captured.err.count("\n") == 1
         assert f"run-config key {key!r} is {value!r}" in captured.err
         assert "removed" in captured.err
+
+    @staticmethod
+    def _legacy_config_file(tmp_path, **values):
+        """A config file as written while sweep could run one shard."""
+        data = RunConfig(circuit="error-correction-encoding",
+                         environment="acetyl-chloride",
+                         thresholds=(50, 100, 200)).to_dict()
+        data.update(shard_index=None, strategy="cost_balanced")
+        data.update(values)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_config_file_with_old_shard_keys_runs(self, tmp_path, capsys):
+        assert main(["sweep"] + SWEEP_ARGS) == 0
+        from_flags = capsys.readouterr().out
+        path = self._legacy_config_file(tmp_path)
+        assert main(["sweep", "--config", path]) == 0
+        assert capsys.readouterr().out == from_flags
+
+    @pytest.mark.parametrize("command", [
+        ["sweep"], ["shard", "plan", "--out-dir", "OUT"],
+    ], ids=["sweep", "plan"])
+    def test_config_file_with_a_shard_index_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        path = self._legacy_config_file(tmp_path, shards=2, shard_index=1)
+        out_dir = tmp_path / "shards"
+        command = [arg.replace("OUT", str(out_dir)) for arg in command]
+        assert main([*command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "run-config key 'shard_index' is 1" in captured.err
+        assert "'shard plan'" in captured.err
+        assert "'shard run'" in captured.err
+        assert not out_dir.exists()
+
+    def test_config_file_with_another_strategy_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        path = self._legacy_config_file(tmp_path, strategy="zigzag")
+        assert main(["sweep", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "run-config key 'strategy' is 'zigzag'" in captured.err
 
     def test_shard_plan_embeds_config(self, tmp_path, capsys):
         out_dir = str(tmp_path / "shards")

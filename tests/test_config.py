@@ -46,10 +46,6 @@ _options_strategy = st.builds(
 
 @st.composite
 def _config_strategy(draw):
-    shards = draw(st.integers(min_value=1, max_value=8))
-    shard_index = draw(
-        st.one_of(st.none(), st.integers(min_value=0, max_value=shards - 1))
-    )
     return RunConfig(
         circuit=draw(st.sampled_from(["qft6", "qft:7", "hidden-stage:8x3",
                                       "phaseest", "circuits/some.qc"])),
@@ -62,10 +58,7 @@ def _config_strategy(draw):
         )),
         options=draw(_options_strategy),
         jobs=draw(st.integers(min_value=1, max_value=16)),
-        shards=shards,
-        shard_index=shard_index,
-        strategy=draw(st.sampled_from(["round-robin", "cost-balanced",
-                                       "round_robin", "cost_balanced"])),
+        shards=draw(st.integers(min_value=1, max_value=8)),
         output=draw(st.sampled_from(OUTPUT_FORMATS)),
     )
 
@@ -107,11 +100,6 @@ class TestRoundTrip:
 
 
 class TestValidation:
-    def test_strategy_normalised(self):
-        config = RunConfig(circuit="qft6", environment="histidine",
-                           strategy="cost_balanced")
-        assert config.strategy == "cost-balanced"
-
     def test_thresholds_coerced_to_float_tuple(self):
         config = RunConfig(circuit="qft6", environment="histidine",
                            thresholds=[50, 100])
@@ -131,18 +119,13 @@ class TestValidation:
         (dict(jobs=2.0), "jobs"),
         (dict(jobs="4"), "jobs"),
         (dict(shards=0), "shards"),
-        (dict(shard_index=-1), "out of range"),
-        (dict(shards=2, shard_index=2), "out of range"),
-        (dict(strategy="zigzag"), "strategy"),
         (dict(output="yaml"), "output"),
         (dict(options="nope"), "PlacementOptions"),
         (dict(thresholds=(float("nan"), 9200.0)), "positive"),
         (dict(jobs=True), "jobs"),
         (dict(shards=True), "shards"),
-        (dict(shard_index=False), "shard_index"),
         (dict(thresholds=(True, 100)), "numbers"),
         (dict(jobs=-2), "jobs"),
-        (dict(shard_index="0"), "shard_index"),
     ])
     def test_invalid_values_rejected(self, changes, match):
         base = dict(circuit="qft6", environment="histidine")
@@ -272,6 +255,89 @@ class TestRemovedRetryKeys:
         object.__setattr__(legacy, "retries", 0)
         object.__setattr__(legacy, "cell_timeout", 5.0)
         with pytest.raises(ConfigError, match="'cell_timeout' is 5.0"):
+            pickle.loads(pickle.dumps(legacy))
+
+
+class TestRemovedShardKeys:
+    """Files written while ``sweep`` could run one shard of a partition
+    chosen by a strategy carry ``shard_index`` and ``strategy``.  A null
+    index and either old strategy, in any spelling the old validator
+    accepted, are dropped; an index, or any other strategy, is refused."""
+
+    BASE = RunConfig(circuit="qft6", environment="histidine", shards=2)
+
+    def _legacy_dict(self, **values):
+        data = self.BASE.to_dict()
+        data.update(shard_index=None, strategy="round-robin")
+        data.update(values)
+        return data
+
+    @pytest.mark.parametrize("strategy", [
+        "round-robin", "cost-balanced", "round_robin", "cost_balanced",
+        "Round-Robin", "COST_BALANCED",
+    ])
+    def test_old_strategies_and_a_null_index_are_dropped(self, strategy):
+        config = RunConfig.from_dict(self._legacy_dict(strategy=strategy))
+        assert config == self.BASE
+        assert "strategy" not in config.to_dict()
+        assert "shard_index" not in config.to_dict()
+
+    @pytest.mark.parametrize("key", ["shard_index", "strategy"])
+    def test_either_key_alone_is_dropped(self, key):
+        data = self.BASE.to_dict()
+        data[key] = self._legacy_dict()[key]
+        assert RunConfig.from_dict(data) == self.BASE
+
+    @pytest.mark.parametrize("index", [0, 1, 7])
+    def test_an_integer_index_is_one_line_naming_plan_and_run(self, index):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_dict(self._legacy_dict(shard_index=index))
+        message = str(info.value)
+        assert "\n" not in message
+        assert f"'shard_index' is {index!r}" in message
+        assert "'shard plan'" in message
+        assert "'shard run'" in message
+
+    @pytest.mark.parametrize("index", [False, "0", 1.0])
+    def test_other_index_values_are_refused(self, index):
+        with pytest.raises(ConfigError, match="'shard_index' is "):
+            RunConfig.from_dict(self._legacy_dict(shard_index=index))
+
+    @pytest.mark.parametrize("strategy", ["zigzag", "", None, 1, "round robin"])
+    def test_any_other_strategy_is_refused(self, strategy):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_dict(self._legacy_dict(strategy=strategy))
+        assert f"'strategy' is {strategy!r}" in str(info.value)
+        assert "by index" in str(info.value)
+
+    def test_file_saved_before_the_removal_loads(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(self._legacy_dict(strategy="cost_balanced")))
+        assert RunConfig.load(str(path)) == self.BASE
+
+    def test_the_fields_are_gone(self):
+        names = [field.name for field in dataclasses.fields(RunConfig)]
+        assert names == ["circuit", "environment", "thresholds", "options",
+                         "jobs", "shards", "output"]
+        with pytest.raises(TypeError):
+            RunConfig(circuit="qft6", environment="histidine", shard_index=0)
+
+    @pytest.mark.parametrize("strategy", ["round-robin", "cost-balanced"])
+    def test_pickled_config_drops_them(self, strategy):
+        # Shard-input files pickle the plan's config with every field.
+        legacy = RunConfig(circuit="qft6", environment="histidine", shards=2)
+        object.__setattr__(legacy, "shard_index", None)
+        object.__setattr__(legacy, "strategy", strategy)
+        clone = pickle.loads(pickle.dumps(legacy))
+        assert clone == self.BASE
+        assert not hasattr(clone, "shard_index")
+        assert not hasattr(clone, "strategy")
+
+    def test_pickled_config_with_an_index_is_refused(self):
+        legacy = RunConfig(circuit="qft6", environment="histidine", shards=2)
+        object.__setattr__(legacy, "shard_index", 1)
+        object.__setattr__(legacy, "strategy", "round-robin")
+        with pytest.raises(ConfigError, match="'shard_index' is 1"):
             pickle.loads(pickle.dumps(legacy))
 
 

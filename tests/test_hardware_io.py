@@ -142,3 +142,23 @@ class TestPairLabels:
             {"nodes": {"a1": 1.0, "b": 1.0}, "pairs": [["a1", "b", 3.0]]}
         )
         assert env.pair_delay("a1", "b") == 3.0
+
+
+class TestLabelRule:
+    """``label_from_text``: the one label rule of environment files and of
+    the circuit text format."""
+
+    @pytest.mark.parametrize("text, label", [
+        ("7", 7), ("-3", -3), ("007", 7), ("-0", 0), ("a", "a"), ("a1", "a1"),
+        ("-", "-"), ("1.5", "1.5"), ("+1", "+1"), ("--1", "--1"),
+        ("²", "²"),  # a superscript digit is no decimal number
+    ])
+    def test_integer_looking_text_becomes_an_int(self, text, label):
+        result = hio.label_from_text(text)
+        assert result == label
+        assert type(result) is type(label)
+
+    def test_circuit_text_format_shares_the_rule(self):
+        from repro.circuits import qasm
+
+        assert qasm.label_from_text is hio.label_from_text

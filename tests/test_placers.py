@@ -586,8 +586,12 @@ class TestSessionAndSharding:
         config = ANNEAL_CONFIG.replace(shards=2)
         session = Session(config)
         serial = session.sweep()
-        shards = [session.sweep_shard(index) for index in range(2)]
-        merged = sharding.merge_shards(shards)
+        plan = session.shard_plan()
+        shards = [
+            sharding.execute_shard(plan.shard_input(index))
+            for index in range(plan.num_shards)
+        ]
+        merged = sharding.merge_shards(shards, plan=plan)
         assert deterministic_rows(merged.outcomes) == deterministic_rows(
             serial.outcomes
         )

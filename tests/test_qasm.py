@@ -69,6 +69,32 @@ class TestLoads:
         with pytest.raises(SerializationError):
             qasm.loads("qubits a b\nCNOT a\n")
 
+    @pytest.mark.parametrize("labels, first, second, qubit", [
+        ("1 01", "1", "01", "1"), ("a 7 -0 0", "-0", "0", "0"),
+        ("b b", "b", "b", "'b'"),
+    ])
+    def test_two_labels_for_one_qubit_name_the_line(
+        self, labels, first, second, qubit
+    ):
+        with pytest.raises(SerializationError) as info:
+            qasm.loads(f"# two names\nqubits {labels}\nH {first}\n")
+        assert str(info.value) == (
+            f"line 2: qubit labels {first!r} and {second!r} both name qubit "
+            f"{qubit}"
+        )
+
+    def test_operands_follow_the_label_rule(self):
+        circuit = qasm.loads("qubits 0 1 q2\nCNOT 0 01\nH q2\n")
+        assert circuit.qubits == (0, 1, "q2")
+        assert circuit[0] == g.cnot(0, 1)
+
+    def test_duration_applies_to_constructor_gates(self):
+        circuit = qasm.loads(
+            "qubits a b\nZZ(90) a b duration=2.5\nX a duration=1\n"
+        )
+        assert circuit[0] == g.zz("a", "b", 90).with_duration(2.5)
+        assert circuit[1] == g.pauli_x("a").with_duration(1.0)
+
     def test_gate_on_undeclared_qubit(self):
         with pytest.raises(SerializationError):
             qasm.loads("qubits a\nRx(90) z\n")
@@ -119,13 +145,55 @@ class TestRoundTrip:
         assert restored[2].duration == pytest.approx(circuit[2].duration)
         assert restored[3].duration == 3.0
 
-    @pytest.mark.parametrize("name", ["qft:10", "qft:22"])
+    @pytest.mark.parametrize("name", ["qft:4", "qft:10", "qft:22"])
     def test_angles_round_trip_exactly(self, name):
-        # The text format writes labels as text; every gate, angle and
-        # duration comes back as the same float.
+        # Every label comes back as the same int, and every gate, angle
+        # and duration as the same float.
         circuit = load_circuit(name)
-        as_text = circuit.remap({qubit: str(qubit) for qubit in circuit.qubits})
-        assert qasm.loads(qasm.dumps(circuit)).gates == as_text.gates
+        restored = qasm.loads(qasm.dumps(circuit))
+        assert restored.qubits == circuit.qubits
+        assert restored.gates == circuit.gates
+
+    def test_changed_durations_round_trip(self):
+        circuit = QuantumCircuit(["a", "b"], [
+            g.cnot("a", "b").with_duration(2.0),
+            g.hadamard("a").with_duration(0.5),
+            g.ry("a", 90).with_duration(3.0),
+            g.controlled_phase("a", "b", 45.0).with_duration(1 / 3),
+            g.swap("a", "b"),
+        ])
+        text = qasm.dumps(circuit)
+        assert text.splitlines()[2:] == [
+            "CNOT a b duration=2",
+            "H a duration=0.5",
+            "Ry(90) a duration=3",
+            f"CPHASE(45) a b duration={1 / 3!r}",
+            "SWAP a b",
+        ]
+        restored = qasm.loads(text)
+        assert [gate.duration for gate in restored] == [2.0, 0.5, 3.0, 1 / 3, 3.0]
+        assert restored.gates == circuit.gates
+        assert restored.qubits == circuit.qubits
+
+    def test_dumps_refuses_a_gate_it_could_not_read_back(self):
+        circuit = QuantumCircuit(["a", "b"], [g.Gate("H", ("a", "b"), 1.0)])
+        with pytest.raises(SerializationError,
+                           match="^line 3: H expects 1 qubit"):
+            qasm.dumps(circuit)
+
+    def test_library_circuits_write_no_durations(self):
+        # Constructor-built gates keep the duration their head rebuilds,
+        # so only generic gates carry one.
+        for name in ("qft:7", "phaseest", "error-correction-encoding"):
+            assert "duration=" not in qasm.dumps(load_circuit(name))
+
+    def test_integer_labels_round_trip(self):
+        circuit = QuantumCircuit([0, "a", -3], [
+            g.cnot(0, "a"), g.zz("a", -3, 45.0), g.generic_1q(-3, 2.0, "U"),
+        ])
+        restored = qasm.loads(qasm.dumps(circuit))
+        assert restored.qubits == (0, "a", -3)
+        assert restored.gates == circuit.gates
 
     def test_short_numbers_keep_their_text(self):
         text = "# circuit\nqubits a b\nRy(90) a\nCPHASE(22.5) a b\n" \

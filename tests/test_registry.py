@@ -9,7 +9,6 @@ from repro.exceptions import RegistryError, ReproError, UnknownSpecError
 from repro.registry import (
     CIRCUITS,
     ENVIRONMENTS,
-    SHARD_STRATEGIES,
     Registry,
     as_circuit_factory,
     as_environment_factory,
@@ -155,9 +154,6 @@ class TestBuiltinRegistries:
     def test_molecules_registered(self):
         assert ENVIRONMENTS.build("histidine").name == "histidine"
         assert "trans-crotonic-acid" in ENVIRONMENTS
-
-    def test_shard_strategies_registered(self):
-        assert SHARD_STRATEGIES.names() == ["cost-balanced", "round-robin"]
 
 
 class TestLoaders:

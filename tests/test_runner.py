@@ -15,9 +15,10 @@ from repro.analysis.runner import (
 )
 from repro.analysis.sweep import sweep_circuit
 from repro.circuits.library import phaseest, qec3_encoder
+from repro.config import RunConfig
 from repro.core.config import PlacementOptions
 from repro.core.stats import Counters, STATS
-from repro.exceptions import ExperimentError
+from repro.exceptions import ConfigError, ExperimentError
 from repro.hardware.molecules import (
     acetyl_chloride,
     pentafluorobutadienyl_iron,
@@ -154,8 +155,19 @@ class TestSerialRunner:
         assert ExperimentRunner(jobs=4).run([]) == []
 
     def test_jobs_below_one_rejected(self):
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ConfigError):
             ExperimentRunner(jobs=0)
+
+    @pytest.mark.parametrize("jobs", [2.5, True, 0, -1, "2"])
+    def test_jobs_follow_the_run_config_rule(self, jobs):
+        # One rule for every worker count: 2.5 used to run 2 workers and
+        # True 1, where RunConfig and `shard run` refused both.
+        with pytest.raises(ConfigError) as info:
+            ExperimentRunner(jobs=jobs)
+        assert str(info.value) == f"jobs must be a positive integer, got {jobs!r}"
+        with pytest.raises(ConfigError) as from_config:
+            RunConfig(circuit="qft6", environment="histidine", jobs=jobs)
+        assert str(from_config.value) == str(info.value)
 
 
 class TestParallelRunner:

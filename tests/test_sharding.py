@@ -91,31 +91,20 @@ class TestShardPlan:
     def test_round_robin_partition(self):
         plan = sharding.ShardPlan.build(_small_grid(), num_shards=2)
         assert plan.assignments == ((0, 2), (1, 3))
-        assert plan.strategy == "round-robin"
-
-    def test_cost_balanced_puts_expensive_cell_alone(self):
-        # phaseest (cell 3) dwarfs the three qec3 cells, so LPT assigns it
-        # first and the small cells pile onto the other shard.
-        plan = sharding.ShardPlan.build(
-            _small_grid(), num_shards=2, strategy="cost-balanced"
-        )
-        assert (3,) in plan.assignments
-        assert plan.assignments == ((3,), (0, 1, 2)) or plan.assignments == (
-            (0, 1, 2),
-            (3,),
-        )
 
     def test_plan_is_deterministic(self):
-        one = sharding.ShardPlan.build(_small_grid(), 3, "cost-balanced")
-        two = sharding.ShardPlan.build(_small_grid(), 3, "cost-balanced")
-        assert one.assignments == two.assignments
+        one = sharding.ShardPlan.build(_small_grid(), 3)
+        two = sharding.ShardPlan.build(_small_grid(), 3)
+        assert one.assignments == two.assignments == ((0, 3), (1,), (2,))
         assert one.fingerprint == two.fingerprint
 
-    def test_strategy_normalisation_and_validation(self):
-        plan = sharding.ShardPlan.build(_small_grid(), 2, "cost_balanced")
-        assert plan.strategy == "cost-balanced"
-        with pytest.raises(ExperimentError, match="strategy"):
-            sharding.ShardPlan.build(_small_grid(), 2, "alphabetical")
+    def test_a_positional_strategy_is_a_type_error(self):
+        # ShardPlan.build takes its config by keyword only, so a call
+        # still naming one of the removed strategies fails loudly.
+        with pytest.raises(TypeError):
+            sharding.ShardPlan.build(_small_grid(), 2, "round-robin")
+        assert not hasattr(sharding.ShardPlan.build(_small_grid(), 2),
+                           "strategy")
 
     def test_more_shards_than_cells_leaves_empty_shards(self):
         plan = sharding.ShardPlan.build(_small_grid()[:2], num_shards=4)
@@ -137,12 +126,30 @@ class TestShardPlan:
         # ... and is stable for equal grids built twice.
         assert sharding.ShardPlan.build(_small_grid(), 2).fingerprint == base
 
-    def test_metadata_is_json_safe(self):
+    def test_plan_file_round_trip(self, tmp_path):
         plan = sharding.ShardPlan.build(_small_grid(), 2)
-        metadata = json.loads(json.dumps(plan.metadata()))
-        assert metadata["num_shards"] == 2
-        assert metadata["total_cells"] == 4
+        paths = sharding.write_plan(
+            plan, str(tmp_path / "grid"), circuit_name="mixed",
+            environment_name="two molecules", thresholds=[50.0, 100.0],
+            cell_index=[0, 3],
+        )
+        assert paths == [str(tmp_path / "grid" / f"shard-{i}.pkl")
+                         for i in range(2)]
+        assert sharding.read_shard(paths[1]).indices == (1, 3)
+        path = str(tmp_path / "grid" / sharding.PLAN_FILE)
+        metadata = json.loads(open(path, encoding="utf-8").read())
         assert metadata["labels"][3] == "phaseest"
+        assert metadata["shard_files"] == ["shard-0.pkl", "shard-1.pkl"]
+        assert "strategy" not in metadata
+        assert sharding.read_plan(path) == sharding.PlanFile(
+            fingerprint=plan.fingerprint,
+            assignments=((0, 2), (1, 3)),
+            total_cells=4,
+            circuit_name="mixed",
+            environment_name="two molecules",
+            thresholds=(50.0, 100.0),
+            cell_index=(0, 3),
+        )
 
 
 class TestShardFiles:
@@ -255,11 +262,10 @@ class TestOutcomeSerialization:
 
 
 class TestExecuteAndMerge:
-    @pytest.mark.parametrize("strategy", list(sharding.STRATEGIES))
-    def test_round_trip_matches_serial(self, strategy, tmp_path):
+    def test_round_trip_matches_serial(self, tmp_path):
         specs = _small_grid()
         serial = ExperimentRunner().run(specs)
-        plan = sharding.ShardPlan.build(specs, 2, strategy)
+        plan = sharding.ShardPlan.build(specs, 2)
         merged = sharding.merge_shards(_run_plan(plan, tmp_path), plan=plan)
         assert deterministic_rows(merged.outcomes) == deterministic_rows(serial)
 
@@ -364,12 +370,18 @@ class TestMergeVerification:
                            match=r"shard 0 has 1 outcome\(s\) for 2 cell\(s\)"):
             sharding.merge_shards(shards)
 
-    def test_cell_assignment_must_match_the_plan(self):
+    def test_cell_assignment_must_match_the_plan(self, shards):
+        # Shards 0 and 1 swapped: each is consistent, together they cover
+        # the grid once, and only the plan knows who holds which cells.
         plan = sharding.ShardPlan.build(_small_grid(), 2)
-        other = sharding.ShardPlan.build(_small_grid(), 2, "cost-balanced")
-        assert other.assignments != plan.assignments
-        with pytest.raises(ExperimentError, match="does not match the plan's"):
-            sharding.merge_shards(_run_plan(other), plan=plan)
+        shards[0].shard_index, shards[1].shard_index = 1, 0
+        sharding.merge_shards(shards)
+        with pytest.raises(
+            ExperimentError,
+            match=r"shard 0 cell assignment \[1, 3\] does not match the "
+                  r"plan's \[0, 2\]",
+        ):
+            sharding.merge_shards(shards, plan=plan)
 
     def test_overlapping_shards_are_refused(self, shards):
         # Each shard is consistent on its own; only the coverage check
@@ -416,9 +428,8 @@ class TestExecuteShard:
     and relabels each outcome with its global grid index."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("strategy", list(sharding.STRATEGIES))
-    def test_outcomes_carry_global_indices_in_shard_order(self, strategy, jobs):
-        plan = sharding.ShardPlan.build(_small_grid(), 2, strategy)
+    def test_outcomes_carry_global_indices_in_shard_order(self, jobs):
+        plan = sharding.ShardPlan.build(_small_grid(), 2)
         for shard_index in range(plan.num_shards):
             shard = sharding.execute_shard(
                 plan.shard_input(shard_index), ExperimentRunner(jobs=jobs)
@@ -595,7 +606,7 @@ class TestQftCrotonicAcceptance:
     @pytest.mark.parametrize("num_shards", [2, 4])
     def test_round_trip_is_byte_identical(self, grid, num_shards, tmp_path):
         specs, cell_index, serial, serial_counters = grid
-        plan = sharding.ShardPlan.build(specs, num_shards, "cost-balanced")
+        plan = sharding.ShardPlan.build(specs, num_shards)
         merged = sharding.merge_shards(_run_plan(plan, tmp_path), plan=plan)
         # Byte-identical deterministic rows (canonical JSON encoding)...
         assert dump_json(deterministic_rows(merged.outcomes)) == dump_json(
