@@ -31,10 +31,14 @@
 #      API's config contract (docs/api.md);
 #   4. a heuristic-placer smoke: the same `--placer anneal:SEEDxITERS`
 #      sweep run twice in separate processes must be byte-identical —
-#      the seeded annealer's determinism contract (docs/placers.md) — and
-#      once more under REPRO_SCHEDULER_BACKEND=python, the Python anneal
-#      loop, must match the native kernel's run byte for byte (the native
-#      side is skipped, with a log line, on hosts without a C compiler);
+#      the seeded annealer's determinism contract (docs/placers.md) —
+#      and so must the `anneal:7,7x150` portfolio, since one seed is the
+#      one-restart portfolio and a repeated seed changes nothing; once
+#      more under REPRO_SCHEDULER_BACKEND=python, the Python anneal loop
+#      must match the native kernel's run byte for byte (the native side
+#      is skipped, with a log line, on hosts without a C compiler); and
+#      an anneal budget of 2**63, beyond the kernel's int64 count, must
+#      be refused with exit 2 and one `error:` line;
 #   5. the scheduler-facing tier-1 subset — including fine tuning, the
 #      backend parity tests in tests/test_replay_backends.py and the
 #      native-anneal parity suite in tests/test_anneal_parity.py — once
@@ -198,8 +202,8 @@ else
 fi
 
 echo "== 4/6 heuristic-placer determinism smoke =="
-ANNEAL_ARGS=(sweep random:8x20x5 grid:4x4 --thresholds 10 20
-             --placer anneal:7x150)
+ANNEAL_SWEEP=(sweep random:8x20x5 grid:4x4 --thresholds 10 20)
+ANNEAL_ARGS=("${ANNEAL_SWEEP[@]}" --placer anneal:7x150)
 "$PYTHON" -m repro.cli "${ANNEAL_ARGS[@]}" > "$WORK_DIR/anneal-a.txt"
 "$PYTHON" -m repro.cli "${ANNEAL_ARGS[@]}" > "$WORK_DIR/anneal-b.txt"
 if ! diff "$WORK_DIR/anneal-a.txt" "$WORK_DIR/anneal-b.txt"; then
@@ -207,6 +211,26 @@ if ! diff "$WORK_DIR/anneal-a.txt" "$WORK_DIR/anneal-b.txt"; then
     exit 1
 fi
 echo "anneal sweep byte-identical across processes"
+"$PYTHON" -m repro.cli "${ANNEAL_SWEEP[@]}" --placer anneal:7,7x150 \
+    > "$WORK_DIR/anneal-portfolio.txt"
+if ! diff "$WORK_DIR/anneal-a.txt" "$WORK_DIR/anneal-portfolio.txt"; then
+    echo "FAIL: the anneal:7,7x150 portfolio differs from anneal:7x150" >&2
+    exit 1
+fi
+echo "anneal:7,7x150 portfolio byte-identical to anneal:7x150"
+if "$PYTHON" -m repro.cli place error-correction-encoding acetyl-chloride \
+    --placer anneal:0x9223372036854775808 \
+    > "$WORK_DIR/budget.txt" 2> "$WORK_DIR/budget-err.txt"; then
+    echo "FAIL: place accepted an anneal budget of 2**63" >&2
+    exit 1
+elif [ "$?" -ne 2 ] || [ -s "$WORK_DIR/budget.txt" ] \
+    || [ "$(wc -l < "$WORK_DIR/budget-err.txt")" -ne 1 ] \
+    || ! grep -q "^error: " "$WORK_DIR/budget-err.txt"; then
+    echo "FAIL: an anneal budget of 2**63 did not exit 2 with one error line:" >&2
+    cat "$WORK_DIR/budget-err.txt" >&2
+    exit 1
+fi
+echo "an anneal budget of 2**63 refused with exit 2 and one error line"
 REPRO_SCHEDULER_BACKEND=python "$PYTHON" -m repro.cli "${ANNEAL_ARGS[@]}" \
     > "$WORK_DIR/anneal-python.txt"
 if [ "$NATIVE" = 1 ]; then

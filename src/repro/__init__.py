@@ -44,12 +44,7 @@ The lower-level building blocks remain available::
 from repro.api import GridResult, PlaceResult, Session, SweepResult
 from repro.circuits import QuantumCircuit
 from repro.config import RunConfig
-from repro.core import (
-    PlacementOptions,
-    PlacementResult,
-    QuantumCircuitPlacer,
-    place_circuit,
-)
+from repro.core import PlacementOptions, PlacementResult, place_circuit
 from repro.exceptions import (
     CircuitError,
     ConfigError,
@@ -76,7 +71,6 @@ __all__ = [
     "QuantumCircuit",
     "PhysicalEnvironment",
     "place_circuit",
-    "QuantumCircuitPlacer",
     "PlacementOptions",
     "PlacementResult",
     "RunConfig",

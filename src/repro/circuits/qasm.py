@@ -31,8 +31,13 @@ A ``duration=`` on a constructor-built gate replaces the duration the
 constructor gives it.  :func:`dumps` writes one for every generic gate
 and, for a constructor-built gate, only where the two durations differ.
 It writes every angle and duration so that it parses back to the same
-float (``90`` stays ``90``), so ``loads(dumps(c))`` rebuilds the qubits
-and gates of ``c`` exactly.
+float (``90`` stays ``90``), and it refuses, with one
+:class:`~repro.exceptions.SerializationError` line, a qubit label or gate
+that :func:`loads` would not rebuild exactly (the label ``'1'``, which
+reads back as the int ``1``; a label holding whitespace, ``#`` or a
+leading ``duration=``; a gate named ``cnot``, which reads back as
+``CNOT``), so ``loads(dumps(c))`` rebuilds the qubits and gates of ``c``
+exactly whenever :func:`dumps` returns.
 """
 
 from __future__ import annotations
@@ -75,10 +80,9 @@ def loads(text: str, name: str = "circuit") -> QuantumCircuit:
     qubits: List[Qubit] = []
     gate_list: List[Gate] = []
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+        tokens = _tokens(raw_line)
+        if not tokens:
             continue
-        tokens = line.split()
         head = tokens[0]
         if head.lower() == "qubits":
             if qubits:
@@ -98,6 +102,11 @@ def loads(text: str, name: str = "circuit") -> QuantumCircuit:
         return QuantumCircuit(qubits, gate_list, name=name)
     except Exception as exc:
         raise SerializationError(f"invalid circuit: {exc}") from exc
+
+
+def _tokens(line: str) -> List[str]:
+    """The whitespace-separated tokens of a line, its ``#`` comment cut off."""
+    return line.split("#", 1)[0].split()
 
 
 def _declared_qubits(labels: List[str], line_number: int) -> List[Qubit]:
@@ -179,24 +188,58 @@ def _number(value: float) -> str:
     return text if float(text) == value else repr(value)
 
 
+def _label_text(qubit: Qubit) -> str:
+    """The text of a qubit label that :func:`loads` reads back as itself."""
+    text = str(qubit)
+    restored = label_from_text(text)
+    if (
+        _tokens(text) != [text]
+        or text.startswith("duration=")
+        or restored != qubit
+        or type(restored) is not type(qubit)
+    ):
+        raise SerializationError(
+            f"qubit label {qubit!r} would not read back as itself"
+        )
+    return text
+
+
+def _read_back(line: str, line_number: int) -> Gate:
+    """The gate :func:`loads` reads from a written gate line."""
+    tokens = _tokens(line)
+    if not tokens or tokens[0].lower() == "qubits":
+        raise SerializationError(
+            f"line {line_number}: {line!r} would not read back as a gate"
+        )
+    return _parse_gate_line(tokens, line_number)
+
+
 def dumps(circuit: QuantumCircuit) -> str:
     """Serialize a circuit to the text format accepted by :func:`loads`.
 
-    A constructor-built gate on the wrong number of qubits, which
-    :func:`loads` could not read back, raises :class:`SerializationError`
-    naming its line.
+    A qubit label or gate that :func:`loads` would not rebuild exactly
+    (name, qubits and their types, angle and duration) raises
+    :class:`SerializationError` naming the label or the gate's line.
     """
-    lines = [f"# {circuit.name}", "qubits " + " ".join(str(q) for q in circuit.qubits)]
+    labels = [_label_text(qubit) for qubit in circuit.qubits]
+    lines = [f"# {circuit.name}", "qubits " + " ".join(labels)]
     for gate in circuit:
         head = gate.name
         if gate.angle is not None and head.upper() in _ANGLE_GATES:
             head += f"({_number(gate.angle)})"
         line = f"{head} " + " ".join(str(q) for q in gate.qubits)
+        line_number = len(lines) + 1
         generic = head == gate.name and head.upper() not in _PLAIN_GATES
-        if generic or _parse_gate_line(
-            line.split(), len(lines) + 1
-        ).duration != gate.duration:
+        if generic or _read_back(line, line_number).duration != gate.duration:
             line += f" duration={_number(gate.duration)}"
+        restored = _read_back(line, line_number)
+        if restored != gate or [type(q) for q in restored.qubits] != [
+            type(q) for q in gate.qubits
+        ]:
+            raise SerializationError(
+                f"line {line_number}: {line!r} would read back as {restored!r}, "
+                f"not {gate!r}"
+            )
         lines.append(line)
     return "\n".join(lines) + "\n"
 

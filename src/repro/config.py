@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -210,8 +211,10 @@ class RunConfig:
                 ) from None
             if not values:
                 raise ConfigError("thresholds cannot be an empty list (use null)")
-            if any(not value > 0 for value in values):  # rejects NaN too
-                raise ConfigError(f"thresholds must be positive, got {values}")
+            if any(not 0 < value < math.inf for value in values):  # NaN too
+                raise ConfigError(
+                    f"thresholds must be positive finite numbers, got {values}"
+                )
             object.__setattr__(self, "thresholds", values)
         if not isinstance(self.options, PlacementOptions):
             raise ConfigError(

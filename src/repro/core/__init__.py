@@ -15,13 +15,12 @@ from repro.core.monomorphism import (
     iter_monomorphisms,
     verify_monomorphism,
 )
-from repro.core.placement import QuantumCircuitPlacer, place_circuit
+from repro.core.placement import place_circuit
 from repro.core.result import PlacementResult, StagePlacement, SwapStage
 from repro.core.workspace import Workspace, extract_workspaces
 
 __all__ = [
     "place_circuit",
-    "QuantumCircuitPlacer",
     "PlacementOptions",
     "DEFAULT_OPTIONS",
     "PlacementResult",

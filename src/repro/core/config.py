@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -99,9 +100,11 @@ class PlacementOptions:
         ``"greedy"`` (one-shot interaction-weight seeding) or
         ``"anneal"``/``"anneal:SEED"``/``"anneal:SEEDxITERS"`` (the
         deterministic simulated annealer for hosts where exact search is
-        infeasible; see ``docs/placers.md``).  Unknown specs raise the
-        spec-listing :class:`~repro.exceptions.UnknownSpecError` at
-        construction time.
+        infeasible; see ``docs/placers.md``).  A non-default spec is built
+        at construction time, so an unknown spec raises the spec-listing
+        :class:`~repro.exceptions.UnknownSpecError` and an engine's own
+        refusal (an anneal budget of 2**63 or more) its
+        :class:`~repro.exceptions.PlacementError` there, not mid-run.
     """
 
     threshold: Optional[float] = None
@@ -149,22 +152,25 @@ class PlacementOptions:
                 f"placer must be a non-empty spec string, got {self.placer!r}"
             )
         if self.placer != "exact":
-            # The default short-circuits the registry lookup: validating it
-            # would import repro.core.placers -> repro.core.placement ->
-            # this module while DEFAULT_OPTIONS below is still being built.
+            # Building the engine runs its own checks (an anneal budget the
+            # kernel cannot count) now rather than mid-run.  The default
+            # short-circuits: building it would import repro.core.placers
+            # -> repro.core.placement -> this module while DEFAULT_OPTIONS
+            # below is still being built.
             from repro.registry import PLACERS
 
-            PLACERS.validate(self.placer)
+            PLACERS.build(self.placer)
         if self.max_monomorphisms < 1:
             raise PlacementError("max_monomorphisms must be at least 1")
         if self.lookahead_width < 1:
             raise PlacementError("lookahead_width must be at least 1")
         if self.fine_tuning_max_rounds < 0:
             raise PlacementError("fine_tuning_max_rounds must be non-negative")
-        if self.threshold is not None and not self.threshold > 0:
-            # ``not > 0`` rather than ``<= 0``: NaN fails every comparison.
+        if self.threshold is not None and not 0 < self.threshold < math.inf:
+            # A chained comparison rather than ``<= 0``: NaN fails it too.
             raise PlacementError(
-                f"threshold must be positive, got {self.threshold!r}"
+                "threshold must be a positive finite number, "
+                f"got {self.threshold!r}"
             )
         if (
             self.max_workspace_two_qubit_gates is not None

@@ -18,11 +18,12 @@
 5. assemble the whole computation ``C1 E12 C2 E23 ... Ct`` over physical
    nodes and report its scheduled runtime.
 
-Steps 1, 2, 4 and 5 are shared by every placement engine —
-:func:`run_pipeline` implements them and delegates step 3 to a
-:class:`repro.core.placers.Placer`, so the heuristic engines
-(:mod:`repro.core.placers.greedy`, :mod:`repro.core.placers.anneal`)
-emit exactly the result types and swap stages the exact engine does.
+Steps 1, 2, 4 and 5 are engine-independent and the only steps this module
+implements: :func:`run_pipeline` runs them and asks a
+:class:`~repro.core.placers.base.WorkspacePlacer` for step 3's candidates,
+so the heuristic engines (:mod:`repro.core.placers.greedy`,
+:mod:`repro.core.placers.anneal`) emit exactly the result types and swap
+stages the exact engine (:mod:`repro.core.placers.exact`) does.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Qubit
 from repro.core._bitset import HostEncoding, NeighbourTable, bfs_rings, encode_host
 from repro.core.config import DEFAULT_OPTIONS, PlacementOptions
-from repro.core.fine_tuning import fine_tune_workspace_placement
 from repro.core.graph import Graph
-from repro.core.monomorphism import find_monomorphisms
 from repro.core.result import PlacementResult, StagePlacement, SwapStage
-from repro.core.workspace import Workspace, extract_workspaces
+from repro.core.workspace import extract_workspaces
 from repro.exceptions import PlacementError, ThresholdError
 from repro.hardware.environment import Node, PhysicalEnvironment
+from repro.registry import PLACERS
 from repro.routing.bubble import RoutingResult, route_permutation
 from repro.routing.permutation import required_permutation
 from repro.routing.swap_circuit import swap_stage_circuit, swap_stage_runtime
@@ -97,30 +97,6 @@ class _GraphContext:
         """Order-free integer fingerprint of a placement (for deduplication)."""
         order = self.node_order
         return tuple(order[placement[q]] for q in self.qubits)
-
-
-class QuantumCircuitPlacer:
-    """Object-oriented front end over :func:`place_circuit`.
-
-    Holds an environment and options so that several circuits can be placed
-    against the same hardware description::
-
-        placer = QuantumCircuitPlacer(molecules.trans_crotonic_acid(),
-                                      PlacementOptions(threshold=200))
-        result = placer.place(qft_circuit(6))
-    """
-
-    def __init__(
-        self,
-        environment: PhysicalEnvironment,
-        options: Optional[PlacementOptions] = None,
-    ) -> None:
-        self.environment = environment
-        self.options = options or DEFAULT_OPTIONS
-
-    def place(self, circuit: QuantumCircuit) -> PlacementResult:
-        """Place ``circuit`` into the stored environment."""
-        return place_circuit(circuit, self.environment, self.options)
 
 
 # ---------------------------------------------------------------------------
@@ -281,75 +257,6 @@ def _estimate_swap_cost(
     return 3.0 * median_delay * estimated_depth
 
 
-def _candidate_placements(
-    workspace: Workspace,
-    subcircuit: QuantumCircuit,
-    circuit: QuantumCircuit,
-    context: _GraphContext,
-    environment: PhysicalEnvironment,
-    options: PlacementOptions,
-    previous: Optional[Placement],
-    evaluator: Optional[RuntimeEvaluator] = None,
-) -> List[Tuple[Placement, float]]:
-    """Scored candidate placements for one workspace, cheapest first.
-
-    Only :class:`~repro.core.placers.exact.ExactPlacer` calls this, through
-    ``WorkspacePlacer.candidates``, which places edgeless workspaces itself.
-    """
-    graph = context.graph
-    monomorphisms = context.monomorphisms.get(workspace.index)
-    if monomorphisms is None:
-        monomorphisms = find_monomorphisms(
-            workspace.interaction_graph,
-            graph,
-            max_count=options.max_monomorphisms,
-            host_encoding=context.host_encoding,
-        )
-        context.monomorphisms[workspace.index] = monomorphisms
-    if not monomorphisms:
-        raise PlacementError(
-            f"workspace {workspace.index} has no monomorphism into the "
-            "adjacency graph although extraction admitted it"
-        )
-
-    # Completion never depends on a climb, so every start is completed
-    # first and the whole set is fine tuned in one call.
-    placements = [
-        _complete_placement(circuit, mapping, context, previous)
-        for mapping in monomorphisms
-    ]
-    if options.fine_tuning:
-        scored = fine_tune_workspace_placement(
-            subcircuit,
-            placements,
-            environment,
-            allowed_nodes=list(graph.nodes()),
-            apply_interaction_cap=options.apply_interaction_cap,
-            max_rounds=options.fine_tuning_max_rounds,
-            evaluator=evaluator,
-            full_recompute=options.debug_full_recompute,
-        )
-    else:
-        scored = [
-            (
-                placement,
-                _stage_runtime(subcircuit, placement, environment, options, evaluator),
-            )
-            for placement in placements
-        ]
-    candidates: List[Tuple[Placement, float]] = []
-    seen = set()
-    for placement, runtime in scored:
-        key = context.placement_key(placement)
-        if key in seen:
-            continue
-        seen.add(key)
-        candidates.append((placement, runtime))
-
-    candidates.sort(key=lambda item: item[1])
-    return candidates
-
-
 def _build_swap_stage(
     index: int,
     previous: Placement,
@@ -383,15 +290,13 @@ def place_circuit(
 ) -> PlacementResult:
     """Place ``circuit`` into ``environment`` with the configured engine.
 
-    Dispatches on ``options.placer`` through the
-    :data:`repro.registry.PLACERS` registry; the default ``"exact"`` runs
-    the paper's exhaustive heuristic, bit-identical to before the registry
-    existed.
+    The one entry point of the placer: builds the engine that
+    ``options.placer`` names in the :data:`repro.registry.PLACERS`
+    registry (the default ``"exact"`` is the paper's exhaustive
+    heuristic) and runs :func:`run_pipeline` with it.
     """
     options = options or DEFAULT_OPTIONS
-    from repro.registry import PLACERS
-
-    return PLACERS.build(options.placer).place(circuit, environment, options)
+    return run_pipeline(circuit, environment, options, PLACERS.build(options.placer))
 
 
 def run_pipeline(
@@ -403,9 +308,10 @@ def run_pipeline(
     """The engine-independent placement pipeline.
 
     Runs threshold/graph resolution, workspace extraction, candidate
-    selection (delegated to ``placer``, a
-    :class:`repro.core.placers.Placer`), swap-stage routing and final
-    assembly.  :func:`place_circuit` is the spec-string front end.
+    selection (``placer``, a
+    :class:`~repro.core.placers.base.WorkspacePlacer`, supplies each
+    workspace's candidates), swap-stage routing and final assembly.
+    :func:`place_circuit` is the spec-string front end.
     """
     if options.reorder_commuting_gates:
         from repro.circuits.commutation import commutation_aware_reorder

@@ -1,10 +1,13 @@
 """Pluggable placement engines (:data:`repro.registry.PLACERS`).
 
-Importing this package registers the engine portfolio:
+Each engine is a :class:`~repro.core.placers.base.WorkspacePlacer` whose
+module owns its candidate search; :func:`repro.core.placement.place_circuit`
+builds the one ``options.placer`` names.  Importing this package registers
+the engine portfolio:
 
 ``exact``
     The paper's exhaustive monomorphism search + fine tuning — the
-    default, bit-identical to every release before the registry existed.
+    default.
 ``greedy``
     One-shot interaction-weight greedy seeding: no search tree, the
     cheap baseline and the annealer's initial mapping.
@@ -16,8 +19,9 @@ Importing this package registers the engine portfolio:
 ``anneal:SEED1,SEED2,...``
     Multi-restart portfolio: one independent anneal per listed seed from
     the same greedy seed placement, best row wins (cost ties broken by
-    canonical node-index signature).  An optional second parameter still
-    sets the per-restart iteration budget (``anneal:3,5,9x500``).
+    canonical node-index signature); a single seed is the one-restart
+    portfolio.  An optional second parameter still sets the per-restart
+    iteration budget (``anneal:3,5,9x500``).
 
 See ``docs/placers.md`` for when to use which and the determinism
 contract.
@@ -27,36 +31,19 @@ from __future__ import annotations
 
 from typing import Tuple, Union
 
-from repro.core.placers.anneal import (
-    DEFAULT_ITERATIONS,
-    AnnealPlacer,
-    MultiRestartAnnealPlacer,
-)
-from repro.core.placers.base import Placer, WorkspacePlacer
+from repro.core.placers.anneal import DEFAULT_ITERATIONS, AnnealPlacer
+from repro.core.placers.base import WorkspacePlacer
 from repro.core.placers.exact import ExactPlacer
 from repro.core.placers.greedy import GreedyPlacer
-from repro.exceptions import PlacementError
 from repro.registry import PLACERS
 
 
 def anneal_instance(
-    seed: Union[int, Tuple[int, ...]] = 0,
+    seeds: Union[int, Tuple[int, ...]] = 0,
     iterations: int = DEFAULT_ITERATIONS,
-) -> WorkspacePlacer:
-    """The ``anneal[:SEED[xITERS]]`` / ``anneal:S1,S2,...`` registry factory.
-
-    A comma-list first parameter builds the multi-restart portfolio; a
-    plain integer builds the single-trajectory annealer (bit-identical to
-    what the spec built before the portfolio mode existed).
-    """
-    if isinstance(iterations, tuple):
-        raise PlacementError(
-            "the anneal iteration budget must be a single integer, "
-            f"got the list {iterations!r}"
-        )
-    if isinstance(seed, tuple):
-        return MultiRestartAnnealPlacer(seeds=seed, iterations=iterations)
-    return AnnealPlacer(seed=seed, iterations=iterations)
+) -> AnnealPlacer:
+    """The ``anneal[:SEED[xITERS]]`` / ``anneal:S1,S2,...`` registry factory."""
+    return AnnealPlacer(seeds if isinstance(seeds, tuple) else (seeds,), iterations)
 
 
 PLACERS.add(
@@ -82,12 +69,10 @@ PLACERS.add(
 )
 
 __all__ = [
-    "Placer",
     "WorkspacePlacer",
     "ExactPlacer",
     "GreedyPlacer",
     "AnnealPlacer",
-    "MultiRestartAnnealPlacer",
     "DEFAULT_ITERATIONS",
     "anneal_instance",
 ]

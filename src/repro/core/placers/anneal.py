@@ -36,11 +36,12 @@ module's global state — and every tie-break is value-ordered, so the
 same ``anneal:SEEDxITERS`` spec yields the same placement regardless of
 ``PYTHONHASHSEED``, ``--jobs``, scheduler backend or shard layout.
 
-:class:`MultiRestartAnnealPlacer` (spec ``anneal:SEED1,SEED2,...``) runs
-one independent anneal per listed seed from the same greedy seed
-placement and keeps the best row, with cost ties broken by the
-placements' canonical node-index signatures — the portfolio mode for
-hosts where a single annealing trajectory gets stuck.
+A spec names one seed (``anneal``, ``anneal:SEED``) or several
+(``anneal:SEED1,SEED2,...``): :class:`AnnealPlacer` runs one independent
+anneal per seed from the same greedy seed placement and keeps the best
+row, with cost ties broken by the placements' canonical node-index
+signatures — the portfolio mode for hosts where a single annealing
+trajectory gets stuck.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import random
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core._bitset import NeighbourTable, canonical_order
+from repro.core.placement import _stage_runtime
 from repro.core.placers.base import Placement, WorkspacePlacer
 from repro.core.placers.greedy import greedy_candidate
 from repro.core.stats import STATS
@@ -58,6 +60,9 @@ from repro.exceptions import PlacementError
 
 #: Default iteration budget per workspace (the ITERS of ``anneal:SEEDxITERS``).
 DEFAULT_ITERATIONS = 2000
+
+#: Largest iteration budget: the native kernel counts proposals in an int64.
+MAX_ITERATIONS = 2**63 - 1
 
 #: Fraction of proposals drawn from a partner node's host neighbourhood.
 _LOCAL_MOVE_FRACTION = 0.75
@@ -76,19 +81,42 @@ def _derive_seed(seed: int, workspace_index: int) -> int:
 
 
 class AnnealPlacer(WorkspacePlacer):
-    """Greedy-seeded simulated annealing over one workspace's placement."""
+    """Greedy-seeded simulated annealing, best of one restart per seed.
 
-    name = "anneal"
+    Runs one independent anneal per seed over the *same* greedy seed
+    placement (computed once per workspace) and keeps the best row; a
+    one-seed portfolio returns its only restart's row unchanged.  Ties on
+    cost break deterministically by the placements' node-index signatures
+    in :func:`canonical_order` — never by seed-list order — so the same
+    spec yields the same placement regardless of ``PYTHONHASHSEED``,
+    worker count, scheduler backend or shard layout, and the portfolio is
+    never worse than a single restart of any listed seed by construction.
+    """
+
     provides_multiple_candidates = False
 
-    def __init__(self, seed: int = 0, iterations: int = DEFAULT_ITERATIONS) -> None:
-        if seed < 0:
-            raise PlacementError(f"anneal seed must be non-negative, got {seed}")
+    def __init__(
+        self,
+        seeds: Sequence[int] = (0,),
+        iterations: int = DEFAULT_ITERATIONS,
+    ) -> None:
+        if not seeds:
+            raise PlacementError("anneal needs at least one restart seed")
+        for seed in seeds:
+            if seed < 0:
+                raise PlacementError(
+                    f"anneal seed must be non-negative, got {seed}"
+                )
         if iterations < 0:
             raise PlacementError(
                 f"anneal iteration budget must be non-negative, got {iterations}"
             )
-        self.seed = seed
+        if iterations > MAX_ITERATIONS:
+            raise PlacementError(
+                f"anneal iteration budget must be at most {MAX_ITERATIONS} "
+                f"(the native kernel's int64 limit), got {iterations}"
+            )
+        self.seeds = tuple(seeds)
         self.iterations = iterations
 
     def workspace_candidates(
@@ -116,14 +144,26 @@ class AnnealPlacer(WorkspacePlacer):
             or seed_runtime <= 0.0
         ):
             return [(seed_placement, seed_runtime)]
-        best, best_cost = self._anneal(
-            workspace, subcircuit, context, environment, options,
-            seed_placement, seed_runtime, movable, evaluator,
+        rows = (
+            self._anneal(
+                seed, workspace, subcircuit, context, environment, options,
+                seed_placement, seed_runtime, movable, evaluator,
+            )
+            for seed in self.seeds
         )
+        best, best_cost = next(rows)
+        for placement, cost in rows:
+            if cost < best_cost or (
+                cost == best_cost
+                and _signature(placement, context) < _signature(best, context)
+            ):
+                best, best_cost = placement, cost
+        STATS.increment("placer.anneal_restarts", len(self.seeds))
         return [(best, best_cost)]
 
     def _anneal(
         self,
+        seed: int,
         workspace,
         subcircuit,
         context,
@@ -134,7 +174,7 @@ class AnnealPlacer(WorkspacePlacer):
         movable,
         evaluator,
     ) -> Tuple[Placement, float]:
-        rng = random.Random(_derive_seed(self.seed, workspace.index))
+        rng = random.Random(_derive_seed(seed, workspace.index))
         pattern = workspace.interaction_graph
         partners = {
             qubit: canonical_order(pattern.neighbors(qubit))
@@ -157,8 +197,6 @@ class AnnealPlacer(WorkspacePlacer):
                 limit_temperatures=_LIMIT_TEMPERATURES,
             )
         else:
-            from repro.core.placement import _stage_runtime
-
             best, best_cost, counts = anneal_loop(
                 rng, seed_placement, seed_runtime, movable, partners, table,
                 self.iterations, evaluator,
@@ -172,6 +210,12 @@ class AnnealPlacer(WorkspacePlacer):
         STATS.increment("placer.moves_rejected", rejected)
         STATS.increment("placer.delta_evals", delta_evals)
         return best, best_cost
+
+
+def _signature(placement: Placement, context) -> Tuple[int, ...]:
+    """A placement's node indices in canonical qubit order (the tie-break)."""
+    node_order = context.node_order
+    return tuple(node_order[placement[qubit]] for qubit in canonical_order(placement))
 
 
 def _schedule(start_cost: float, iterations: int) -> Tuple[float, float]:
@@ -278,82 +322,3 @@ def anneal_loop(
     if evaluator is not None:
         evaluator.flush_stats()
     return best, best_cost, (accepted, rejected, delta_evals)
-
-
-class MultiRestartAnnealPlacer(WorkspacePlacer):
-    """Best-of-N annealing restarts: ``anneal:SEED1,SEED2,...``.
-
-    Runs one independent :class:`AnnealPlacer` anneal per listed seed over
-    the *same* greedy seed placement (computed once per workspace) and
-    keeps the best row.  Ties on cost break deterministically by the
-    placements' node-index signatures in :func:`canonical_order` — never
-    by seed-list order combined with float luck in some hash-dependent
-    direction — so the same spec yields the same placement regardless of
-    ``PYTHONHASHSEED``, worker count, scheduler backend or shard layout.
-    The restart loop is never worse than a single restart of any listed
-    seed by construction.
-    """
-
-    name = "anneal"
-    provides_multiple_candidates = False
-
-    def __init__(
-        self,
-        seeds: Sequence[int],
-        iterations: int = DEFAULT_ITERATIONS,
-    ) -> None:
-        if not seeds:
-            raise PlacementError("anneal needs at least one restart seed")
-        # Each restart is a full AnnealPlacer, so seed/iteration validation
-        # happens here, at spec-build time, not mid-run.
-        self._restarts = tuple(
-            AnnealPlacer(seed=seed, iterations=iterations) for seed in seeds
-        )
-        self.seeds = tuple(seeds)
-        self.iterations = iterations
-
-    def workspace_candidates(
-        self,
-        workspace,
-        subcircuit,
-        circuit,
-        context,
-        environment,
-        options,
-        previous: Optional[Placement],
-        evaluator,
-    ) -> List[Tuple[Placement, float]]:
-        seed_placement, seed_runtime = greedy_candidate(
-            workspace, subcircuit, circuit, context, environment, options,
-            previous, evaluator,
-        )
-        movable = canonical_order(
-            {q for gate in subcircuit if gate.is_two_qubit for q in gate.qubits}
-        )
-        if (
-            not movable
-            or self.iterations == 0
-            or not math.isfinite(seed_runtime)
-            or seed_runtime <= 0.0
-        ):
-            return [(seed_placement, seed_runtime)]
-        node_order = context.node_order
-        best: Optional[Placement] = None
-        best_cost = math.inf
-        best_signature: Tuple[int, ...] = ()
-        for restart in self._restarts:
-            placement, cost = restart._anneal(
-                workspace, subcircuit, context, environment, options,
-                seed_placement, seed_runtime, movable, evaluator,
-            )
-            signature = tuple(
-                node_order[placement[qubit]]
-                for qubit in canonical_order(placement)
-            )
-            if best is None or (cost, signature) < (best_cost, best_signature):
-                best = placement
-                best_cost = cost
-                best_signature = signature
-        STATS.increment("placer.anneal_restarts", len(self._restarts))
-        assert best is not None
-        return [(best, best_cost)]

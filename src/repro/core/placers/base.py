@@ -1,19 +1,13 @@
-"""The pluggable placement-engine abstraction.
+"""The base class of the placement engines.
 
-A :class:`Placer` turns a circuit + environment + options into the same
-:class:`~repro.core.result.PlacementResult` the exact engine emits, so
-every downstream surface — sweeps, shard files, the CLI, JSON reports —
-works unchanged whichever engine produced the placement.  Engines are
-addressed by :data:`repro.registry.PLACERS` spec strings
-(``options.placer``); see ``docs/placers.md`` for the portfolio.
-
-The shape follows qibo's ``Placer``/``Router`` ABCs (SNIPPETS.md
-Snippet 3): a small abstract surface, concrete engines as subclasses.
-:class:`WorkspacePlacer` is the shared skeleton for engines that plug
-into the paper's workspace pipeline (:func:`repro.core.placement
-.run_pipeline`): they only choose where one workspace's qubits go; the
-threshold graph, workspace extraction, swap routing and assembly are
-common code.
+An engine only chooses where one workspace's qubits go:
+:func:`repro.core.placement.place_circuit` builds the engine that
+``options.placer`` (a :data:`repro.registry.PLACERS` spec) names and hands
+it to :func:`repro.core.placement.run_pipeline`, which does every other
+step — threshold graph, workspace extraction, lookahead selection, swap
+routing and assembly — so every engine emits the same
+:class:`~repro.core.result.PlacementResult` the exact engine does.  See
+``docs/placers.md`` for the portfolio.
 """
 
 from __future__ import annotations
@@ -23,62 +17,32 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Qubit
-from repro.core.config import DEFAULT_OPTIONS, PlacementOptions
-from repro.core.result import PlacementResult
+from repro.core.config import PlacementOptions
+from repro.core.placement import _complete_placement, _stage_runtime
 from repro.hardware.environment import Node, PhysicalEnvironment
 
 Placement = Dict[Qubit, Node]
 
 
-class Placer(ABC):
-    """A placement engine: circuit + environment + options -> result.
-
-    Attributes
-    ----------
-    name:
-        The engine's registry name (``exact``, ``greedy``, ``anneal``).
-    provides_multiple_candidates:
-        Whether :meth:`~WorkspacePlacer.candidates` can return more than
-        one scored placement per workspace.  The pipeline only runs the
-        depth-2 lookahead for such engines — with a single candidate per
-        workspace there is nothing to rank.
-    """
-
-    name: str = "abstract"
-    provides_multiple_candidates: bool = True
-
-    @abstractmethod
-    def place(
-        self,
-        circuit: QuantumCircuit,
-        environment: PhysicalEnvironment,
-        options: Optional[PlacementOptions] = None,
-    ) -> PlacementResult:
-        """Place ``circuit`` into ``environment``."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class WorkspacePlacer(Placer):
-    """Base class for engines driving the shared workspace pipeline.
+class WorkspacePlacer(ABC):
+    """A placement engine: scored placements for each workspace.
 
     Subclasses implement :meth:`workspace_candidates` — scored placements
     for one workspace with at least one two-qubit interaction.  Edgeless
     workspaces need no engine: every qubit just stays where the previous
     stage left it (completed deterministically), identically for every
     engine, so :meth:`candidates` handles them here.
+
+    Attributes
+    ----------
+    provides_multiple_candidates:
+        Whether :meth:`candidates` can return more than one scored
+        placement per workspace.  The pipeline only runs the depth-2
+        lookahead for such engines — with a single candidate per
+        workspace there is nothing to rank.
     """
 
-    def place(
-        self,
-        circuit: QuantumCircuit,
-        environment: PhysicalEnvironment,
-        options: Optional[PlacementOptions] = None,
-    ) -> PlacementResult:
-        from repro.core.placement import run_pipeline
-
-        return run_pipeline(circuit, environment, options or DEFAULT_OPTIONS, self)
+    provides_multiple_candidates: bool = True
 
     def candidates(
         self,
@@ -92,8 +56,6 @@ class WorkspacePlacer(Placer):
         evaluator,
     ) -> List[Tuple[Placement, float]]:
         """Scored candidate placements for one workspace, cheapest first."""
-        from repro.core.placement import _complete_placement, _stage_runtime
-
         if workspace.interaction_graph.number_of_edges() == 0:
             placement = _complete_placement(
                 circuit, dict(previous) if previous else {}, context, previous

@@ -33,6 +33,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Qubit
 from repro.core._bitset import iter_bits
 from repro.core.monomorphism import _pattern_order, find_monomorphisms
+from repro.core.placement import _complete_placement, _stage_runtime
 from repro.core.placers.base import Placement, WorkspacePlacer
 from repro.exceptions import PlacementError
 
@@ -155,8 +156,6 @@ def greedy_candidate(
     infinite delay when the seed could not keep every interaction
     adjacent) — extraction admitted the workspace, so one exists.
     """
-    from repro.core.placement import _complete_placement, _stage_runtime
-
     mapping = greedy_seed_mapping(workspace, subcircuit, context)
     placement = _complete_placement(circuit, mapping, context, previous)
     runtime = _stage_runtime(subcircuit, placement, environment, options, evaluator)
@@ -182,7 +181,6 @@ def greedy_candidate(
 class GreedyPlacer(WorkspacePlacer):
     """One-shot greedy seeding (cheap baseline; the annealer's seed)."""
 
-    name = "greedy"
     provides_multiple_candidates = False
 
     def workspace_candidates(

@@ -42,7 +42,8 @@ Registries
     search (``exact``, the default), the greedy seeding pass (``greedy``)
     and the simulated annealer (``anneal``, ``anneal:SEED``,
     ``anneal:SEEDxITERS``, multi-restart ``anneal:S1,S2,...``); entries
-    build :class:`repro.core.placers.Placer` instances.
+    build :class:`repro.core.placers.base.WorkspacePlacer` instances, the
+    engines :func:`repro.core.placement.place_circuit` runs.
 
 Each registry lazily imports its providing modules on first use, so
 ``repro.registry`` itself stays import-light and free of cycles.
@@ -352,7 +353,7 @@ ENVIRONMENTS = Registry(
     providers=("repro.hardware.molecules", "repro.hardware.architectures"),
 )
 
-#: Placement engines; building an entry returns a ``Placer`` instance.
+#: Placement engines; building an entry returns a ``WorkspacePlacer``.
 PLACERS = Registry("placer", providers=("repro.core.placers",))
 
 

@@ -120,6 +120,7 @@ class TestCommands:
         ["--threshold", "nan"],
         ["--threshold", "-1"],
         ["--max-monomorphisms", "0"],
+        ["--threshold", "inf"],
     ])
     def test_invalid_option_flag_is_a_usage_error(self, flags, capsys):
         code = main(["place", "qft:5", "trans-crotonic-acid", *flags])
@@ -127,6 +128,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid placement options:")
         assert err.count("\n") == 1
+
+    def test_infinite_sweep_threshold_is_a_usage_error(self, capsys):
+        # The JSON rows would carry the non-JSON token Infinity.
+        code = main(["sweep", "qft6", "trans-crotonic-acid",
+                     "--thresholds", "50", "inf", "--output", "json"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: thresholds must be positive finite numbers, "
+            "got (50.0, inf)\n")
 
     def test_parameterised_specs_place(self, capsys):
         code = main(["place", "qft:4", "complete:6", "--threshold", "100"])

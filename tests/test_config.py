@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import pickle
 
 import pytest
@@ -15,7 +16,7 @@ from repro.config import (
     RunConfig,
 )
 from repro.core.config import PlacementOptions
-from repro.exceptions import ConfigError, ReproError
+from repro.exceptions import ConfigError, PlacementError, ReproError
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +374,39 @@ class TestRemovedBackendOption:
         clone = pickle.loads(pickle.dumps(legacy))
         assert clone == PlacementOptions(threshold=200.0)
         assert not hasattr(clone, "scheduler_backend")
+
+
+class TestNonFiniteThresholds:
+    """JSON has no literal for infinity (Python writes the token
+    ``Infinity``, which RFC 8259 and ``JSON.parse`` reject), so neither
+    validator admits an infinite threshold; ``1e308`` already admits every
+    finite pair delay, and the environment still answers for ``inf``
+    (``tests/test_environment_cache.py``)."""
+
+    def test_options_refuse_it(self):
+        with pytest.raises(
+            PlacementError,
+            match=r"^threshold must be a positive finite number, got inf$",
+        ):
+            PlacementOptions(threshold=math.inf)
+        assert PlacementOptions(threshold=1e308).threshold == 1e308
+
+    def test_run_config_refuses_it(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"^thresholds must be positive finite numbers, got \(50.0, inf\)$",
+        ):
+            RunConfig(circuit="qft6", environment="histidine",
+                      thresholds=(50.0, math.inf))
+
+    @pytest.mark.parametrize("where", ["thresholds", "options"])
+    def test_a_file_holding_infinity_is_refused(self, where):
+        data = RunConfig(circuit="qft6", environment="histidine").to_dict()
+        if where == "thresholds":
+            data["thresholds"] = [50, math.inf]
+        else:
+            data["options"]["threshold"] = math.inf
+        text = json.dumps(data)
+        assert "Infinity" in text  # what Python's json writes and reads back
+        with pytest.raises(ConfigError, match="positive finite"):
+            RunConfig.from_json(text)

@@ -328,7 +328,7 @@ class TestPAR003MutableDefaults:
 
     def test_flags_a_placer_method(self):
         source = """
-        class Greedy(Placer):
+        class Greedy(WorkspacePlacer):
             def place(self, hints=[]):
                 return hints
         """

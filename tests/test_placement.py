@@ -8,7 +8,7 @@ from repro.circuits import gates as g
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import phaseest, qec3_encoder, qft_circuit
 from repro.core.config import PlacementOptions
-from repro.core.placement import QuantumCircuitPlacer, place_circuit
+from repro.core.placement import place_circuit
 from repro.exceptions import PlacementError, ThresholdError
 from repro.hardware.architectures import linear_chain
 from repro.hardware.molecules import pentafluorobutadienyl_iron
@@ -82,11 +82,6 @@ class TestEncoderPlacement:
         result = place_circuit(encoder_circuit, acetyl)
         assert result.total_swap_count == 0
         assert result.swap_stages == []
-
-    def test_placer_class_front_end(self, acetyl, encoder_circuit):
-        placer = QuantumCircuitPlacer(acetyl)
-        result = placer.place(encoder_circuit)
-        assert result.total_runtime == 136.0
 
 
 class TestMultiStagePlacement:

@@ -1,6 +1,6 @@
 """Tests of the pluggable placer portfolio (:mod:`repro.core.placers`).
 
-Covers the ABC contract for all three engines, the registry/CLI/config
+Covers the engine contract for all three engines, the registry/CLI/config
 round trip of placer specs, the annealer's never-worse-than-its-seed
 property, exact-vs-anneal parity on tiny hosts, the per-placer STATS
 counters, end-to-end Session + sharded execution, and (in subprocesses,
@@ -31,8 +31,6 @@ from repro.core.placers import (
     AnnealPlacer,
     ExactPlacer,
     GreedyPlacer,
-    MultiRestartAnnealPlacer,
-    Placer,
     WorkspacePlacer,
 )
 from repro.core.result import PlacementResult
@@ -71,17 +69,15 @@ class TestPlacerRegistry:
 
     def test_every_engine_is_a_placer(self):
         for spec in ENGINE_SPECS:
-            placer = PLACERS.build(spec)
-            assert isinstance(placer, Placer)
-            assert isinstance(placer, WorkspacePlacer)
+            assert isinstance(PLACERS.build(spec), WorkspacePlacer)
 
     def test_anneal_spec_parameters(self):
         default = PLACERS.build("anneal")
-        assert default.seed == 0
+        assert default.seeds == (0,)
         seeded = PLACERS.build("anneal:7")
-        assert (seeded.seed, seeded.iterations) == (7, default.iterations)
+        assert (seeded.seeds, seeded.iterations) == ((7,), default.iterations)
         full = PLACERS.build("anneal:7x500")
-        assert (full.seed, full.iterations) == (7, 500)
+        assert (full.seeds, full.iterations) == ((7,), 500)
 
     def test_unknown_spec_lists_valid_names(self):
         with pytest.raises(UnknownSpecError, match="exact.*greedy.*anneal"):
@@ -107,13 +103,23 @@ class TestPlacerRegistry:
 
     def test_anneal_rejects_negative_parameters(self):
         with pytest.raises(PlacementError, match="non-negative"):
-            AnnealPlacer(seed=-1)
+            AnnealPlacer(seeds=(-1,))
         with pytest.raises(PlacementError, match="non-negative"):
             AnnealPlacer(iterations=-5)
 
+    def test_anneal_budget_beyond_int64_is_refused_by_the_options(self):
+        # The native kernel counts proposals in an int64, and the python
+        # loop would run 2**63 of them: both backends refuse the spec.
+        largest = PlacementOptions(placer="anneal:0x9223372036854775807")
+        assert largest.placer == "anneal:0x9223372036854775807"
+        with pytest.raises(PlacementError, match="int64 limit.*9223372036854775808$"):
+            PlacementOptions(placer="anneal:0x9223372036854775808")
+        with pytest.raises(PlacementError, match="int64 limit"):
+            PlacementOptions().replace(placer="anneal:1,2x9223372036854775808")
+
 
 # ---------------------------------------------------------------------------
-# ABC contract: every engine emits valid PlacementResults
+# Engine contract: every engine emits valid PlacementResults
 # ---------------------------------------------------------------------------
 
 
@@ -178,16 +184,6 @@ class TestPlacerContract:
             qft6(), trans_crotonic_acid(), PlacementOptions(threshold=50.0, placer=spec)
         )
         assert len(default.stages) == 5
-
-    @pytest.mark.parametrize("spec", ("greedy", "anneal:0x100"))
-    def test_placer_object_place_entrypoint(self, spec):
-        placer = PLACERS.build(spec)
-        result = placer.place(
-            qft6(),
-            trans_crotonic_acid(),
-            PlacementOptions(threshold=200.0, placer=spec),
-        )
-        assert isinstance(result, PlacementResult)
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +316,14 @@ class _TwoQubitGate:
 class TestMultiRestartAnneal:
     def test_spec_builds_multi_restart(self):
         multi = PLACERS.build("anneal:3,5,9")
-        assert isinstance(multi, MultiRestartAnnealPlacer)
+        assert isinstance(multi, AnnealPlacer)
         assert multi.seeds == (3, 5, 9)
         assert multi.iterations == AnnealPlacer().iterations
         budget = PLACERS.build("anneal:3,5x400")
         assert budget.seeds == (3, 5)
         assert budget.iterations == 400
-        # Plain integer seeds keep building the single-trajectory engine.
-        assert isinstance(PLACERS.build("anneal:3"), AnnealPlacer)
+        # A plain integer seed is the one-restart portfolio.
+        assert PLACERS.build("anneal:3").seeds == (3,)
 
     def test_iteration_budget_rejects_comma_list(self):
         with pytest.raises(UnknownSpecError, match="comma-separated list"):
@@ -337,11 +333,11 @@ class TestMultiRestartAnneal:
 
     def test_constructor_validation(self):
         with pytest.raises(PlacementError, match="at least one"):
-            MultiRestartAnnealPlacer(seeds=())
+            AnnealPlacer(seeds=())
         with pytest.raises(PlacementError, match="non-negative"):
-            MultiRestartAnnealPlacer(seeds=(1, -2))
+            AnnealPlacer(seeds=(1, -2))
         with pytest.raises(PlacementError, match="non-negative"):
-            MultiRestartAnnealPlacer(seeds=(1, 2), iterations=-5)
+            AnnealPlacer(seeds=(1, 2), iterations=-5)
 
     def _fake_candidates(self, rows):
         """Run workspace_candidates with greedy + _anneal stubbed per seed.
@@ -349,13 +345,13 @@ class TestMultiRestartAnneal:
         ``rows`` maps seed -> (placement, cost); the greedy seed row is a
         fixed finite placeholder so the annealing loop actually runs.
         """
-        placer = MultiRestartAnnealPlacer(seeds=tuple(rows), iterations=10)
+        placer = AnnealPlacer(seeds=tuple(rows), iterations=10)
         subcircuit = [_TwoQubitGate("q0", "q1")]
         context = SimpleNamespace(node_order={"n0": 0, "n1": 1, "n2": 2})
 
-        def fake_anneal(self, workspace, sub, ctx, environment, options,
+        def fake_anneal(self, seed, workspace, sub, ctx, environment, options,
                         seed_placement, seed_runtime, movable, evaluator):
-            return rows[self.seed]
+            return rows[seed]
 
         with mock.patch(
             "repro.core.placers.anneal.greedy_candidate",
@@ -393,9 +389,9 @@ class TestMultiRestartAnneal:
         options = PlacementOptions(threshold=10.0, placer="anneal:3,5,9x150")
         real_anneal = AnnealPlacer._anneal
 
-        def penalised(self, *args, **kwargs):
-            placement, cost = real_anneal(self, *args, **kwargs)
-            if self.seed != 5:
+        def penalised(self, seed, *args, **kwargs):
+            placement, cost = real_anneal(self, seed, *args, **kwargs)
+            if seed != 5:
                 return placement, cost + 1e9
             return placement, cost
 
@@ -491,6 +487,29 @@ class TestConfigAndCliRoundTrip:
         assert code == 2
         err = capsys.readouterr().err
         assert "valid specs" in err and "anneal" in err
+
+    @pytest.mark.parametrize("command", ["place", "sweep"])
+    def test_cli_refuses_an_anneal_budget_beyond_int64_with_exit_2(
+        self, command, capsys
+    ):
+        code = main([
+            command, "error-correction-encoding", "acetyl-chloride",
+            "--placer", "anneal:0x9223372036854775808",
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid placement options: anneal ")
+        assert err.count("\n") == 1
+        assert "int64 limit" in err
+
+    def test_config_file_refuses_an_anneal_budget_beyond_int64(self):
+        payload = json.loads(
+            RunConfig(circuit="qft6", environment="grid:4x4").to_json()
+        )
+        payload["options"]["placer"] = "anneal:0x9223372036854775808"
+        with pytest.raises(ConfigError, match="int64 limit"):
+            RunConfig.from_dict(payload)
 
     def test_cli_place_with_heuristic_placer(self, capsys):
         code = main(

@@ -180,6 +180,21 @@ class TestRoundTrip:
         with pytest.raises(SerializationError,
                            match="^line 3: H expects 1 qubit"):
             qasm.dumps(circuit)
+        # Gate names that read back as CNOT.
+        for name in ("cnot", "CX"):
+            circuit = QuantumCircuit(["a", "b"], [g.Gate(name, ("a", "b"), 1.0)])
+            with pytest.raises(SerializationError,
+                               match=f"^line 3: '{name} a b' would read back "
+                                     "as CNOT"):
+                qasm.dumps(circuit)
+        # A text label that reads back as an int, one that splits into two
+        # labels, and one that reads as a duration.
+        for label in ("1", "a b", "duration=3"):
+            circuit = QuantumCircuit([label, "c"], [g.cnot(label, "c")])
+            with pytest.raises(SerializationError,
+                               match=f"^qubit label '{label}' would not read "
+                                     "back as itself$"):
+                qasm.dumps(circuit)
 
     def test_library_circuits_write_no_durations(self):
         # Constructor-built gates keep the duration their head rebuilds,

@@ -389,12 +389,12 @@ class TestPlacerLevelBackendParity:
     def test_sequential_levels_builds_one_evaluator_per_fine_tuning_call(
         self, crotonic, monkeypatch, backend
     ):
-        import repro.core.placement as placement_module
+        import repro.core.placers.exact as exact_module
 
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, backend)
         built = _count_calls(monkeypatch, RuntimeEvaluator, "__init__")
         tune_calls = _count_calls(
-            monkeypatch, placement_module, "fine_tune_workspace_placement"
+            monkeypatch, exact_module, "fine_tune_workspace_placement"
         )
         result = place_circuit(
             qft_circuit(6),
@@ -600,11 +600,11 @@ class TestNativeHillClimb:
             python.hill_climb([placement], movable, allowed, 3)
 
     def test_one_kernel_call_per_candidate_set(self, crotonic, monkeypatch):
-        import repro.core.placement as placement_module
+        import repro.core.placers.exact as exact_module
 
         kernel_calls = _count_calls(monkeypatch, _native.NativeReplay, "hill_climb")
         tune_calls = _count_calls(
-            monkeypatch, placement_module, "fine_tune_workspace_placement"
+            monkeypatch, exact_module, "fine_tune_workspace_placement"
         )
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, "native")
         result = place_circuit(
