@@ -35,10 +35,12 @@
 #      and so must the `anneal:7,7x150` portfolio, since one seed is the
 #      one-restart portfolio and a repeated seed changes nothing; once
 #      more under REPRO_SCHEDULER_BACKEND=python, the Python anneal loop
-#      must match the native kernel's run byte for byte (the native side
-#      is skipped, with a log line, on hosts without a C compiler); and
-#      an anneal budget of 2**63, beyond the kernel's int64 count, must
-#      be refused with exit 2 and one `error:` line;
+#      must match the native kernel's run byte for byte, and so must the
+#      same anneal sweep and an exact `place qft:5` on `grid:8x8`, whose
+#      pair-delay table is rows rather than the `grid:4x4` matrix (the
+#      native sides are skipped, with a log line, on hosts without a C
+#      compiler); and an anneal budget of 2**63, beyond the kernel's
+#      int64 count, must be refused with exit 2 and one `error:` line;
 #   5. the scheduler-facing tier-1 subset — including fine tuning, the
 #      backend parity tests in tests/test_replay_backends.py and the
 #      native-anneal parity suite in tests/test_anneal_parity.py — once
@@ -57,9 +59,9 @@
 #      `sweep_qft8_histidine` sweep, which does the most fine-tuning
 #      climbs of any scenario and so gates the batched climb's counters
 #      and fingerprint through the sweep and lookahead path, and the
-#      1,024-node `large_host_anneal`, which gates the sparse large-host
-#      set-up and same-seed anneal determinism; its 4,096-node
-#      `large_host_grid64` twin is left to the full run).
+#      1,024-node `large_host_anneal` and its 4,096-node
+#      `large_host_grid64` twin, which gate the sparse large-host set-up,
+#      the pair-delay rows and same-seed anneal determinism).
 #
 # Usage: scripts/ci_check.sh
 set -euo pipefail
@@ -231,19 +233,30 @@ elif [ "$?" -ne 2 ] || [ -s "$WORK_DIR/budget.txt" ] \
     exit 1
 fi
 echo "an anneal budget of 2**63 refused with exit 2 and one error line"
-REPRO_SCHEDULER_BACKEND=python "$PYTHON" -m repro.cli "${ANNEAL_ARGS[@]}" \
-    > "$WORK_DIR/anneal-python.txt"
-if [ "$NATIVE" = 1 ]; then
-    REPRO_SCHEDULER_BACKEND=native "$PYTHON" -m repro.cli "${ANNEAL_ARGS[@]}" \
-        > "$WORK_DIR/anneal-native.txt"
-    if ! diff "$WORK_DIR/anneal-python.txt" "$WORK_DIR/anneal-native.txt"; then
-        echo "FAIL: the native anneal differs from the python anneal loop" >&2
+# Run one CLI command under the python backend and, when the kernel
+# builds, under the native one, and diff the two outputs.
+backend_diff() {
+    local what="$1"
+    shift
+    REPRO_SCHEDULER_BACKEND=python "$PYTHON" -m repro.cli "$@" \
+        > "$WORK_DIR/backend-python.txt"
+    if [ "$NATIVE" != 1 ]; then
+        echo "skipping the native $what diff (no C toolchain on this host)"
+        return
+    fi
+    REPRO_SCHEDULER_BACKEND=native "$PYTHON" -m repro.cli "$@" \
+        > "$WORK_DIR/backend-native.txt"
+    if ! diff "$WORK_DIR/backend-python.txt" "$WORK_DIR/backend-native.txt"; then
+        echo "FAIL: the native $what differs from the python backend's" >&2
         exit 1
     fi
-    echo "anneal sweep byte-identical under the native and python backends"
-else
-    echo "skipping the native anneal diff (no C toolchain on this host)"
-fi
+    echo "$what byte-identical under the native and python backends"
+}
+# grid:4x4's pair-delay table is a matrix; grid:8x8's is rows.
+backend_diff "anneal sweep on grid:4x4" "${ANNEAL_ARGS[@]}"
+backend_diff "anneal sweep on grid:8x8" sweep random:8x20x5 grid:8x8 \
+    --thresholds 10 20 --placer anneal:7x150
+backend_diff "exact place on grid:8x8" place qft:5 grid:8x8 --threshold 10
 
 echo "== 5/6 scheduler backend subsets =="
 SCHEDULER_TESTS=(tests/test_replay_backends.py tests/test_scheduler.py
@@ -262,6 +275,7 @@ echo "scheduler-facing tier-1 subset green under the python backend"
 echo "== 6/6 fast benchmark regression gate =="
 "$PYTHON" scripts/run_bench.py --check --repeats 1 \
     --scenarios monomorphism_micro place_qec5_boc place_phaseest_crotonic \
-    sweep_qft8_histidine exact_vs_anneal replay_native large_host_anneal
+    sweep_qft8_histidine exact_vs_anneal replay_native large_host_anneal \
+    large_host_grid64
 
 echo "ci_check: all gates passed"

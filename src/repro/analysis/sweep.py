@@ -28,6 +28,7 @@ from repro.analysis.runner import (
     ExperimentSpec,
     constant_environment,
 )
+from repro.config import check_thresholds
 from repro.core.config import PlacementOptions
 from repro.core.exhaustive import whole_circuit_runtime
 from repro.exceptions import ExperimentError
@@ -121,7 +122,11 @@ def _sweep_specs(
     threshold differs); with ``reuse_equivalent_cells`` such cells share one
     spec via the environment's
     :meth:`~repro.hardware.environment.PhysicalEnvironment.threshold_signature`.
+    A threshold that is not a positive finite number raises
+    :class:`~repro.exceptions.ConfigError` (see
+    :func:`repro.config.check_thresholds`).
     """
+    check_thresholds(tuple(float(threshold) for threshold in thresholds))
     specs: List[ExperimentSpec] = []
     cell_index: List[int] = []
     memo: Dict = {}
@@ -161,7 +166,7 @@ def build_sweep_specs(
 
     Public entry point for callers that need the raw grid rather than
     executed rows — the sharding pipeline plans over exactly this list
-    (``repro-place shard plan`` / ``sweep --shards``).  Returns the specs
+    (``repro-place shard plan``).  Returns the specs
     plus, for each threshold position, the index of the spec that serves
     it (equivalent thresholds share a spec; see :func:`_sweep_specs`).
     ``environment_factory`` is the picklable factory shipped to workers

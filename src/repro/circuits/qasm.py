@@ -36,8 +36,9 @@ float (``90`` stays ``90``), and it refuses, with one
 that :func:`loads` would not rebuild exactly (the label ``'1'``, which
 reads back as the int ``1``; a label holding whitespace, ``#`` or a
 leading ``duration=``; a gate named ``cnot``, which reads back as
-``CNOT``), so ``loads(dumps(c))`` rebuilds the qubits and gates of ``c``
-exactly whenever :func:`dumps` returns.
+``CNOT``; a circuit name holding a line break), so ``loads(dumps(c))``
+rebuilds the qubits and gates of ``c`` exactly whenever :func:`dumps`
+returns.
 """
 
 from __future__ import annotations
@@ -219,8 +220,15 @@ def dumps(circuit: QuantumCircuit) -> str:
 
     A qubit label or gate that :func:`loads` would not rebuild exactly
     (name, qubits and their types, angle and duration) raises
-    :class:`SerializationError` naming the label or the gate's line.
+    :class:`SerializationError` naming the label or the gate's line, and
+    so does a circuit name holding a line break (any character
+    ``str.splitlines`` splits on), which would spill out of the
+    ``# name`` comment.
     """
+    if circuit.name.splitlines() not in ([], [circuit.name]):
+        raise SerializationError(
+            f"circuit name {circuit.name!r} would not stay on its '# name' line"
+        )
     labels = [_label_text(qubit) for qubit in circuit.qubits]
     lines = [f"# {circuit.name}", "qubits " + " ".join(labels)]
     for gate in circuit:

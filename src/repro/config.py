@@ -102,6 +102,20 @@ def check_execution(jobs: object) -> None:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
 
 
+def check_thresholds(thresholds: Tuple[float, ...]) -> None:
+    """Validate a sweep's threshold values.
+
+    The rule and message of :class:`RunConfig`'s ``thresholds`` field,
+    which the sweep functions of :mod:`repro.analysis.sweep` apply too.
+    A value that is not a positive finite number (NaN included) raises
+    :class:`ConfigError`.
+    """
+    if any(not 0 < value < math.inf for value in thresholds):  # NaN too
+        raise ConfigError(
+            f"thresholds must be positive finite numbers, got {thresholds}"
+        )
+
+
 def _drop_removed_keys(
     data: Dict[str, Any],
     removed: Tuple[Tuple[str, Callable[[Any], bool], str], ...],
@@ -211,10 +225,7 @@ class RunConfig:
                 ) from None
             if not values:
                 raise ConfigError("thresholds cannot be an empty list (use null)")
-            if any(not 0 < value < math.inf for value in values):  # NaN too
-                raise ConfigError(
-                    f"thresholds must be positive finite numbers, got {values}"
-                )
+            check_thresholds(values)
             object.__setattr__(self, "thresholds", values)
         if not isinstance(self.options, PlacementOptions):
             raise ConfigError(

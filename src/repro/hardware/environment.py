@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -47,6 +47,99 @@ Pair = Tuple[Node, Node]
 def _canonical_pair(a: Node, b: Node) -> Pair:
     """Return an unordered pair in a deterministic canonical order."""
     return (a, b) if repr(a) <= repr(b) else (b, a)
+
+
+class PairDelayTable:
+    """The delay of every node pair, by declaration position.
+
+    :meth:`delay` of ``(i, j)`` is :meth:`PhysicalEnvironment.pair_delay`
+    of ``(nodes[i], nodes[j])``, the diagonal included, in one of two
+    layouts (see :meth:`PhysicalEnvironment.pair_delay_table`):
+
+    * ``matrix``: ``num_nodes ** 2`` doubles, row-major;
+    * rows (``matrix`` is ``None``): row ``i`` holds the entries
+      ``row_start[i]:row_start[i + 1]`` of ``row_node`` and ``row_delay``,
+      one ``(node, delay)`` entry per explicit pair of node ``i`` plus
+      ``(i, single-qubit delay)``, sorted by node; a pair no row lists
+      reads ``default``.
+
+    The buffers are shared with the native scheduler kernel; treat them as
+    read-only.
+    """
+
+    __slots__ = ("num_nodes", "default", "matrix", "row_start", "row_node", "row_delay")
+
+    def __init__(
+        self,
+        nodes: Tuple[Node, ...],
+        single: Mapping[Node, float],
+        pairs: Mapping[Pair, float],
+        default: float,
+    ) -> None:
+        count = len(nodes)
+        index = {node: position for position, node in enumerate(nodes)}
+        self.num_nodes = count
+        self.default = default
+        self.matrix: Optional[array] = None
+        self.row_start: Optional[array] = None
+        self.row_node: Optional[array] = None
+        self.row_delay: Optional[array] = None
+        if count * count <= 8 * (count + 2 * len(pairs)):
+            # Prefill the default at C speed and write only the explicit
+            # entries; ``pairs`` keys are unordered, each appears once.
+            flat = array("d", (default,)) * (count * count)
+            for position, node in enumerate(nodes):
+                flat[position * count + position] = single[node]
+            for (node_a, node_b), value in pairs.items():
+                i = index[node_a]
+                j = index[node_b]
+                flat[i * count + j] = value
+                flat[j * count + i] = value
+            self.matrix = flat
+            return
+        # The pairs of each node, in any order; then columns in ascending
+        # order, each entry (i, j) appended to row i, so every row comes
+        # out sorted by node without a sort.
+        partners: List[List[Tuple[int, float]]] = [[] for _ in nodes]
+        for (node_a, node_b), value in pairs.items():
+            i = index[node_a]
+            j = index[node_b]
+            partners[i].append((j, value))
+            partners[j].append((i, value))
+        fill = [0] * count
+        total = 0
+        for i, row in enumerate(partners):
+            fill[i] = total
+            total += len(row) + 1
+        row_start = array("q", fill)
+        row_start.append(total)
+        row_node = array("i", bytes(4 * total))
+        row_delay = array("d", bytes(8 * total))
+        for j, node in enumerate(nodes):
+            slot = fill[j]
+            row_node[slot] = j
+            row_delay[slot] = single[node]
+            fill[j] = slot + 1
+            for i, value in partners[j]:
+                slot = fill[i]
+                row_node[slot] = j
+                row_delay[slot] = value
+                fill[i] = slot + 1
+        self.row_start = row_start
+        self.row_node = row_node
+        self.row_delay = row_delay
+
+    def delay(self, i: int, j: int) -> float:
+        """The delay between the nodes at positions ``i`` and ``j``."""
+        if self.matrix is not None:
+            return self.matrix[i * self.num_nodes + j]
+        assert self.row_start is not None and self.row_node is not None
+        assert self.row_delay is not None
+        stop = self.row_start[i + 1]
+        slot = bisect_left(self.row_node, j, self.row_start[i], stop)
+        if slot < stop and self.row_node[slot] == j:
+            return self.row_delay[slot]
+        return self.default
 
 
 def injective_placements(environment_qubits: int, circuit_qubits: int) -> int:
@@ -140,7 +233,7 @@ class PhysicalEnvironment:
         self._component_cache: Dict[_SigKey, Graph] = {}
         self._connectivity_cache: Dict[_SigKey, bool] = {}
         self._networkx_cache: Dict[Graph, nx.Graph] = {}
-        self._pair_matrix_cache: Dict[Tuple[Node, ...], array] = {}
+        self._pair_matrix_cache: Dict[Tuple[Node, ...], PairDelayTable] = {}
         self._minimal_threshold: Optional[float] = None
         self._delay_values: Optional[List[float]] = None
         self._cache_version = 0
@@ -377,22 +470,27 @@ class PhysicalEnvironment:
         """
         return self._networkx(self.threshold_component(threshold))
 
-    def pair_delay_table(self) -> array:
-        """Flat row-major ``n x n`` pair-delay matrix over :attr:`nodes`, cached.
+    def pair_delay_table(self) -> PairDelayTable:
+        """The :class:`PairDelayTable` of every node pair over :attr:`nodes`, cached.
 
-        Entry ``i * n + j`` is :meth:`pair_delay` of ``(nodes[i], nodes[j])``
-        — the diagonal degenerates to the single-qubit delays, matching the
-        scheduler's ``_pair_weight`` for every index pair.  It is keyed by
-        the declaration-order node tuple, so every
-        :class:`~repro.timing.scheduler.RuntimeEvaluator` built
-        against the same calibration shares one table instead of re-running
-        the ``O(n^2)`` fill (~524k lookups on a 1024-node grid).  Cached
-        next to the threshold-keyed graph caches: recalibration via
+        ``table.delay(i, j)`` is :meth:`pair_delay` of ``(nodes[i],
+        nodes[j])`` — the diagonal degenerates to the single-qubit delays,
+        matching the scheduler's ``_pair_weight`` for every index pair.
+        The table is an ``n x n`` matrix when ``n ** 2 <= 8 * (n + 2p)``
+        for ``p`` explicit pairs (every molecule, small lattices), so it
+        holds at most 8 times the entries of the rows; otherwise it holds
+        one row per node of its explicit pairs and itself, built in one
+        ``O(n + p)`` pass: the 4,096 nodes of ``grid:64x64`` take 20k
+        entries instead of 16.8M.  It is keyed by the declaration-order
+        node tuple, so every
+        :class:`~repro.timing.scheduler.RuntimeEvaluator` built against
+        the same calibration shares one table.  Cached next to the
+        threshold-keyed graph caches: recalibration via
         ``set_pair_delay``/``set_single_qubit_delay`` (or a manual
         :meth:`invalidate_caches`) drops it.
 
-        Callers must treat the returned buffer as read-only; the native
-        scheduler backend wraps it zero-copy.
+        Callers must treat the returned table as read-only; the native
+        scheduler backend reads its buffers zero-copy.
         """
         key = self._nodes
         cached = self._pair_matrix_cache.get(key)
@@ -400,23 +498,9 @@ class PhysicalEnvironment:
             STATS.increment("scheduler.pair_matrix_cache_hits")
             return cached
         STATS.increment("scheduler.pair_matrix_cache_misses")
-        count = len(key)
-        # Delay tables are sparse on big hosts (a 1024-node grid has ~2k
-        # explicit couplings against ~524k node pairs), so prefill the
-        # default at C speed and write only the explicit entries: the fill
-        # is O(n + pairs), not O(n^2).  ``_pairs`` keys are canonical by
-        # construction, so each unordered pair appears exactly once.
-        flat = array("d", (self.default_pair_delay,)) * (count * count)
-        index = {node: position for position, node in enumerate(key)}
-        for node, position in index.items():
-            flat[position * count + position] = self._single[node]
-        for (node_a, node_b), value in self._pairs.items():
-            i = index[node_a]
-            j = index[node_b]
-            flat[i * count + j] = value
-            flat[j * count + i] = value
-        self._pair_matrix_cache[key] = flat
-        return flat
+        table = PairDelayTable(key, self._single, self._pairs, self.default_pair_delay)
+        self._pair_matrix_cache[key] = table
+        return table
 
     def invalidate_caches(self) -> None:
         """Drop every cached derived graph.

@@ -39,9 +39,12 @@ import sys
 import tempfile
 from array import array
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stats import STATS
+
+if TYPE_CHECKING:
+    from repro.hardware.environment import PairDelayTable
 
 #: Environment variable overriding the compiled-artifact cache directory.
 CACHE_DIR_ENV_VAR = "REPRO_NATIVE_CACHE"
@@ -97,6 +100,24 @@ def _artifact_path(source: bytes, compiler: str) -> Path:
     return cache_dir() / f"replay_{digest.hexdigest()[:16]}.so"
 
 
+class _PairTable(ctypes.Structure):
+    """Mirror of ``repro_pair_table`` in ``_native_kernel.c``.
+
+    The pointers of a
+    :class:`~repro.hardware.environment.PairDelayTable`: its matrix, or
+    its three row buffers (the unused layout's pointers are NULL).
+    """
+
+    _fields_ = [
+        ("num_nodes", ctypes.c_int64),
+        ("default_delay", ctypes.c_double),
+        ("matrix", ctypes.POINTER(ctypes.c_double)),
+        ("row_start", ctypes.POINTER(ctypes.c_int64)),
+        ("row_node", ctypes.POINTER(ctypes.c_int32)),
+        ("row_delay", ctypes.POINTER(ctypes.c_double)),
+    ]
+
+
 class _ReplayCtx(ctypes.Structure):
     """Mirror of ``repro_replay_ctx`` in ``_native_kernel.c``.
 
@@ -116,7 +137,7 @@ class _ReplayCtx(ctypes.Structure):
         ("ops_b", ctypes.POINTER(ctypes.c_int32)),
         ("relative", ctypes.POINTER(ctypes.c_double)),
         ("single_delays", ctypes.POINTER(ctypes.c_double)),
-        ("pair", ctypes.POINTER(ctypes.c_double)),
+        ("pairs", _PairTable),
         ("eval_nodes", ctypes.POINTER(ctypes.c_int32)),
         ("base_nodes", ctypes.POINTER(ctypes.c_int32)),
         ("changed_flag", ctypes.POINTER(ctypes.c_int8)),
@@ -290,16 +311,30 @@ def _int32_view(buffer: array) -> "ctypes.Array[ctypes.c_int32]":
     return (ctypes.c_int32 * len(buffer)).from_buffer(buffer)
 
 
+def _pointer(buffer: Optional[array], kind: Any) -> Any:
+    """A ``kind`` pointer to ``buffer``'s data, or NULL for ``None``.
+
+    The pointer does not keep ``buffer`` alive: its owner must be kept
+    referenced for as long as the kernel may read it.
+    """
+    if buffer is None:
+        return ctypes.POINTER(kind)()
+    return ctypes.cast(buffer.buffer_info()[0], ctypes.POINTER(kind))
+
+
 class NativeReplay:
     """Per-evaluator native state: compiled op arrays + base-placement state.
 
-    Stores the op list, the delay tables and the base-placement state in
-    stdlib ``array`` buffers shared zero-copy with the C kernel.  The
-    owning :class:`~repro.timing.scheduler.RuntimeEvaluator` keeps all
-    public bookkeeping (STATS counters, checkpoint arithmetic, cutoff
-    semantics) so both backends stay operation-for-operation comparable; only
-    :meth:`hill_climb` and :meth:`anneal` do that arithmetic in C, and they
-    report their counts back for the evaluator to book.
+    Stores the op list, the single-qubit delays and the base-placement
+    state in stdlib ``array`` buffers shared zero-copy with the C kernel,
+    which reads pair delays in place from the environment's shared
+    :class:`~repro.hardware.environment.PairDelayTable` (its matrix or its
+    rows).  The owning :class:`~repro.timing.scheduler.RuntimeEvaluator`
+    keeps all public bookkeeping (STATS counters, checkpoint arithmetic,
+    cutoff semantics) so both backends stay operation-for-operation
+    comparable; only :meth:`hill_climb` and :meth:`anneal` do that
+    arithmetic in C, and they report their counts back for the evaluator
+    to book.
     """
 
     __slots__ = (
@@ -318,7 +353,6 @@ class NativeReplay:
         "_ops_b_p",
         "_relative_p",
         "_single_p",
-        "_pair_p",
         "_times",
         "_times_p",
         "_flags",
@@ -346,15 +380,14 @@ class NativeReplay:
         ops: Sequence[Tuple[int, int, float]],
         num_qubits: int,
         single_delays: Sequence[float],
-        pair_flat: array,
-        num_env_nodes: int,
+        pairs: "PairDelayTable",
         checkpoint_interval: int,
         first_touch: Sequence[int],
     ) -> None:
         self._kernel = load_kernel()
         self.num_ops = len(ops)
         self.num_qubits = num_qubits
-        self.num_env_nodes = num_env_nodes
+        self.num_env_nodes = pairs.num_nodes
         self.interval = checkpoint_interval
         self.num_checkpoints = (
             (self.num_ops + checkpoint_interval - 1) // checkpoint_interval
@@ -365,7 +398,7 @@ class NativeReplay:
         self._ops_b = array("i", (op[1] for op in ops))
         self._relative = array("d", (op[2] for op in ops))
         self._single = array("d", single_delays)
-        self._pair = pair_flat
+        self._pair = pairs
         self._times = array("d", bytes(8 * num_qubits))
         self._flags = array("b", bytes(num_qubits))
         self._targets = array("i", bytes(4 * num_qubits))
@@ -382,7 +415,6 @@ class NativeReplay:
         self._ops_b_p = _int32_view(self._ops_b)
         self._relative_p = _double_view(self._relative)
         self._single_p = _double_view(self._single)
-        self._pair_p = _double_view(self._pair)
         self._times_p = _double_view(self._times)
         self._flags_p = (ctypes.c_int8 * num_qubits).from_buffer(self._flags)
         self._targets_p = _int32_view(self._targets)
@@ -413,7 +445,15 @@ class NativeReplay:
             ops_b=ctypes.cast(self._ops_b_p, int32_p),
             relative=ctypes.cast(self._relative_p, double_p),
             single_delays=ctypes.cast(self._single_p, double_p),
-            pair=ctypes.cast(self._pair_p, double_p),
+            # self._pair keeps the table's buffers alive.
+            pairs=_PairTable(
+                num_nodes=pairs.num_nodes,
+                default_delay=pairs.default,
+                matrix=_pointer(pairs.matrix, ctypes.c_double),
+                row_start=_pointer(pairs.row_start, ctypes.c_int64),
+                row_node=_pointer(pairs.row_node, ctypes.c_int32),
+                row_delay=_pointer(pairs.row_delay, ctypes.c_double),
+            ),
             eval_nodes=ctypes.cast(self._eval_nodes_p, int32_p),
             base_nodes=ctypes.cast(self._base_nodes_p, int32_p),
             changed_flag=ctypes.cast(

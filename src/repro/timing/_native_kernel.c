@@ -24,8 +24,57 @@
 
 /* A single op: endpoints a/b (qubit indices; b < 0 marks a single-qubit
  * op) and the relative duration.  Delays are looked up per evaluation in
- * `single` (per node) or the dense `pair` matrix (num_env_nodes ^ 2,
- * row-major), exactly like the Python reference loop. */
+ * `single` (per node) or the pair-delay table below, exactly like the
+ * Python reference loop. */
+
+/* The environment's PairDelayTable (repro/hardware/environment.py): the
+ * delay of every node pair, the diagonal included, either as a
+ * num_nodes ^ 2 row-major `matrix`, or, when `matrix` is NULL, as one row
+ * per node -- entries row_start[a]..row_start[a + 1] - 1 of row_node and
+ * row_delay, sorted by node -- with `default_delay` for every pair no row
+ * lists.  Both layouts hold the same double for every pair. */
+typedef struct {
+    int64_t num_nodes;
+    double default_delay;
+    const double *matrix;
+    const int64_t *row_start;
+    const int32_t *row_node;
+    const double *row_delay;
+} repro_pair_table;
+
+#if defined(__GNUC__)
+#define REPRO_INLINE static inline __attribute__((always_inline))
+#else
+#define REPRO_INLINE static inline
+#endif
+
+/* The delay of node pair (a, b) in the given layout.  The ctx entry
+ * points test the layout once per call and run a copy of their loop
+ * inlined with a constant `dense`, so no lookup tests it again. */
+REPRO_INLINE double pair_delay(const repro_pair_table *pairs, int32_t a,
+                               int32_t b, int dense)
+{
+    int64_t low, high, end;
+    if (dense) {
+        return pairs->matrix[(int64_t)a * pairs->num_nodes + b];
+    }
+    /* Binary search for the first entry of row a at or after node b. */
+    low = pairs->row_start[a];
+    end = pairs->row_start[a + 1];
+    high = end;
+    while (low < high) {
+        int64_t middle = low + (high - low) / 2;
+        if (pairs->row_node[middle] < b) {
+            low = middle + 1;
+        } else {
+            high = middle;
+        }
+    }
+    if (low < end && pairs->row_node[low] == b) {
+        return pairs->row_delay[low];
+    }
+    return pairs->default_delay;
+}
 
 static double final_max(const double *times, int64_t num_qubits)
 {
@@ -50,22 +99,25 @@ static double final_max(const double *times, int64_t num_qubits)
  * ops, written *before* the op at that index is applied, starting at op
  * 0) that the incremental tail replay later restores.  `times` is a
  * caller-owned scratch buffer of num_qubits doubles (zeroed here).
- * Returns the circuit runtime. */
-double repro_replay_full(
+ * `dense` is 1 when the pair table is a matrix, a constant at each call
+ * site (see repro_ctx_full).  Returns the circuit runtime. */
+REPRO_INLINE double repro_replay_full(
     int64_t num_ops,
     const int32_t *ops_a,
     const int32_t *ops_b,
     const double *relative,
     const int32_t *nodes,
     const double *single,
-    const double *pair,
-    int64_t num_env_nodes,
+    const repro_pair_table *pairs,
     int64_t num_qubits,
     int64_t interval,
     double *durations_out,
     double *checkpoints_out,
-    double *times)
+    double *times,
+    int dense)
 {
+    /* A local copy, so the table's fields stay in registers. */
+    const repro_pair_table table = *pairs;
     int64_t i, checkpoint = 0;
     for (i = 0; i < num_qubits; i++) {
         times[i] = 0.0;
@@ -86,8 +138,7 @@ double repro_replay_full(
             double time_a = times[a];
             double time_b = times[b];
             double finish;
-            duration =
-                pair[(int64_t)nodes[a] * num_env_nodes + nodes[b]] * relative[i];
+            duration = pair_delay(&table, nodes[a], nodes[b], dense) * relative[i];
             finish = (time_a >= time_b ? time_a : time_b) + duration;
             times[a] = finish;
             times[b] = finish;
@@ -107,8 +158,9 @@ double repro_replay_full(
  * `cutoff` (busy times are monotone, so the final runtime is at least
  * that); *stop_index_out records the stopping op for the caller's
  * replayed-ops accounting, or -1 when the tail ran to completion.
- * Returns the runtime, or +inf on cutoff. */
-double repro_replay_tail(
+ * `dense` is as in repro_replay_full.  Returns the runtime, or +inf on
+ * cutoff. */
+REPRO_INLINE double repro_replay_tail(
     int64_t start,
     int64_t num_ops,
     const int32_t *ops_a,
@@ -119,15 +171,16 @@ double repro_replay_tail(
     const int8_t *changed_flag,
     const int32_t *changed_target,
     const double *single,
-    const double *pair,
-    int64_t num_env_nodes,
+    const repro_pair_table *pairs,
     int64_t num_qubits,
     const double *checkpoint_row,
     double cutoff,
     int32_t has_cutoff,
     double *times,
-    int64_t *stop_index_out)
+    int64_t *stop_index_out,
+    int dense)
 {
+    const repro_pair_table table = *pairs;
     int64_t i;
     *stop_index_out = -1;
     if (checkpoint_row != NULL) {
@@ -156,8 +209,7 @@ double repro_replay_tail(
             if (changed_flag[a] || changed_flag[b]) {
                 int32_t node_a = changed_flag[a] ? changed_target[a] : base_nodes[a];
                 int32_t node_b = changed_flag[b] ? changed_target[b] : base_nodes[b];
-                duration =
-                    pair[(int64_t)node_a * num_env_nodes + node_b] * relative[i];
+                duration = pair_delay(&table, node_a, node_b, dense) * relative[i];
             } else {
                 duration = base_durations[i];
             }
@@ -180,10 +232,11 @@ double repro_replay_tail(
  * Structure with this exact layout).  The ctx entry points exist because
  * marshalling 13-18 ctypes arguments per call costs more than a short
  * incremental replay itself; with the context, a tail replay passes four
- * scalars.  They delegate to the reference entry points, so the float
- * semantics are identical by construction.  first_touch[q] is the index
- * of the first op on qubit q (num_ops when none); occupant is scratch of
- * num_env_nodes entries used only by repro_hill_climb. */
+ * scalars.  They run the two loops above, so the float semantics are
+ * identical by construction.  `pairs` points into the environment's one
+ * shared table.  first_touch[q] is the index of the first op on qubit q
+ * (num_ops when none); occupant is scratch of num_env_nodes entries used
+ * only by repro_hill_climb and repro_anneal. */
 typedef struct {
     int64_t num_ops;
     int64_t num_qubits;
@@ -195,7 +248,7 @@ typedef struct {
     const int32_t *ops_b;
     const double *relative;
     const double *single_delays;
-    const double *pair;
+    repro_pair_table pairs;
     const int32_t *eval_nodes;
     int32_t *base_nodes;
     int8_t *changed_flag;
@@ -209,22 +262,29 @@ typedef struct {
 
 /* Full evaluation through the context.  record != 0 evaluates the base
  * nodes and fills the duration/checkpoint tables; record == 0 evaluates
- * eval_nodes with no recording (the plain run_full path). */
+ * eval_nodes with no recording (the plain run_full path).  The table's
+ * layout is tested once here: each branch is its own copy of the loop. */
 double repro_ctx_full(repro_replay_ctx *ctx, int32_t record)
 {
+    const int32_t *nodes = record ? ctx->base_nodes : ctx->eval_nodes;
+    double *durations = record ? ctx->base_durations : NULL;
+    double *checkpoints = record ? ctx->checkpoints : NULL;
+    if (ctx->pairs.matrix != NULL) {
+        return repro_replay_full(
+            ctx->num_ops, ctx->ops_a, ctx->ops_b, ctx->relative, nodes,
+            ctx->single_delays, &ctx->pairs, ctx->num_qubits, ctx->interval,
+            durations, checkpoints, ctx->times, 1);
+    }
     return repro_replay_full(
-        ctx->num_ops, ctx->ops_a, ctx->ops_b, ctx->relative,
-        record ? ctx->base_nodes : ctx->eval_nodes,
-        ctx->single_delays, ctx->pair, ctx->num_env_nodes, ctx->num_qubits,
-        ctx->interval,
-        record ? ctx->base_durations : NULL,
-        record ? ctx->checkpoints : NULL,
-        ctx->times);
+        ctx->num_ops, ctx->ops_a, ctx->ops_b, ctx->relative, nodes,
+        ctx->single_delays, &ctx->pairs, ctx->num_qubits, ctx->interval,
+        durations, checkpoints, ctx->times, 0);
 }
 
 /* Incremental tail replay through the context; the checkpoint row is
  * derived from `start` here instead of being passed as a pointer.  The
- * stop index lands in ctx->stop_index. */
+ * stop index lands in ctx->stop_index.  The layout is tested once, as in
+ * repro_ctx_full. */
 double repro_ctx_tail(repro_replay_ctx *ctx, int64_t start, double cutoff,
                       int32_t has_cutoff)
 {
@@ -233,12 +293,20 @@ double repro_ctx_tail(repro_replay_ctx *ctx, int64_t start, double cutoff,
         checkpoint < ctx->num_checkpoints
             ? ctx->checkpoints + checkpoint * ctx->num_qubits
             : NULL;
+    if (ctx->pairs.matrix != NULL) {
+        return repro_replay_tail(
+            start, ctx->num_ops, ctx->ops_a, ctx->ops_b, ctx->relative,
+            ctx->base_durations, ctx->base_nodes, ctx->changed_flag,
+            ctx->changed_target, ctx->single_delays, &ctx->pairs,
+            ctx->num_qubits, row, cutoff, has_cutoff, ctx->times,
+            &ctx->stop_index, 1);
+    }
     return repro_replay_tail(
         start, ctx->num_ops, ctx->ops_a, ctx->ops_b, ctx->relative,
         ctx->base_durations, ctx->base_nodes, ctx->changed_flag,
-        ctx->changed_target, ctx->single_delays, ctx->pair,
-        ctx->num_env_nodes, ctx->num_qubits, row, cutoff, has_cutoff,
-        ctx->times, &ctx->stop_index);
+        ctx->changed_target, ctx->single_delays, &ctx->pairs,
+        ctx->num_qubits, row, cutoff, has_cutoff, ctx->times,
+        &ctx->stop_index, 0);
 }
 
 /* Score re-placing `qubit` (base node `current`) on `node`, and `other`

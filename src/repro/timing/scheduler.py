@@ -306,7 +306,6 @@ class RuntimeEvaluator:
                 len(self._qubits),
                 self._single_delay,
                 environment.pair_delay_table(),
-                self._num_env_nodes,
                 checkpoint_interval,
                 self._first_touch,
             )

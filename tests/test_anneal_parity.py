@@ -31,6 +31,7 @@ from repro.core.placers.greedy import greedy_candidate
 from repro.core.stats import STATS
 from repro.core.workspace import extract_workspaces
 from repro.exceptions import PlacementError
+from repro.hardware.architectures import linear_chain
 from repro.registry import load_circuit, load_environment
 from repro.timing import _native, _replay
 from repro.timing.scheduler import RuntimeEvaluator
@@ -39,9 +40,17 @@ pytestmark = pytest.mark.skipif(
     not _native.available(), reason="native kernel does not build here"
 )
 
-#: (host, threshold, restrict_to_largest_component).  Crotonic acid at 50
-#: keeps one isolated node in its working graph: an anchor there has no
-#: host neighbours, so a local move falls back to a global one.
+def _slow_chain():
+    """A 40-node chain whose unlisted pairs read a finite default delay."""
+    return linear_chain(40, slow_pair_delay=5000.0)
+
+
+#: (host, threshold, restrict_to_largest_component): a registry spec or an
+#: environment factory.  Crotonic acid at 50 keeps one isolated node in its
+#: working graph: an anchor there has no host neighbours, so a local move
+#: falls back to a global one.  The pair-delay tables of the first eight
+#: hosts are matrices, those of the last four rows; the slow chain reads
+#: its finite default for every unlisted pair, random starts included.
 HOSTS = (
     ("grid:3x4", 10.0, True),
     ("grid:4x4", 10.0, True),
@@ -51,6 +60,10 @@ HOSTS = (
     ("trans-crotonic-acid", 200.0, True),
     ("trans-crotonic-acid", 50.0, False),
     ("histidine", 100.0, True),
+    ("grid:8x8", 10.0, True),
+    ("chain:32", 10.0, True),
+    ("heavy-hex:5", 10.0, True),
+    (_slow_chain, 10.0, True),
 )
 
 BUDGETS = (0, 1, 2, 5, 40, 300)
@@ -72,7 +85,7 @@ def _case(host, threshold, restrict, family, size, gates, seed, pick,
     its cost stays finite); ``all_movable`` makes every circuit qubit
     movable, in a shuffled order, so some have no pattern partner.
     """
-    environment = load_environment(host)
+    environment = host() if callable(host) else load_environment(host)
     options = PlacementOptions(
         threshold=threshold, restrict_to_largest_component=restrict
     )
@@ -266,7 +279,7 @@ def _placement(monkeypatch, circuit, host, threshold, spec, backend):
     )
     after = STATS.snapshot()
     # Every placer counter and the scheduler's work counters; the native
-    # backend alone builds the shared pair-delay matrix, so its cache
+    # backend alone builds the shared pair-delay table, so its cache
     # counters differ by design.
     counters = {
         name: after[name] - before.get(name, 0)

@@ -410,3 +410,56 @@ class TestNonFiniteThresholds:
         assert "Infinity" in text  # what Python's json writes and reads back
         with pytest.raises(ConfigError, match="positive finite"):
             RunConfig.from_json(text)
+
+
+#: Threshold lists every sweep entry point refuses, with the tuple its
+#: one-line message names.
+BAD_SWEEP_THRESHOLDS = [
+    pytest.param([100.0, math.inf], r"\(100.0, inf\)", id="inf"),
+    pytest.param([-5.0], r"\(-5.0,\)", id="negative"),
+    pytest.param([100, math.nan], r"\(100.0, nan\)", id="nan"),
+]
+
+
+class TestSweepThresholds:
+    """The sweep functions apply :class:`RunConfig`'s threshold rule
+    (``check_thresholds``), so a bad list fails up front with its message
+    instead of yielding an N/A cell (``inf``, ``-5.0``) or an environment
+    error (NaN)."""
+
+    @pytest.mark.parametrize(("thresholds", "named"), BAD_SWEEP_THRESHOLDS)
+    def test_every_sweep_entry_point_refuses_them(self, thresholds, named):
+        from repro.analysis.runner import molecule_factory
+        from repro.analysis.sweep import (
+            build_sweep_specs,
+            sweep_circuit,
+            sweep_environment,
+            sweep_table,
+        )
+        from repro.registry import as_circuit_factory, load_environment
+
+        circuit, molecule = "error-correction-encoding", "acetyl-chloride"
+        calls = [
+            lambda: sweep_circuit(circuit, molecule, thresholds=thresholds),
+            lambda: sweep_environment([circuit], molecule, thresholds=thresholds),
+            lambda: sweep_table(circuit, [molecule], thresholds=thresholds),
+            lambda: build_sweep_specs(
+                as_circuit_factory(circuit), load_environment(molecule),
+                molecule_factory(molecule), thresholds,
+            ),
+        ]
+        message = rf"^thresholds must be positive finite numbers, got {named}$"
+        for call in calls:
+            with pytest.raises(ConfigError, match=message):
+                call()
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(circuit=circuit, environment=molecule,
+                      thresholds=thresholds)
+
+    def test_positive_finite_thresholds_still_sweep(self):
+        from repro.analysis.sweep import sweep_circuit
+
+        row = sweep_circuit("error-correction-encoding", "acetyl-chloride",
+                            thresholds=[100, 1e308])
+        assert [cell.threshold for cell in row.cells] == [100.0, 1e308]
+        assert all(cell.feasible for cell in row.cells)

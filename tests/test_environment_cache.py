@@ -13,7 +13,7 @@ from repro.circuits.library import qft_circuit
 from repro.core.config import PlacementOptions
 from repro.core.placement import place_circuit
 from repro.core.stats import STATS
-from repro.exceptions import EnvironmentError_, ThresholdError
+from repro.exceptions import ConfigError, EnvironmentError_, ThresholdError
 from repro.hardware.architectures import grid
 from repro.hardware.environment import PhysicalEnvironment
 from repro.hardware.molecules import trans_crotonic_acid
@@ -203,8 +203,13 @@ class TestNanThreshold:
 
     @pytest.mark.parametrize("thresholds", [(math.nan, 9200.0), (9200.0, math.nan)])
     def test_sweep_never_shares_a_cell_with_nan(self, crotonic, thresholds):
-        with pytest.raises(EnvironmentError_, match="nan") as info:
+        # The sweep refuses the list up front, as RunConfig does, before
+        # any cell could be keyed by a threshold signature.
+        with pytest.raises(
+            ConfigError, match=r"^thresholds must be positive finite numbers"
+        ) as info:
             sweep_circuit(lambda: qft_circuit(5), crotonic, thresholds=thresholds)
+        assert "nan" in str(info.value)
         assert not isinstance(info.value, ThresholdError)
 
 

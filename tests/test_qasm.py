@@ -196,6 +196,19 @@ class TestRoundTrip:
                                      "back as itself$"):
                 qasm.dumps(circuit)
 
+    def test_dumps_refuses_a_name_that_would_leave_its_line(self):
+        # 'enc\nH a' used to write a gate line above the 'qubits' line,
+        # which loads refuses.
+        for name in ("enc\nH a", "enc\r", "enc\x0bH a", "enc\u2028H a"):
+            circuit = QuantumCircuit(["a", "b"], [g.cnot("a", "b")], name=name)
+            with pytest.raises(SerializationError,
+                               match=r"^circuit name .* would not stay on its "
+                                     r"'# name' line$"):
+                qasm.dumps(circuit)
+        for name in ("", "enc # x\ty"):
+            circuit = QuantumCircuit(["a", "b"], [g.cnot("a", "b")], name=name)
+            assert qasm.loads(qasm.dumps(circuit)).gates == circuit.gates
+
     def test_library_circuits_write_no_durations(self):
         # Constructor-built gates keep the duration their head rebuilds,
         # so only generic gates carry one.

@@ -15,6 +15,7 @@ first use; see ``repro/timing/_native.py``).
 Python fine-tuning loop it replaces.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -35,7 +36,13 @@ from repro.core.fine_tuning import (
 from repro.core.placement import place_circuit
 from repro.core.stats import STATS
 from repro.exceptions import ConfigError, ReproError
-from repro.hardware.molecules import histidine, trans_crotonic_acid
+from repro.hardware.architectures import linear_chain
+from repro.hardware.environment import PhysicalEnvironment
+from repro.hardware.molecules import (
+    MOLECULE_FACTORIES,
+    histidine,
+    trans_crotonic_acid,
+)
 from repro.registry import load_environment
 from repro.timing import _native, _replay
 from repro.timing.scheduler import RuntimeEvaluator, circuit_runtime
@@ -309,6 +316,44 @@ class TestBackendParity:
             assert evaluator.runtime_with({"a": "C4"}) == 0.0
 
 
+def _slow_chain():
+    """A 40-node chain whose unlisted pairs read a finite default delay."""
+    return linear_chain(40, slow_pair_delay=5000.0)
+
+
+def _infinite_pair_host():
+    """A 40-node ring of distinct delays with one explicitly infinite chord.
+
+    Its default is finite, so a lookup that misses the infinite entry
+    reads 5000.0 instead of ``inf``.
+    """
+    single = {node: 1.0 + node / 64 for node in range(40)}
+    pairs = {(node, (node + 1) % 40): 10.0 + node for node in range(40)}
+    pairs[(0, 20)] = math.inf
+    return PhysicalEnvironment(single, pairs, default_pair_delay=5000.0,
+                               name="infinite-pair")
+
+
+#: Hosts of the pair-delay table tests, each with whether its table is the
+#: n x n matrix: n ** 2 <= 8 * (n + 2 * explicit pairs).  The rest hold rows.
+TABLE_HOSTS = [
+    *(pytest.param(name, True, id=name) for name in sorted(MOLECULE_FACTORIES)),
+    pytest.param("grid:4x4", True, id="grid:4x4"),
+    pytest.param("heavy-hex:3", True, id="heavy-hex:3"),
+    pytest.param("grid:8x8", False, id="grid:8x8"),
+    pytest.param("chain:32", False, id="chain:32"),
+    pytest.param("heavy-hex:5", False, id="heavy-hex:5"),
+    pytest.param("star:40", False, id="star:40"),
+    pytest.param(_slow_chain, False, id="slow-chain:40"),
+    pytest.param(_infinite_pair_host, False, id="infinite-pair:40"),
+]
+
+
+def _host(host):
+    """A registry spec's environment, or the one a factory builds."""
+    return host() if callable(host) else load_environment(host)
+
+
 class TestPairMatrixCache:
     @needs_native
     def test_shared_across_evaluators_with_hit_counter(self, crotonic):
@@ -320,29 +365,68 @@ class TestPairMatrixCache:
         delta = STATS.delta_since(before)
         assert delta.get("scheduler.pair_matrix_cache_misses") == 1
         assert delta.get("scheduler.pair_matrix_cache_hits") == 1
-        # Zero-copy sharing: both kernels read the one cached buffer.
+        # Zero-copy sharing: both kernels read the one cached table.
         assert first._native._pair is crotonic.pair_delay_table()
         assert second._native._pair is first._native._pair
 
-    def test_recalibration_invalidates(self, crotonic):
-        flat = crotonic.pair_delay_table()
-        assert crotonic.pair_delay_table() is flat
-        crotonic.set_pair_delay("M", "C1", 123.0)
-        rebuilt = crotonic.pair_delay_table()
-        assert rebuilt is not flat
-        nodes = crotonic.nodes
-        count = len(nodes)
-        i, j = nodes.index("M"), nodes.index("C1")
-        assert rebuilt[i * count + j] == 123.0
-        assert rebuilt[j * count + i] == 123.0
+    @pytest.mark.parametrize(
+        ("host", "a", "b"),
+        [("trans-crotonic-acid", "M", "C1"), ("grid:8x8", 0, 63)],
+        ids=["matrix", "rows"],
+    )
+    def test_recalibration_invalidates(self, host, a, b):
+        environment = load_environment(host)
+        table = environment.pair_delay_table()
+        assert environment.pair_delay_table() is table
+        before = environment.pair_delay(a, b)
+        environment.set_pair_delay(a, b, 123.0)
+        rebuilt = environment.pair_delay_table()
+        assert rebuilt is not table
+        assert (rebuilt.matrix is None) == (table.matrix is None)
+        i, j = environment.nodes.index(a), environment.nodes.index(b)
+        assert rebuilt.delay(i, j) == rebuilt.delay(j, i) == 123.0
+        assert table.delay(i, j) == before != 123.0
 
-    def test_matches_pair_delay_for_every_entry(self, crotonic):
-        nodes = crotonic.nodes
-        count = len(nodes)
-        flat = crotonic.pair_delay_table()
+    @pytest.mark.parametrize(("host", "dense"), TABLE_HOSTS)
+    def test_matches_pair_delay_for_every_entry(self, host, dense):
+        environment = _host(host)
+        nodes = environment.nodes
+        table = environment.pair_delay_table()
+        assert (table.matrix is not None) == dense
         for i, a in enumerate(nodes):
             for j, b in enumerate(nodes):
-                assert flat[i * count + j] == crotonic.pair_delay(a, b)
+                assert table.delay(i, j) == environment.pair_delay(a, b)
+
+    @needs_native
+    @pytest.mark.parametrize(("host", "dense"), TABLE_HOSTS)
+    def test_kernel_reads_every_entry(self, host, dense):
+        # One two-qubit op placed on every index pair, the diagonal
+        # included: the kernel's lookup in either layout against the
+        # python backend's pair_delay.
+        environment = _host(host)
+        circuit = QuantumCircuit(["a", "b"], [g.zz("a", "b", 90.0)], name="zz")
+        python, native = (
+            RuntimeEvaluator(circuit, environment, backend=backend)
+            for backend in ("python", "native")
+        )
+        assert (native._native._pair.matrix is not None) == dense
+        nodes = environment.nodes
+        for a in nodes:
+            for b in nodes:
+                placement = {"a": a, "b": b}
+                assert native.runtime(placement) == python.runtime(placement)
+
+    def test_rows_grow_with_the_couplings_not_the_node_pairs(self):
+        environment = load_environment("grid:64x64")
+        table = environment.pair_delay_table()
+        nodes = environment.num_qubits
+        couplings = len(environment.explicit_pairs())
+        assert (nodes, couplings) == (4096, 8064)
+        assert table.matrix is None
+        assert len(table.row_start) == nodes + 1
+        entries = len(table.row_delay)
+        assert entries == len(table.row_node) == nodes + 2 * couplings
+        assert entries < nodes * nodes / 800
 
     def test_dropped_from_pickles(self, crotonic):
         import pickle
@@ -425,7 +509,7 @@ class TestPlacerLevelBackendParity:
         ]
         monkeypatch.setenv(_replay.BACKEND_ENV_VAR, backend)
         outcomes = ExperimentRunner(jobs=2).run(specs)
-        # Only native evaluators read the shared pair-delay matrix, so the
+        # Only native evaluators read the shared pair-delay table, so the
         # workers' counters show which backend their evaluators resolved to.
         lookups = sum(
             o.counters.get(f"scheduler.pair_matrix_cache_{kind}", 0)
@@ -439,8 +523,13 @@ class TestPlacerLevelBackendParity:
         ]
 
 
-#: Hosts of the climb parity suite: two molecules and two lattices.
-CLIMB_HOSTS = ("trans-crotonic-acid", "histidine", "grid:3x3", "ring:6")
+#: Hosts of the climb parity suite: two molecules and two lattices, whose
+#: tables are matrices, and four hosts whose tables are rows (the last reads
+#: its finite default for every unlisted pair).
+CLIMB_HOSTS = (
+    "trans-crotonic-acid", "histidine", "grid:3x3", "ring:6",
+    "grid:8x8", "chain:32", "heavy-hex:5", _slow_chain,
+)
 
 #: The scheduler counters a climb must move identically on both paths.
 CLIMB_COUNTERS = (
@@ -460,7 +549,7 @@ def _climb_case(host, seed, full, shared=(False,)):
     so the occupant of a node depends on the key order.  Key, movable and
     allowed orders are all shuffled.
     """
-    environment = load_environment(host)
+    environment = _host(host)
     rng = random.Random(seed)
     nodes = list(environment.nodes)
     num_qubits = len(nodes) if full else rng.randint(2, len(nodes) - 1)
