@@ -39,8 +39,13 @@
 #      same anneal sweep and an exact `place qft:5` on `grid:8x8`, whose
 #      pair-delay table is rows rather than the `grid:4x4` matrix (the
 #      native sides are skipped, with a log line, on hosts without a C
-#      compiler); and an anneal budget of 2**63, beyond the kernel's
-#      int64 count, must be refused with exit 2 and one `error:` line;
+#      compiler); an anneal budget of 2**63, beyond the kernel's int64
+#      count, must be refused with exit 2 and one `error:` line; and the
+#      exact `sweep qft:8 histidine --output json`, whose fine tuning
+#      merges converging hill climbs, must give the same rows and the
+#      same per-row and total work counters under both backends (only
+#      `software_runtime_seconds` and the `scheduler.pair_matrix_cache_*`
+#      counters, which only native evaluators move, are dropped);
 #   5. the scheduler-facing tier-1 subset — including fine tuning, the
 #      backend parity tests in tests/test_replay_backends.py and the
 #      native-anneal parity suite in tests/test_anneal_parity.py — once
@@ -257,6 +262,53 @@ backend_diff "anneal sweep on grid:4x4" "${ANNEAL_ARGS[@]}"
 backend_diff "anneal sweep on grid:8x8" sweep random:8x20x5 grid:8x8 \
     --thresholds 10 20 --placer anneal:7x150
 backend_diff "exact place on grid:8x8" place qft:5 grid:8x8 --threshold 10
+# The merged climbs skip the same moves on both backends: rows and work
+# counters of the sweep must match, timings and the native-only pair-table
+# cache counters aside.
+REPRO_SCHEDULER_BACKEND=python "$PYTHON" -m repro.cli sweep qft:8 histidine \
+    --output json > "$WORK_DIR/climb-python.json"
+if [ "$NATIVE" = 1 ]; then
+    REPRO_SCHEDULER_BACKEND=native "$PYTHON" -m repro.cli sweep qft:8 histidine \
+        --output json > "$WORK_DIR/climb-native.json"
+    "$PYTHON" - "$WORK_DIR" <<'PYEOF'
+import json
+import sys
+
+work_dir = sys.argv[1]
+
+def comparable(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+
+    def counters(values):
+        return {
+            name: value
+            for name, value in values.items()
+            if not name.startswith("scheduler.pair_matrix_cache_")
+        }
+
+    payload["counters"] = counters(payload.get("counters", {}))
+    for row in payload.get("rows", []):
+        row.pop("software_runtime_seconds", None)
+        row["counters"] = counters(row.get("counters", {}))
+    return payload
+
+python = comparable(f"{work_dir}/climb-python.json")
+native = comparable(f"{work_dir}/climb-native.json")
+if python != native:
+    raise SystemExit(
+        "FAIL: sweep qft:8 histidine rows or work counters differ between "
+        "the python and native backends"
+    )
+print(
+    "sweep qft:8 histidine rows and work counters identical under both "
+    f"backends ({python['counters']['scheduler.incremental_evals']} "
+    "incremental evaluations)"
+)
+PYEOF
+else
+    echo "skipping the native climb-counter diff (no C toolchain on this host)"
+fi
 
 echo "== 5/6 scheduler backend subsets =="
 SCHEDULER_TESTS=(tests/test_replay_backends.py tests/test_scheduler.py

@@ -62,16 +62,17 @@ class _GraphContext:
     from per-source BFS rings over its neighbour masks, computed at most
     once per source, each workspace's monomorphisms are enumerated at
     most once (the lookahead's enumeration serves the workspace's own
-    placement one iteration later), and the annealer's neighbour table is
-    built at most once.
+    placement one iteration later), so are the candidates of a workspace
+    whose monomorphisms place every circuit qubit, and the annealer's
+    neighbour table is built at most once.
     """
 
-    def __init__(self, graph: Graph, circuit: QuantumCircuit) -> None:
+    def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.host_encoding: HostEncoding = encode_host(graph)
         self.node_order: Dict[Node, int] = self.host_encoding.index
-        self.qubits: Tuple[Qubit, ...] = tuple(circuit.qubits)
         self.monomorphisms: Dict[int, List[Dict[Qubit, Node]]] = {}
+        self.candidates: Dict[int, List[Tuple[Placement, float]]] = {}
         self._rings: Dict[int, List[int]] = {}
         self._neighbour_table: Optional[NeighbourTable] = None
 
@@ -92,11 +93,6 @@ class _GraphContext:
                 bfs_rings(self.host_encoding.adjacency, source)
             )
         return rings
-
-    def placement_key(self, placement: Placement) -> Tuple[int, ...]:
-        """Order-free integer fingerprint of a placement (for deduplication)."""
-        order = self.node_order
-        return tuple(order[placement[q]] for q in self.qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +326,7 @@ def run_pipeline(
             f"{circuit.num_qubits} the circuit needs (N/A)"
         )
     median_delay = _median_edge_delay(graph)
-    context = _GraphContext(graph, circuit)
+    context = _GraphContext(graph)
 
     workspaces = extract_workspaces(
         circuit, graph, max_two_qubit_gates=options.max_workspace_two_qubit_gates

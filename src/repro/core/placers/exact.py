@@ -37,8 +37,13 @@ class ExactPlacer(WorkspacePlacer):
 
         The monomorphisms are enumerated at most once per workspace: the
         lookahead's enumeration, kept on ``context``, serves the
-        workspace's own placement one iteration later.
+        workspace's own placement one iteration later.  When they place
+        every circuit qubit, completion ignores ``previous``, so the
+        lookahead's candidates, kept on ``context`` too, serve it whole.
         """
+        cached = context.candidates.get(workspace.index)
+        if cached is not None:
+            return list(cached)
         graph = context.graph
         monomorphisms = context.monomorphisms.get(workspace.index)
         if monomorphisms is None:
@@ -56,13 +61,15 @@ class ExactPlacer(WorkspacePlacer):
             )
 
         # Completion never depends on a climb, so every start is completed
-        # first and the whole set is fine tuned in one call.
+        # first and the whole set is fine tuned in one call.  Distinct
+        # monomorphisms complete to distinct placements, and fine tuning
+        # returns each distinct climbed placement once.
         placements = [
             _complete_placement(circuit, mapping, context, previous)
             for mapping in monomorphisms
         ]
         if options.fine_tuning:
-            scored = fine_tune_workspace_placement(
+            candidates = fine_tune_workspace_placement(
                 subcircuit,
                 placements,
                 environment,
@@ -73,7 +80,7 @@ class ExactPlacer(WorkspacePlacer):
                 full_recompute=options.debug_full_recompute,
             )
         else:
-            scored = [
+            candidates = [
                 (
                     placement,
                     _stage_runtime(
@@ -82,14 +89,7 @@ class ExactPlacer(WorkspacePlacer):
                 )
                 for placement in placements
             ]
-        candidates: List[Tuple[Placement, float]] = []
-        seen = set()
-        for placement, runtime in scored:
-            key = context.placement_key(placement)
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append((placement, runtime))
-
         candidates.sort(key=lambda item: item[1])
+        if len(monomorphisms[0]) == circuit.num_qubits:
+            context.candidates[workspace.index] = candidates
         return candidates

@@ -190,6 +190,10 @@ class PhysicalEnvironment:
         if not single_qubit_delays:
             raise EnvironmentError_("an environment needs at least one node")
         self.name = str(name)
+        if isinstance(time_unit_seconds, bool):
+            raise EnvironmentError_(
+                f"time_unit_seconds must be a number, not {time_unit_seconds!r}"
+            )
         self.time_unit_seconds = float(time_unit_seconds)
         if not 0.0 < self.time_unit_seconds < math.inf:
             raise EnvironmentError_(
@@ -258,6 +262,10 @@ class PhysicalEnvironment:
 
     @staticmethod
     def _check_delay(delay: float, what: str) -> float:
+        if isinstance(delay, bool):
+            raise EnvironmentError_(
+                f"delay for {what} must be a non-negative number, got {delay!r}"
+            )
         value = float(delay)
         if value < 0 or math.isnan(value):
             raise EnvironmentError_(

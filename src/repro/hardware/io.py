@@ -50,9 +50,18 @@ def _label_from_json(value: Any) -> Node:
     """Parse a node label back, converting integer-looking strings to ints."""
     if isinstance(value, str):
         return label_from_text(value)
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise SerializationError(f"unsupported node label {value!r} in environment file")
+
+
+def _number_from_json(value: Any, what: str) -> float:
+    """A number of the file as a float; a JSON ``true``/``false`` is refused."""
+    if isinstance(value, bool):
+        raise SerializationError(
+            f"{what} must be a number, not the boolean {str(value).lower()}"
+        )
+    return float(value)
 
 
 def to_dict(environment: PhysicalEnvironment) -> Dict[str, Any]:
@@ -98,7 +107,7 @@ def from_dict(data: Dict[str, Any]) -> PhysicalEnvironment:
                     f"node keys {keys[node]!r} and {key!r} both name node {node!r}"
                 )
             keys[node] = key
-            single[node] = float(delay)
+            single[node] = _number_from_json(delay, f"the delay of node {key!r}")
 
         pairs = {}
         for entry in raw_pairs:
@@ -108,7 +117,7 @@ def from_dict(data: Dict[str, Any]) -> PhysicalEnvironment:
             pair = (_label_from_json(a), _label_from_json(b))
             if pair in pairs:
                 raise SerializationError(f"pair {pair!r} is listed twice")
-            pairs[pair] = float(delay)
+            pairs[pair] = _number_from_json(delay, f"the delay of pair {pair!r}")
 
         default = data.get("default_pair_delay", "inf")
         if isinstance(default, str):
@@ -116,9 +125,11 @@ def from_dict(data: Dict[str, Any]) -> PhysicalEnvironment:
                 raise SerializationError(f"unsupported default_pair_delay {default!r}")
             default_value = math.inf
         else:
-            default_value = float(default)
+            default_value = _number_from_json(default, "default_pair_delay")
         name = str(data.get("name", "environment"))
-        time_unit_seconds = float(data.get("time_unit_seconds", 1e-4))
+        time_unit_seconds = _number_from_json(
+            data.get("time_unit_seconds", 1e-4), "time_unit_seconds"
+        )
     except (AttributeError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed environment data: {exc}") from exc
 

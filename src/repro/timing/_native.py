@@ -173,7 +173,7 @@ class _Kernel:
         ]
         int32_p = ctypes.POINTER(ctypes.c_int32)
         self.hill_climb = lib.repro_hill_climb
-        self.hill_climb.restype = ctypes.c_double
+        self.hill_climb.restype = ctypes.c_int32
         self.hill_climb.argtypes = [
             ctx_p,              # ctx
             ctypes.c_int64,     # num_starts
@@ -185,6 +185,8 @@ class _Kernel:
             ctypes.c_int64,     # num_allowed
             ctypes.c_int64,     # max_rounds
             ctypes.POINTER(ctypes.c_double),  # costs_out[num_starts]
+            ctypes.POINTER(ctypes.c_int8),    # repeats_out[num_starts]
+            ctypes.POINTER(ctypes.c_double),  # base_runtime_out
             ctypes.POINTER(ctypes.c_int64),   # counts_out[4]
         ]
         int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -539,18 +541,20 @@ class NativeReplay:
         movable: List[int],
         allowed: List[int],
         max_rounds: int,
-    ) -> Tuple[List[int], List[float], float, Tuple[int, int, int, int]]:
+    ) -> Tuple[List[int], List[float], List[int], float, Tuple[int, int, int, int]]:
         """Run the first-improvement climb from every start row in C.
 
         ``starts`` holds ``num_starts`` rows of ``num_qubits`` node
         indices (overwritten with the final rows) and ``keys`` the matching
         rows of qubit indices in placement-key order; ``movable`` and
         ``allowed`` are the search order.  Each row is re-based and climbed
-        in turn, leaving the recorded base on the last row's result.
-        Returns ``(nodes, costs, base_runtime, counts)``: the final node
-        rows (flat), each row's cost, the final base's runtime, and the
-        accepted-move, incremental-evaluation, ops-skipped and ops-replayed
-        counts summed over the rows.
+        in turn with one merge memo, leaving the recorded base on the last
+        row's result.  Returns ``(nodes, costs, repeats, base_runtime,
+        counts)``: the final node rows (flat), each row's cost, a 1 for
+        each row whose final row repeats an earlier one, the final base's
+        runtime, and the full-evaluation, incremental-evaluation,
+        ops-skipped and ops-replayed counts summed over the rows.  Raises
+        ``MemoryError`` when the kernel cannot allocate the memo.
         """
         # The kernel reads num_qubits entries per row of both buffers.
         if not len(keys) == len(starts) == num_starts * self.num_qubits:
@@ -562,8 +566,10 @@ class NativeReplay:
         movable_array = array("i", movable)
         allowed_array = array("i", allowed)
         costs = array("d", bytes(8 * num_starts))
+        repeats = array("b", bytes(num_starts))
+        base_runtime = ctypes.c_double()
         counts = (ctypes.c_int64 * 4)()
-        base_runtime = self._kernel.hill_climb(
+        status = self._kernel.hill_climb(
             self._ctx_ref,
             num_starts,
             _int32_view(starts),
@@ -574,12 +580,17 @@ class NativeReplay:
             len(allowed_array),
             max_rounds,
             _double_view(costs),
+            (ctypes.c_int8 * num_starts).from_buffer(repeats),
+            ctypes.byref(base_runtime),
             counts,
         )
+        if status != 0:
+            raise MemoryError("the native hill climb could not allocate its memo")
         return (
             starts.tolist(),
             costs.tolist(),
-            base_runtime,
+            repeats.tolist(),
+            base_runtime.value,
             (counts[0], counts[1], counts[2], counts[3]),
         )
 

@@ -20,6 +20,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* A single op: endpoints a/b (qubit indices; b < 0 marks a single-qubit
@@ -357,23 +358,182 @@ static double score_move(
     return result;
 }
 
-/* One first-improvement climb of
- * repro.core.fine_tuning.hill_climb_incremental, starting from the base
- * placement recorded by repro_ctx_full(ctx, 1).  Moves are enumerated
- * exactly as the Python loop does: movable qubits in order, allowed nodes
- * in order, the current node skipped, and a taken node swapped with its
- * occupant -- the last qubit in placement-key order (`keys`, num_qubits
- * entries) on that node, rebuilt per movable qubit like the Python
- * node-to-qubit dict.  Each move is scored by score_move with the
- * incumbent as cutoff.  A strictly cheaper move is written into
+/* The merge memo of one repro_hill_climb call: an open-addressing hash
+ * table (linear probing, at most half full) whose keys are a node row
+ * (num_qubits node indices, kept in `rows`) plus a round index and a step.
+ * A climb state is (row, round, 2 * movable position + improved-this-round
+ * flag) and maps to the start that first passed through it; a start's
+ * final row is keyed with round and step -1 and maps to the first start
+ * that ended on it.  Both live in one table and one row store, allocated
+ * per call. */
+typedef struct {
+    uint64_t hash; /* the key's hash with bit 0 set; 0 marks a free slot */
+    int64_t round;
+    int64_t step;
+    int64_t row;   /* offset of the key's row in `rows` */
+    int64_t owner; /* the start the key leads to */
+} memo_slot;
+
+typedef struct {
+    memo_slot *slots;
+    int64_t capacity; /* a power of two */
+    int64_t count;
+    int32_t *rows;
+    int64_t rows_used; /* entries */
+    int64_t rows_capacity;
+    int64_t width; /* num_qubits */
+} climb_memo;
+
+static uint64_t mix64(uint64_t x)
+{
+    /* The splitmix64 finalizer. */
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+}
+
+static uint64_t row_hash(const int32_t *row, int64_t width)
+{
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    int64_t i;
+    for (i = 0; i < width; i++) {
+        hash = (hash ^ (uint32_t)row[i]) * 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+static uint64_t key_hash(uint64_t row, int64_t round, int64_t step)
+{
+    return mix64(row ^ mix64((uint64_t)round * 0x9e3779b97f4a7c15ULL +
+                             (uint64_t)step)) |
+           1U;
+}
+
+static int memo_init(climb_memo *memo, int64_t width)
+{
+    memo->capacity = 256;
+    memo->count = 0;
+    memo->rows_used = 0;
+    memo->rows_capacity = 64 * (width > 0 ? width : 1);
+    memo->width = width;
+    memo->slots = calloc((size_t)memo->capacity, sizeof(memo_slot));
+    memo->rows = malloc((size_t)memo->rows_capacity * sizeof(int32_t));
+    return memo->slots != NULL && memo->rows != NULL ? 0 : -1;
+}
+
+static void memo_free(climb_memo *memo)
+{
+    free(memo->slots);
+    free(memo->rows);
+}
+
+/* The slot holding the key, or the free slot where it would go. */
+static memo_slot *memo_probe(const climb_memo *memo, uint64_t hash,
+                             int64_t round, int64_t step, const int32_t *row)
+{
+    uint64_t mask = (uint64_t)memo->capacity - 1;
+    uint64_t i = hash & mask;
+    size_t row_bytes = (size_t)memo->width * sizeof(int32_t);
+    for (;; i = (i + 1) & mask) {
+        memo_slot *slot = memo->slots + i;
+        if (slot->hash == 0 ||
+            (slot->hash == hash && slot->round == round &&
+             slot->step == step &&
+             memcmp(memo->rows + slot->row, row, row_bytes) == 0)) {
+            return slot;
+        }
+    }
+}
+
+/* Append `row` to the row store; returns its offset, or -1 when the store
+ * cannot grow. */
+static int64_t memo_store_row(climb_memo *memo, const int32_t *row)
+{
+    if (memo->rows_used + memo->width > memo->rows_capacity) {
+        int64_t capacity = 2 * memo->rows_capacity;
+        int32_t *rows = realloc(memo->rows, (size_t)capacity * sizeof(int32_t));
+        if (rows == NULL) {
+            return -1;
+        }
+        memo->rows = rows;
+        memo->rows_capacity = capacity;
+    }
+    memcpy(memo->rows + memo->rows_used, row,
+           (size_t)memo->width * sizeof(int32_t));
+    memo->rows_used += memo->width;
+    return memo->rows_used - memo->width;
+}
+
+/* Fill the free slot `slot` (from memo_probe) with a key; the table
+ * doubles once it would be more than half full.  Returns -1 when it
+ * cannot. */
+static int memo_insert(climb_memo *memo, memo_slot *slot, uint64_t hash,
+                       int64_t round, int64_t step, int64_t row, int64_t owner)
+{
+    slot->hash = hash;
+    slot->round = round;
+    slot->step = step;
+    slot->row = row;
+    slot->owner = owner;
+    memo->count++;
+    if (2 * memo->count > memo->capacity) {
+        int64_t capacity = 2 * memo->capacity;
+        uint64_t mask = (uint64_t)capacity - 1;
+        memo_slot *slots = calloc((size_t)capacity, sizeof(memo_slot));
+        int64_t i;
+        if (slots == NULL) {
+            return -1;
+        }
+        for (i = 0; i < memo->capacity; i++) {
+            const memo_slot *old = memo->slots + i;
+            uint64_t j = old->hash & mask;
+            if (old->hash == 0) {
+                continue;
+            }
+            while (slots[j].hash != 0) {
+                j = (j + 1) & mask;
+            }
+            slots[j] = *old;
+        }
+        free(memo->slots);
+        memo->slots = slots;
+        memo->capacity = capacity;
+    }
+    return 0;
+}
+
+/* One first-improvement climb of start `start`, from the base placement
+ * recorded by repro_ctx_full(ctx, 1).  Moves are enumerated exactly as
+ * repro.core.fine_tuning.hill_climb_starts does: movable qubits in order,
+ * allowed nodes in order, the current node skipped, and a taken node
+ * swapped with its occupant -- the last qubit in placement-key order
+ * (`keys`, num_qubits entries) on that node, rebuilt per movable qubit
+ * like the Python node-to-qubit dict.  Each move is scored by score_move
+ * with the incumbent as cutoff.  A strictly cheaper move is written into
  * base_nodes and re-based through repro_ctx_full(ctx, 1), and its cost
  * becomes the incumbent.  The climb stops after a round without a change
- * or after max_rounds rounds.  *base_runtime holds the base runtime (and
- * first incumbent) on entry and the final base runtime on return; counts
- * gains the accepted moves, then score_move's three counts.  Returns the
- * final incumbent cost. */
-static double climb(
+ * or after max_rounds rounds.
+ *
+ * Before each movable qubit, while the row is injective, the climb looks
+ * its state -- (row, round, 2 * position + improved flag) -- up in
+ * `memo`.  The incumbent is always the row's exact runtime, and with one
+ * qubit per node the occupants do not depend on the key order, so the
+ * rest of the climb is fixed by the state: a state an earlier start
+ * passed through ends on that start's final row and cost, and the climb
+ * stops there.  A new state is stored with `start` as its owner.
+ *
+ * *base_runtime holds the base runtime (and first incumbent) on entry and
+ * the base runtime on return; counts gains the re-basing full
+ * evaluations, then score_move's three counts.  Returns 0 with the final
+ * cost in *cost_out, 1 with the earlier start in *owner_out, or -1 when
+ * the memo cannot grow. */
+static int climb(
     repro_replay_ctx *ctx,
+    climb_memo *memo,
+    int64_t start,
     const int32_t *keys,
     const int32_t *movable,
     int64_t num_movable,
@@ -381,22 +541,44 @@ static double climb(
     int64_t num_allowed,
     int64_t max_rounds,
     double *base_runtime,
+    double *cost_out,
+    int64_t *owner_out,
     int64_t *counts)
 {
     int32_t *base = ctx->base_nodes;
     int32_t *occupant = ctx->occupant;
     double cost = *base_runtime;
+    uint64_t hash = row_hash(base, ctx->num_qubits);
+    int64_t row = -1; /* the row's offset in the memo, once stored */
     int64_t round, m, n;
     for (round = 0; round < max_rounds; round++) {
         int improved = 0;
         for (m = 0; m < num_movable; m++) {
             int32_t qubit = movable[m];
             int32_t current = base[qubit];
+            int injective = 1;
             for (n = 0; n < ctx->num_env_nodes; n++) {
                 occupant[n] = -1;
             }
             for (n = 0; n < ctx->num_qubits; n++) {
-                occupant[base[keys[n]]] = keys[n];
+                int32_t *on_node = occupant + base[keys[n]];
+                injective &= *on_node < 0;
+                *on_node = keys[n];
+            }
+            if (injective) {
+                int64_t step = 2 * m + improved;
+                uint64_t key = key_hash(hash, round, step);
+                memo_slot *slot = memo_probe(memo, key, round, step, base);
+                if (slot->hash != 0) {
+                    *owner_out = slot->owner;
+                    return 1;
+                }
+                if (row < 0 && (row = memo_store_row(memo, base)) < 0) {
+                    return -1;
+                }
+                if (memo_insert(memo, slot, key, round, step, row, start) < 0) {
+                    return -1;
+                }
             }
             for (n = 0; n < num_allowed; n++) {
                 int32_t node = allowed[n];
@@ -417,6 +599,8 @@ static double climb(
                     cost = candidate;
                     counts[0]++;
                     improved = 1;
+                    hash = row_hash(base, ctx->num_qubits);
+                    row = -1;
                     break;
                 }
             }
@@ -425,19 +609,24 @@ static double climb(
             break;
         }
     }
-    return cost;
+    *cost_out = cost;
+    return 0;
 }
 
-/* Climb a block of start placements in one call.  Row r of `nodes`
- * (num_qubits entries) holds start r's node index per evaluator qubit,
- * and row r of `keys` that start's qubit indices in placement-key order.
- * Each row is copied into base_nodes, re-based through
- * repro_ctx_full(ctx, 1) (the first incumbent) and climbed as above;
- * the final nodes overwrite the row and the final cost lands in
- * costs_out[r].  counts_out[4] receives the four counts summed over all
- * rows.  ctx is left on the last row's final base, whose runtime is
- * returned (0.0 when num_starts is 0). */
-double repro_hill_climb(
+/* Climb a block of start placements in one call, with one merge memo.
+ * Row r of `nodes` (num_qubits entries) holds start r's node index per
+ * evaluator qubit, and row r of `keys` that start's qubit indices in
+ * placement-key order.  Each row is copied into base_nodes, re-based
+ * through repro_ctx_full(ctx, 1) (the first incumbent) and climbed as
+ * above.  The final nodes overwrite the row and the final cost lands in
+ * costs_out[r]; a merged start takes its earlier start's.  repeats_out[r]
+ * is 1 when the final row equals an earlier start's final row, else 0.
+ * counts_out[4] receives the four counts summed over all rows.  ctx is
+ * left on the last row's final base (re-based once more when the last
+ * start merged before reaching it), whose runtime lands in
+ * *base_runtime_out (0.0 when num_starts is 0).  Returns 0, or -1 when
+ * the memo cannot be allocated (the rows are then partly climbed). */
+int32_t repro_hill_climb(
     repro_replay_ctx *ctx,
     int64_t num_starts,
     int32_t *nodes,
@@ -448,24 +637,65 @@ double repro_hill_climb(
     int64_t num_allowed,
     int64_t max_rounds,
     double *costs_out,
+    int8_t *repeats_out,
+    double *base_runtime_out,
     int64_t *counts_out)
 {
     size_t row_bytes = (size_t)ctx->num_qubits * sizeof(int32_t);
     double base_runtime = 0.0;
+    climb_memo memo;
     int64_t r;
     for (r = 0; r < 4; r++) {
         counts_out[r] = 0;
     }
+    if (memo_init(&memo, ctx->num_qubits) < 0) {
+        memo_free(&memo);
+        return -1;
+    }
     for (r = 0; r < num_starts; r++) {
         int32_t *row = nodes + r * ctx->num_qubits;
+        int64_t owner = -1;
+        int status;
         memcpy(ctx->base_nodes, row, row_bytes);
         base_runtime = repro_ctx_full(ctx, 1);
-        costs_out[r] = climb(
-            ctx, keys + r * ctx->num_qubits, movable, num_movable, allowed,
-            num_allowed, max_rounds, &base_runtime, counts_out);
-        memcpy(row, ctx->base_nodes, row_bytes);
+        counts_out[0]++;
+        status = climb(
+            ctx, &memo, r, keys + r * ctx->num_qubits, movable, num_movable,
+            allowed, num_allowed, max_rounds, &base_runtime, costs_out + r,
+            &owner, counts_out);
+        if (status < 0) {
+            memo_free(&memo);
+            return -1;
+        }
+        if (status == 1) {
+            memcpy(row, nodes + owner * ctx->num_qubits, row_bytes);
+            costs_out[r] = costs_out[owner];
+            repeats_out[r] = 1;
+            if (r == num_starts - 1 &&
+                memcmp(ctx->base_nodes, row, row_bytes) != 0) {
+                memcpy(ctx->base_nodes, row, row_bytes);
+                base_runtime = repro_ctx_full(ctx, 1);
+                counts_out[0]++;
+            }
+        } else {
+            uint64_t key;
+            memo_slot *slot;
+            int64_t stored;
+            memcpy(row, ctx->base_nodes, row_bytes);
+            key = key_hash(row_hash(row, ctx->num_qubits), -1, -1);
+            slot = memo_probe(&memo, key, -1, -1, row);
+            repeats_out[r] = slot->hash != 0;
+            if (slot->hash == 0 &&
+                ((stored = memo_store_row(&memo, row)) < 0 ||
+                 memo_insert(&memo, slot, key, -1, -1, stored, r) < 0)) {
+                memo_free(&memo);
+                return -1;
+            }
+        }
     }
-    return base_runtime;
+    memo_free(&memo);
+    *base_runtime_out = base_runtime;
+    return 0;
 }
 
 /* Bit-exact mirror of CPython's random.Random (Modules/_randommodule.c):

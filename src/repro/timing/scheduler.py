@@ -580,18 +580,22 @@ class RuntimeEvaluator:
         """Climb every start in ``placements`` in one kernel call.
 
         Native backend only; the reference is
-        :func:`~repro.core.fine_tuning.hill_climb_incremental` run once per
-        start.  For each start in turn the kernel re-bases on it, makes the
-        Python loop's moves in the Python loop's order, scores each with
-        the incumbent as cutoff and re-bases on every accepted move, so the
-        results, the scheduler counters and the evaluator's final base (the
-        last start's result) all equal the reference's.  No move is
+        :func:`~repro.core.fine_tuning.hill_climb_starts`.  For each start
+        in turn the kernel re-bases on it, makes the Python loop's moves in
+        the Python loop's order, scores each with the incumbent as cutoff
+        and re-bases on every accepted move.  Like the loop, it keeps one
+        memo of the climb states of the call and stops a start at a state
+        an earlier start passed through, taking that start's result.  So
+        the results, the scheduler counters and the evaluator's final base
+        (the last start's result) all equal the loop's.  No move is
         cross-checked against a full evaluation, so ``full_recompute``
         callers keep the loop.  Every qubit and node of every start is
         translated to an index first, so an unknown one raises ``KeyError``
-        before the kernel runs and leaves the evaluator untouched.  Returns
-        one ``(improved copy of the start (same key order), cost)`` per
-        start.
+        before the kernel runs and leaves the evaluator untouched; a memo
+        the kernel cannot allocate raises ``MemoryError`` and leaves no
+        base.  Returns one ``(placement, cost)`` per distinct climbed
+        placement, in first-occurrence order and in its first start's key
+        order.
         """
         native = self._native
         if native is None:
@@ -618,15 +622,17 @@ class RuntimeEvaluator:
         # 0).  A climb stops after a round without a change, so no climb
         # runs 2**63 - 1 rounds and clamping changes no result.
         rounds = min(max(max_rounds, 0), 2**63 - 1)
-        final, costs, self.base_runtime, counts = native.hill_climb(
-            len(placements), starts, keys, movable, allowed, rounds
-        )
+        try:
+            final, costs, repeats, self.base_runtime, counts = native.hill_climb(
+                len(placements), starts, keys, movable, allowed, rounds
+            )
+        except MemoryError:
+            self._base_nodes = None
+            raise
         width = len(qubits)
         self._base_nodes = final[(len(placements) - 1) * width:]
-        accepted, evals, skipped, replayed = counts
-        # One re-basing full evaluation per start and per accepted move,
-        # as set_base books them.
-        STATS.increment("scheduler.full_evals", len(placements) + accepted)
+        full, evals, skipped, replayed = counts
+        STATS.increment("scheduler.full_evals", full)
         self._pending_incremental += evals
         self._pending_skipped += skipped
         self._pending_replayed += replayed
@@ -634,6 +640,8 @@ class RuntimeEvaluator:
         nodes = self._nodes
         results: List[Tuple[Placement, float]] = []
         for row, placement in enumerate(placements):
+            if repeats[row]:
+                continue
             offset = row * width
             climbed = {
                 qubit: nodes[final[offset + qubit_index[qubit]]]

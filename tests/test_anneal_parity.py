@@ -110,7 +110,7 @@ def _case(host, threshold, restrict, family, size, gates, seed, pick,
         return None
     workspace = workspaces[pick % len(workspaces)]
     subcircuit = workspace.subcircuit(circuit)
-    context = _GraphContext(graph, circuit)
+    context = _GraphContext(graph)
     reference = RuntimeEvaluator(subcircuit, environment, backend="python")
     if random_start and math.isfinite(environment.default_pair_delay):
         nodes = rng.sample(list(graph.nodes()), circuit.num_qubits)

@@ -61,6 +61,26 @@ class TestConstruction:
             PhysicalEnvironment(nodes, pairs, default_pair_delay=default)
 
     @pytest.mark.parametrize(
+        "nodes, pairs, default",
+        [
+            ({"a": True}, {}, math.inf),
+            ({"a": 1.0, "b": 1.0}, {("a", "b"): True}, math.inf),
+            ({"a": 1.0}, {}, False),
+        ],
+        ids=["node", "pair", "default"],
+    )
+    def test_boolean_delay_rejected(self, nodes, pairs, default):
+        # A bool is an int to float(): True used to load as a delay of 1.0.
+        with pytest.raises(EnvironmentError_, match="non-negative number, got (True|False)$"):
+            PhysicalEnvironment(nodes, pairs, default_pair_delay=default)
+
+    def test_boolean_time_unit_rejected(self):
+        with pytest.raises(
+            EnvironmentError_, match="^time_unit_seconds must be a number, not True$"
+        ):
+            PhysicalEnvironment({"a": 1.0}, {}, time_unit_seconds=True)
+
+    @pytest.mark.parametrize(
         "unit", [-1.0, 0.0, math.nan, math.inf], ids=["negative", "zero", "nan", "inf"]
     )
     def test_non_positive_or_non_finite_time_unit_rejected(self, unit):

@@ -481,7 +481,7 @@ def _assert_completion_matches(rng, graph):
     qubits = [f"v{i}" for i in range(rng.randint(1, size + 1))]
     rng.shuffle(qubits)
     circuit = QuantumCircuit(qubits)
-    context = core_placement._GraphContext(graph, circuit)
+    context = core_placement._GraphContext(graph)
     reference = ReferenceContext(graph)
     median_delay = rng.choice((1.0, 2.5))
     limit = min(len(qubits), size)
@@ -530,8 +530,7 @@ class TestCompletionMatchesReference:
 
     def test_disconnected_estimate_is_infinite(self):
         graph = nx.Graph([("a", "b"), ("c", "d")])
-        circuit = QuantumCircuit(["x", "y"])
-        context = core_placement._GraphContext(graph, circuit)
+        context = core_placement._GraphContext(graph)
         previous = {"x": "a", "y": "c"}
         candidate = {"x": "d", "y": "c"}
         assert core_placement._estimate_swap_cost(

@@ -162,3 +162,40 @@ class TestLabelRule:
         from repro.circuits import qasm
 
         assert qasm.label_from_text is hio.label_from_text
+
+
+class TestJsonBooleans:
+    """A JSON ``true``/``false`` is neither a node label nor a number."""
+
+    def test_boolean_pair_label_is_refused(self):
+        # true used to name int node 1, and dumps then refused the pair.
+        with pytest.raises(
+            SerializationError, match="^unsupported node label True in environment file$"
+        ):
+            hio.loads('{"nodes": {"1": 1.0, "b": 1.0}, "pairs": [[true, "b", 5]]}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"nodes": {"a": true, "b": 1.0}}',
+                "the delay of node 'a' must be a number, not the boolean true",
+            ),
+            (
+                '{"nodes": {"a": 1.0, "b": 1.0}, "pairs": [["a", "b", false]]}',
+                r"the delay of pair \('a', 'b'\) must be a number, not the boolean false",
+            ),
+            (
+                '{"nodes": {"a": 1.0}, "default_pair_delay": true}',
+                "default_pair_delay must be a number, not the boolean true",
+            ),
+            (
+                '{"nodes": {"a": 1.0}, "time_unit_seconds": true}',
+                "time_unit_seconds must be a number, not the boolean true",
+            ),
+        ],
+        ids=["node-delay", "pair-delay", "default-pair-delay", "time-unit"],
+    )
+    def test_boolean_number_is_refused(self, text, message):
+        with pytest.raises(SerializationError, match=f"^{message}$"):
+            hio.loads(text)

@@ -13,7 +13,7 @@ from repro.core.config import PlacementOptions
 from repro.core.fine_tuning import (
     default_cost_function,
     hill_climb,
-    hill_climb_incremental,
+    hill_climb_starts,
 )
 from repro.core.placement import place_circuit
 from repro.hardware.molecules import histidine, trans_crotonic_acid
@@ -182,8 +182,8 @@ class TestHillClimbParity:
         evaluator = RuntimeEvaluator(
             circuit, environment, apply_interaction_cap=True
         )
-        actual_placement, actual_cost = hill_climb_incremental(
-            placement, evaluator, movable, allowed
+        [(actual_placement, actual_cost)] = hill_climb_starts(
+            [placement], evaluator, movable, allowed
         )
         assert actual_placement == expected_placement
         assert actual_cost == expected_cost

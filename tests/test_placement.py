@@ -231,3 +231,46 @@ class TestMedianEdgeDelay:
 
         graph = nx.Graph([(0, 1)])
         assert _median_edge_delay(graph) == 1.0
+
+
+class TestLookaheadCandidateReuse:
+    def test_workspace_placing_every_qubit_is_fine_tuned_once(
+        self, crotonic, monkeypatch
+    ):
+        import repro.core.placement as placement_module
+        import repro.core.placers.exact as exact_module
+
+        tuned = []
+        original = exact_module.fine_tune_workspace_placement
+
+        def counted(subcircuit, *args, **kwargs):
+            tuned.append(subcircuit.name)
+            return original(subcircuit, *args, **kwargs)
+
+        monkeypatch.setattr(exact_module, "fine_tune_workspace_placement", counted)
+        options = PlacementOptions(threshold=100.0)
+        reused = place_circuit(qft_circuit(5), crotonic, options)
+        name = qft_circuit(5).name
+        # W1's monomorphisms place all five qubits, so the lookahead's
+        # candidates serve its own placement; W2's leave one to completion,
+        # which depends on the previous placement.
+        assert tuned.count(f"{name}#W1") == 1
+        assert tuned.count(f"{name}#W2") == 2
+
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        def forgetful(context, graph):
+            initialise(context, graph)
+            context.candidates = Forgetful()
+
+        initialise = placement_module._GraphContext.__init__
+        monkeypatch.setattr(placement_module._GraphContext, "__init__", forgetful)
+        tuned.clear()
+        recomputed = place_circuit(qft_circuit(5), crotonic, options)
+        assert tuned.count(f"{name}#W1") == 2
+        assert [list(stage.placement.items()) for stage in reused.stages] == [
+            list(stage.placement.items()) for stage in recomputed.stages
+        ]
+        assert reused.total_runtime == recomputed.total_runtime

@@ -29,9 +29,12 @@ from repro.circuits import gates as g
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import qft_circuit
 from repro.core.config import PlacementOptions
+from repro.core._bitset import canonical_order
 from repro.core.fine_tuning import (
+    default_cost_function,
     fine_tune_workspace_placement,
-    hill_climb_incremental,
+    hill_climb,
+    hill_climb_starts,
 )
 from repro.core.placement import place_circuit
 from repro.core.stats import STATS
@@ -531,6 +534,16 @@ CLIMB_HOSTS = (
     "grid:8x8", "chain:32", "heavy-hex:5", _slow_chain,
 )
 
+#: Starts derived from earlier ones (see ``_climb_case``): the climbs that
+#: converge and merge.
+DERIVED_STARTS = st.lists(
+    st.tuples(st.sampled_from(("repeat", "relabel")), st.integers(0, 9)),
+    max_size=4,
+)
+
+#: Indices of the starts ``_advance`` moves one round ahead.
+ADVANCED_STARTS = st.lists(st.integers(0, 9), max_size=2)
+
 #: The scheduler counters a climb must move identically on both paths.
 CLIMB_COUNTERS = (
     "scheduler.full_evals",
@@ -540,14 +553,17 @@ CLIMB_COUNTERS = (
 )
 
 
-def _climb_case(host, seed, full, shared=(False,)):
+def _climb_case(host, seed, full, shared=(False,), derived=()):
     """A random circuit, start placements, movable set and allowed-node order.
 
     One start per entry of ``shared``.  ``full`` fills every host node, so
     every move is a swap; otherwise some nodes stay free.  A true
     ``shared`` entry puts that start's last two placement keys on one node,
-    so the occupant of a node depends on the key order.  Key, movable and
-    allowed orders are all shuffled.
+    so the occupant of a node depends on the key order.  Then one start
+    per ``(kind, index)`` entry of ``derived``, made from the start at
+    ``index`` (modulo the starts so far): ``"repeat"`` is a copy,
+    ``"relabel"`` the same nodes with two qubits' nodes exchanged.  Key,
+    movable and allowed orders are all shuffled.
     """
     environment = _host(host)
     rng = random.Random(seed)
@@ -563,7 +579,24 @@ def _climb_case(host, seed, full, shared=(False,)):
         placements.append(placement)
     movable = rng.sample(list(circuit.qubits), rng.randint(1, num_qubits))
     allowed = rng.sample(nodes, rng.randint(1, len(nodes)))
+    for kind, index in derived:
+        source = placements[index % len(placements)]
+        keys = rng.sample(list(source), len(source))
+        placement = {qubit: source[qubit] for qubit in keys}
+        if kind == "relabel":
+            a, b = rng.sample(keys, 2)
+            placement[a], placement[b] = source[b], source[a]
+        placements.append(placement)
     return environment, circuit, placements, movable, allowed
+
+
+def _advance(placements, advanced, cost, movable, allowed):
+    """Append, per entry of ``advanced``, the start at that index (modulo
+    the starts so far) after one round of :func:`hill_climb`: a start
+    that reaches the states of its source's climb one round early."""
+    for index in advanced:
+        source = placements[index % len(placements)]
+        placements.append(hill_climb(source, cost, movable, allowed, max_rounds=1)[0])
 
 
 def _climb(evaluator, climb):
@@ -612,26 +645,27 @@ class TestNativeHillClimb:
         max_rounds=st.sampled_from((0, 1, 3, 10, 2**64)),
         full=st.booleans(),
         shared=st.lists(st.booleans(), min_size=1, max_size=6),
+        derived=DERIVED_STARTS,
+        advanced=ADVANCED_STARTS,
         cap=st.booleans(),
     )
     def test_native_climb_matches_python_loop(
-        self, seed, host, max_rounds, full, shared, cap
+        self, seed, host, max_rounds, full, shared, derived, advanced, cap
     ):
         environment, circuit, placements, movable, allowed = _climb_case(
-            host, seed, full, shared
+            host, seed, full, shared, derived
         )
+        cost = default_cost_function(circuit, environment, apply_interaction_cap=cap)
+        _advance(placements, advanced, cost, movable, allowed)
         python, native = (
             RuntimeEvaluator(
                 circuit, environment, apply_interaction_cap=cap, backend=backend
             )
             for backend in ("python", "native")
         )
-        expected = _climb(python, lambda: [
-            hill_climb_incremental(
-                placement, python, movable, allowed, max_rounds=max_rounds
-            )
-            for placement in placements
-        ])
+        expected = _climb(python, lambda: hill_climb_starts(
+            placements, python, movable, allowed, max_rounds=max_rounds
+        ))
         actual = _climb(native, lambda: native.hill_climb(
             placements, movable, allowed, max_rounds
         ))
@@ -701,6 +735,114 @@ class TestNativeHillClimb:
         )
         assert len(kernel_calls) == len(tune_calls)
         assert len(kernel_calls) <= 2 * len(result.stages)
+
+
+def _first_occurrences(results):
+    """``(items, cost)`` of each distinct placement, first occurrence kept."""
+    distinct = set()
+    kept = []
+    for placement, cost in results:
+        row = frozenset(placement.items())
+        if row not in distinct:
+            distinct.add(row)
+            kept.append((list(placement.items()), cost))
+    return kept
+
+
+class TestMergedClimb:
+    """Merged climbs return the distinct results of independent climbs."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 10_000),
+        host=st.sampled_from(CLIMB_HOSTS),
+        max_rounds=st.sampled_from((0, 1, 3, 10, 2**64)),
+        full=st.booleans(),
+        shared=st.lists(st.booleans(), min_size=1, max_size=4),
+        derived=DERIVED_STARTS,
+        advanced=ADVANCED_STARTS,
+        cap=st.booleans(),
+    )
+    def test_distinct_results_of_the_generic_climb(
+        self, seed, host, max_rounds, full, shared, derived, advanced, cap
+    ):
+        environment, circuit, placements, _, allowed = _climb_case(
+            host, seed, full, shared, derived
+        )
+        movable = canonical_order(
+            {q for gate in circuit if gate.is_two_qubit for q in gate.qubits}
+        ) or list(circuit.used_qubits())
+        cost = default_cost_function(circuit, environment, apply_interaction_cap=cap)
+        _advance(placements, advanced, cost, movable, allowed)
+        expected = _first_occurrences(
+            hill_climb(placement, cost, movable, allowed, max_rounds=max_rounds)
+            for placement in placements
+        )
+        for backend in AVAILABLE_BACKENDS:
+            evaluator = RuntimeEvaluator(
+                circuit, environment, apply_interaction_cap=cap, backend=backend
+            )
+            actual = fine_tune_workspace_placement(
+                circuit,
+                placements,
+                environment,
+                allowed_nodes=allowed,
+                apply_interaction_cap=cap,
+                max_rounds=max_rounds,
+                evaluator=evaluator,
+            )
+            assert [
+                (list(placement.items()), cost) for placement, cost in actual
+            ] == expected, backend
+
+    @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+    def test_sweep_incremental_evals_pinned(self, backend, monkeypatch):
+        # 126,739 before the climbs of a candidate set were merged and the
+        # lookahead's candidates reused.
+        from repro.api import Session
+        from repro.config import RunConfig
+
+        monkeypatch.setenv(_replay.BACKEND_ENV_VAR, backend)
+        result = Session(RunConfig(circuit="qft:8", environment="histidine")).sweep()
+        assert result.counters["scheduler.incremental_evals"] == 45_143
+
+    @needs_native
+    def test_failed_memo_allocation_raises(self, monkeypatch):
+        environment, circuit, placements, movable, allowed = _climb_case(
+            "histidine", 5, False
+        )
+        evaluator = RuntimeEvaluator(circuit, environment, backend="native")
+        evaluator.set_base(placements[0])
+        monkeypatch.setattr(
+            evaluator._native._kernel, "hill_climb", lambda *args: -1
+        )
+        with pytest.raises(MemoryError, match="memo"):
+            evaluator.hill_climb(placements, movable, allowed, 3)
+        assert evaluator._base_nodes is None
+
+    @needs_native
+    def test_full_recompute_is_scoped_to_the_call(self, monkeypatch):
+        environment, circuit, placements, _, allowed = _climb_case(
+            "histidine", 5, False, (False, False)
+        )
+        evaluator = RuntimeEvaluator(circuit, environment, backend="native")
+        kernel_calls = _count_calls(monkeypatch, _native.NativeReplay, "hill_climb")
+        checked = fine_tune_workspace_placement(
+            circuit, placements, environment, allowed_nodes=allowed,
+            evaluator=evaluator, full_recompute=True,
+        )
+        assert not kernel_calls
+        assert evaluator.full_recompute is False
+        plain = fine_tune_workspace_placement(
+            circuit, placements, environment, allowed_nodes=allowed,
+            evaluator=evaluator,
+        )
+        assert len(kernel_calls) == 1
+        assert plain == checked
 
 
 class TestNativeBuild:
